@@ -26,6 +26,7 @@ from .partitions import (
     identity_coset,
     index_p,
     is_rectangular,
+    iter_cosets,
     multinomial_index,
     p_reduced,
     reduce_once,

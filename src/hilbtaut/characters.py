@@ -19,9 +19,9 @@ from .errors import ShapeMismatchError, SizeLimitError
 from .partitions import (
     Partition,
     YoungDiagram,
-    _label_tuples,
     dimension,
     enumerate_partitions,
+    iter_cosets,
 )
 
 # A cycle type is a partition of m listing cycle lengths.
@@ -254,9 +254,9 @@ def brute_force_character_table(m: int) -> CharacterTable:
     cycle_types = diagrams  # same enumeration order
     reps = {c: canonical_permutation(c) for c in cycle_types}
 
-    def fixed_tabloids(mu: Partition, g: tuple[int, ...]) -> int:
+    def fixed_tabloids(tabloids: tuple, g: tuple[int, ...]) -> int:
         total = 0
-        for labels in _label_tuples(tuple(mu)):
+        for labels in tabloids:
             if all(labels[g[p]] == labels[p] for p in range(m)):
                 total += 1
         return total
@@ -268,8 +268,9 @@ def brute_force_character_table(m: int) -> CharacterTable:
 
     irreducibles: list[dict[CycleType, Fraction]] = []
     for mu in diagrams:
+        tabloids = tuple(iter_cosets(mu))
         vals: dict[CycleType, Fraction] = {
-            c: Fraction(fixed_tabloids(mu, reps[c])) for c in cycle_types
+            c: Fraction(fixed_tabloids(tabloids, reps[c])) for c in cycle_types
         }
         for prev in irreducibles:
             mult = dot(vals, prev)

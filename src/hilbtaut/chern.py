@@ -23,10 +23,10 @@ from .partitions import (
     LabeledComposition,
     MAX_COSETS,
     YoungDiagram,
-    _label_tuples,
     dimension,
     enumerate_partitions,
     index_p,
+    iter_cosets,
     p_reduced,
 )
 
@@ -167,11 +167,11 @@ def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
 
 
 @lru_cache(maxsize=None)
-def _same_label_pair_counts(parts: tuple[int, ...]) -> dict[int, int]:
+def _same_label_pair_counts(parts: tuple[int, ...], max_cosets: int) -> dict[int, int]:
     # Brute-force census: how many cosets give positions 1 and 2 the same
     # label i.  Counted by scanning the enumeration, never by formula.
     counts: dict[int, int] = {}
-    for labels in _label_tuples(parts):
+    for labels in iter_cosets(parts, max_cosets):
         if labels[0] == labels[1]:
             counts[labels[0]] = counts.get(labels[0], 0) + 1
     return counts
@@ -192,7 +192,7 @@ def invariant_restriction_rank(spec: BundleSpec, max_cosets: int = MAX_COSETS) -
         return 0
     if index_p(spec.lam) > max_cosets:
         raise SizeLimitError(f"{index_p(spec.lam)} cosets exceed the bound {max_cosets}")
-    counts = _same_label_pair_counts(tuple(spec.lam))
+    counts = _same_label_pair_counts(tuple(spec.lam), max_cosets)
     s, w = spec.s, spec.w
     trace = 0
     for i, cnt in counts.items():

@@ -27,13 +27,7 @@ from .errors import (
     ModuliDimensionMismatchError,
     SpecValidationError,
 )
-from .moduli import (
-    HomTable,
-    check_conditions,
-    equivariant_end_dims,
-    moduli_component_dim,
-    stability_certificate,
-)
+from .moduli import HomTable, _ext_dims, check_conditions, stability_certificate
 from .partitions import LabeledComposition, Partition, YoungDiagram
 from .verify import verify_all
 
@@ -195,16 +189,16 @@ def _cmd_rank(args) -> int:
 def _cmd_ext(args) -> int:
     doc = parse_spec(args.spec)
     table = _require_table(doc, "ext")
-    dims = equivariant_end_dims(doc.spec, table)
+    dims, moduli = _ext_dims(doc.spec, table)
     moduli_dim = None
     mismatch = None
     note = None
-    try:
-        moduli_dim = moduli_component_dim(table, doc.spec)
-    except ModuliDimensionMismatchError as exc:
-        mismatch = (exc.image_dim, exc.tangent_dim)
-    except ValueError as exc:
-        note = str(exc)
+    if isinstance(moduli, ModuliDimensionMismatchError):
+        mismatch = (moduli.image_dim, moduli.tangent_dim)
+    elif isinstance(moduli, ValueError):
+        note = str(moduli)
+    else:
+        moduli_dim = moduli
     if args.json:
         _print_json(
             {

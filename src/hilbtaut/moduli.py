@@ -3,18 +3,27 @@
 A HomTable records exact dimensions of Hom and Ext^1 between the input
 bundles on the surface.  From it the package checks the ordered-grouping
 vanishing condition, certifies that off-diagonal equivariant Ext^1
-contributions die coset by coset, sums self-extension dimensions into
-moduli component dimensions, counts Homs between two induced bundles with
-the same shape, and produces per-coset slope certificates for stability.
+contributions die on every nontrivial coset, sums self-extension
+dimensions into moduli component dimensions, counts Homs between two
+induced bundles with the same shape, and produces per-coset slope
+certificates for stability.
+
+Neither coset scan enumerates cosets.  The degree-1 dimension of a coset
+depends only on its double coset, a k x k table of (block, label) counts
+(Mackey's formula), so the vanishing check visits tables instead.  The
+stability verdict follows in closed form from slope balance, and its
+witnesses are produced lazily.  The coset-by-coset versions live in
+verify.py as oracles.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import prod
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .chern import BundleSpec
 from .characters import standard_tensor_multiplicity
@@ -28,8 +37,9 @@ from .partitions import (
     LabeledComposition,
     LabeledSetPartition,
     MAX_COSETS,
-    _label_tuples,
     index_p,
+    iter_cosets,
+    multinomial_index,
 )
 
 MAX_GROUPING_BLOCKS = 10
@@ -210,6 +220,67 @@ def _require_block_match(lam: LabeledComposition, table: HomTable) -> None:
         raise ShapeMismatchError(f"{lam.k} blocks but the table has {table.k}")
 
 
+def _first_failing_table(
+    lam: LabeledComposition, hom, ext1
+) -> tuple[list[list[int]], int] | None:
+    # Depth-first over the k x k tables with row and column sums lambda, row
+    # by row, each cell's count tried from its largest feasible value down:
+    # complete tables come in descending row-major order.  Along the way
+    # (p, d) carry prod hom^T and sum T*ext1*hom^(T-1)*prod(other cells) over
+    # the cells placed so far; once both are 0 no completion can fail, so the
+    # subtree is skipped.  Only columns with capacity left are visited, and
+    # the last row is forced.  `cells` always holds the current path.
+    k = len(lam)
+    cells = [[0] * k for _ in range(k)]
+    col_left = list(lam)
+
+    def next_row(a: int, p: int, d: int, moved: bool) -> int:
+        if a == k - 1:
+            for b in range(k):
+                t = col_left[b]
+                if t:
+                    h = hom[a][b]
+                    ht = h**t
+                    p, d = p * ht, d * ht + p * t * ext1[a][b] * h ** (t - 1)
+                    moved = moved or b != a
+            if not (moved and d):
+                return 0
+            cells[a][:] = col_left
+            return d
+        open_cols = [b for b in range(k) if col_left[b]]
+        room = [0] * (len(open_cols) + 1)  # capacity of open_cols[i:]
+        for i in range(len(open_cols) - 1, -1, -1):
+            room[i] = room[i + 1] + col_left[open_cols[i]]
+
+        def fill(i: int, row_left: int, p: int, d: int, moved: bool) -> int:
+            if not row_left:
+                return next_row(a + 1, p, d, moved)
+            b = open_cols[i]
+            h, e = hom[a][b], ext1[a][b]
+            for t in range(min(row_left, col_left[b]), max(0, row_left - room[i + 1]) - 1, -1):
+                if t:
+                    ht = h**t
+                    p_next, d_next = p * ht, d * ht + p * t * e * h ** (t - 1)
+                else:
+                    p_next, d_next = p, d
+                if not (p_next or d_next):
+                    continue
+                cells[a][b] = t
+                col_left[b] -= t
+                found = fill(i + 1, row_left - t, p_next, d_next, moved or (t > 0 and a != b))
+                col_left[b] += t
+                cells[a][b] = 0
+                if found:
+                    cells[a][b] = t
+                    return found
+            return 0
+
+        return fill(0, lam[a], p, d, moved)
+
+    deg1 = next_row(0, 1, 0, False)
+    return (cells, deg1) if deg1 else None
+
+
 def offdiagonal_ext1_vanishing(
     lam: Sequence[int], table: HomTable, max_cosets: int = MAX_COSETS
 ) -> VanishingReport:
@@ -218,33 +289,27 @@ def offdiagonal_ext1_vanishing(
     Per coset the degree-1 dimension factors through positions: a sum over
     positions of ext1 at that position times hom at all others, with the
     block of each position on the left and the coset label on the right.
-    Returns the first violating coset with its dimension, if any.
+    It therefore depends on a coset only through its double coset
+    S_lambda g S_lambda, recorded as the k x k table T[a][b] of positions
+    of block a carrying label b (rows and columns sum to lambda), where it
+    equals sum over cells of T*ext1*hom^(T-1) times hom^T of the other
+    cells.  The tables are searched in descending row-major order, which is
+    ascending order of each table's lex-least coset (every block's labels
+    sorted), so the first failing table gives the first violating coset in
+    coset order; it is returned with its dimension, if any.  No coset is
+    enumerated.
     """
     lam = LabeledComposition(lam)
     _require_block_match(lam, table)
     count = index_p(lam)
     if count > max_cosets:
         raise SizeLimitError(f"{count} cosets exceed the bound {max_cosets}")
-    ident = lam.identity_labels()
-    n = lam.n
-    hom, ext1 = table.hom, table.ext1
-    for labels in _label_tuples(tuple(lam)):
-        if labels == ident:
-            continue
-        h = [hom[ident[p] - 1][labels[p] - 1] for p in range(n)]
-        zeros = h.count(0)
-        if zeros >= 2:
-            continue
-        e = [ext1[ident[p] - 1][labels[p] - 1] for p in range(n)]
-        if zeros == 1:
-            p0 = h.index(0)
-            deg1 = e[p0] * prod(h[p] for p in range(n) if p != p0)
-        else:
-            full = prod(h)
-            deg1 = sum(e[p] * (full // h[p]) for p in range(n))
-        if deg1:
-            return VanishingReport(False, LabeledSetPartition(labels), deg1)
-    return VanishingReport(True, None, 0)
+    found = _first_failing_table(lam, table.hom, table.ext1)
+    if found is None:
+        return VanishingReport(True, None, 0)
+    cells, deg1 = found
+    labels = [b + 1 for row in cells for b, t in enumerate(row) for _ in range(t)]
+    return VanishingReport(False, LabeledSetPartition(labels), deg1)
 
 
 @dataclass(frozen=True)
@@ -270,6 +335,31 @@ def _require_simple_diagonal(table: HomTable) -> None:
             )
 
 
+def _ext_dims(
+    spec: BundleSpec, table: HomTable, max_cosets: int = MAX_COSETS
+) -> tuple[EndDims, int | ValueError]:
+    # equivariant_end_dims and moduli_component_dim from one coset scan; the
+    # second entry is the component dimension or the error explaining why
+    # there is none
+    _require_block_match(spec.lam, table)
+    _require_simple_diagonal(table)
+    tangent_dim = sum(
+        standard_tensor_multiplicity(blk.rep) * table.ext1[i][i]
+        for i, blk in enumerate(spec.blocks)
+    )
+    vanishing = offdiagonal_ext1_vanishing(spec.lam, table, max_cosets)
+    dims = EndDims(1, tangent_dim, vanishing.holds, vanishing.failing_coset)
+    if not vanishing.holds:
+        return dims, ValueError(
+            f"off-diagonal Ext^1 survives on coset {tuple(vanishing.failing_coset)}; "
+            "the tangent space is not under control"
+        )
+    image_dim = sum(table.end1_self)
+    if image_dim != tangent_dim:
+        return dims, ModuliDimensionMismatchError(image_dim, tangent_dim)
+    return dims, image_dim
+
+
 def equivariant_end_dims(
     spec: BundleSpec, table: HomTable, max_cosets: int = MAX_COSETS
 ) -> EndDims:
@@ -282,14 +372,7 @@ def equivariant_end_dims(
     off-diagonal coset survives in degree 1 the flag is lowered and the
     returned end1 is only the identity-coset part.
     """
-    _require_block_match(spec.lam, table)
-    _require_simple_diagonal(table)
-    end1 = sum(
-        standard_tensor_multiplicity(blk.rep) * table.ext1[i][i]
-        for i, blk in enumerate(spec.blocks)
-    )
-    vanishing = offdiagonal_ext1_vanishing(spec.lam, table, max_cosets)
-    return EndDims(1, end1, vanishing.holds, vanishing.failing_coset)
+    return _ext_dims(spec, table, max_cosets)[0]
 
 
 def moduli_component_dim(
@@ -302,22 +385,10 @@ def moduli_component_dim(
     every block representation is rectangular, otherwise a mismatch error
     carrying both numbers is raised.
     """
-    _require_block_match(spec.lam, table)
-    _require_simple_diagonal(table)
-    vanishing = offdiagonal_ext1_vanishing(spec.lam, table, max_cosets)
-    if not vanishing.holds:
-        raise ValueError(
-            f"off-diagonal Ext^1 survives on coset {tuple(vanishing.failing_coset)}; "
-            "the tangent space is not under control"
-        )
-    image_dim = sum(table.end1_self)
-    tangent_dim = sum(
-        standard_tensor_multiplicity(blk.rep) * table.ext1[i][i]
-        for i, blk in enumerate(spec.blocks)
-    )
-    if image_dim != tangent_dim:
-        raise ModuliDimensionMismatchError(image_dim, tangent_dim)
-    return image_dim
+    dim = _ext_dims(spec, table, max_cosets)[1]
+    if isinstance(dim, ValueError):
+        raise dim
+    return dim
 
 
 def hom_between(spec_a: BundleSpec, spec_b: BundleSpec, cross: Sequence[Sequence[int]]) -> int:
@@ -357,47 +428,121 @@ def slope_of_induced(lam: Sequence[int], slopes: Sequence[Fraction | int]) -> Fr
     return sum((size * mu for size, mu in zip(lam, slopes)), Fraction(0))
 
 
+class _Witnesses(Sequence):
+    """Stability witnesses produced on demand: one (coset, 1-based position)
+    pair per nontrivial coset before the failing one, in coset order.
+
+    Behaves as the read-only tuple of those pairs (length, iteration,
+    indexing, slicing, equality) without holding any of them.
+    """
+
+    def __init__(self, lam: LabeledComposition, table: HomTable, length: int, max_cosets: int):
+        self._lam = lam
+        self._table = table
+        self._length = length
+        self._max_cosets = max_cosets
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        ident = self._lam.identity_labels()
+        labels_of, slopes = self._table.iso_labels, self._table.slopes
+        cosets = iter_cosets(self._lam, self._max_cosets)
+        next(cosets)  # the identity coset
+        for labels in islice(cosets, self._length):
+            for p in range(self._lam.n):
+                a, b = ident[p] - 1, labels[p] - 1
+                if labels_of[a] != labels_of[b] and slopes[a] >= slopes[b]:
+                    yield labels, p + 1
+                    break
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            r = range(self._length)[key]
+            if r.step > 0:
+                return tuple(islice(self, r.start, r.stop, r.step))
+            return tuple(islice(self, r[-1], r.start + 1, -r.step))[::-1] if r else ()
+        i = range(self._length)[key]  # IndexError when out of range
+        return next(islice(self, i, None))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Witnesses)):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<{self._length} stability witnesses>"
+
+
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Per-coset witnesses that destabilising maps cannot exist.
 
     A witness for a coset is a 1-based position whose identity-side factor
     and coset-side factor are non-isomorphic with identity-side slope not
-    smaller.  ok means every nontrivial coset has one.
+    smaller.  ok means every nontrivial coset has one.  witnesses is a lazy
+    read-only sequence of (coset, position) pairs for the nontrivial cosets
+    before failing_coset (all of them when ok).
     """
 
     ok: bool
-    witnesses: tuple[tuple[LabeledSetPartition, int], ...]
+    witnesses: Sequence[tuple[LabeledSetPartition, int]]
     failing_coset: LabeledSetPartition | None
+
+
+def _lex_rank(labels: Sequence[int], counts: Sequence[int]) -> int:
+    # 0-based position of a label tuple among all arrangements of its
+    # multiset (counts[j] copies of label j + 1) in lexicographic order
+    counts = list(counts)
+    left = len(labels)
+    arrangements = multinomial_index(counts)
+    rank = 0
+    for lab in labels:
+        for v in range(lab - 1):
+            rank += arrangements * counts[v] // left
+        arrangements = arrangements * counts[lab - 1] // left
+        counts[lab - 1] -= 1
+        left -= 1
+    return rank
 
 
 def stability_certificate(
     lam: Sequence[int], table: HomTable, max_cosets: int = MAX_COSETS
 ) -> StabilityCertificate:
     """Find a slope witness on every nontrivial coset, or the first coset
-    without one.  With pairwise distinct block labels a witness always
-    exists; with repeated labels the slope balance makes every coset that
-    only mixes equal-label blocks fail.
+    without one.
+
+    Decided without enumerating cosets, by slope balance: every coset
+    rearranges the same factors, so the identity-side minus coset-side
+    slopes sum to 0 over the positions.  Equal labels carry equal slopes, so
+    a coset has no witness exactly when every position keeps its label
+    class, and the coset is nontrivial.  With pairwise distinct labels no
+    such coset exists and the certificate holds.  Otherwise the first one is
+    the identity with the last position of block b1 and the first position
+    of block b2 swapped, where b1 < b2 are the last two blocks of a label
+    class, taking the class whose b1 is largest.  The witnesses are counted
+    by the failing coset's lexicographic rank and produced lazily.
     """
     lam = LabeledComposition(lam)
     _require_block_match(lam, table)
     count = index_p(lam)
     if count > max_cosets:
         raise SizeLimitError(f"{count} cosets exceed the bound {max_cosets}")
-    ident = lam.identity_labels()
-    labels_of = table.iso_labels
-    slopes = table.slopes
-    witnesses: list[tuple[LabeledSetPartition, int]] = []
-    for labels in _label_tuples(tuple(lam)):
-        if labels == ident:
-            continue
-        found = 0
-        for p in range(lam.n):
-            a, b = ident[p] - 1, labels[p] - 1
-            if labels_of[a] != labels_of[b] and slopes[a] >= slopes[b]:
-                found = p + 1
-                break
-        if not found:
-            return StabilityCertificate(False, tuple(witnesses), LabeledSetPartition(labels))
-        witnesses.append((LabeledSetPartition(labels), found))
-    return StabilityCertificate(True, tuple(witnesses), None)
+    blocks_of: dict[str, list[int]] = {}
+    for j, label in enumerate(table.iso_labels):
+        blocks_of.setdefault(label, []).append(j)
+    last_two = [blocks[-2:] for blocks in blocks_of.values() if len(blocks) > 1]
+    if not last_two:
+        return StabilityCertificate(True, _Witnesses(lam, table, count - 1, max_cosets), None)
+    b1, b2 = max(last_two)
+    labels = list(lam.identity_labels())
+    end_b1, start_b2 = sum(lam[: b1 + 1]) - 1, sum(lam[:b2])
+    labels[end_b1], labels[start_b2] = b2 + 1, b1 + 1
+    length = _lex_rank(labels, lam) - 1
+    return StabilityCertificate(
+        False, _Witnesses(lam, table, length, max_cosets), LabeledSetPartition(labels)
+    )

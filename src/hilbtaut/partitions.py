@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeLimitError
 
@@ -231,58 +231,68 @@ def p_reduced(lam: Sequence[int]) -> tuple[dict[int, int], dict[tuple[int, int],
     Returns (singles, pairs): singles[i] counts cosets whose position 1 carries
     label i; pairs[(i, j)] (i <= j, with (i, i) present only when block i has
     size >= 2) counts cosets with prescribed labels on positions 1 and 2.
+    Both dicts are fresh copies, so callers may change them.
     """
-    lam = LabeledComposition(lam)
-    singles = {i: multinomial_index(reduce_once(lam, i)) for i in range(1, lam.k + 1)}
-    pairs: dict[tuple[int, int], int] = {}
-    for i in range(1, lam.k + 1):
-        for j in range(i, lam.k + 1):
+    singles, pairs = _reduction_indices(tuple(LabeledComposition(lam)))
+    return dict(singles), dict(pairs)
+
+
+@lru_cache(maxsize=256)
+def _reduction_indices(lam: tuple[int, ...]):
+    # p_reduced's (singles, pairs) as item tuples, memoised: b_class and
+    # r_number both ask for them on every spec
+    singles = tuple((i, multinomial_index(reduce_once(lam, i))) for i in range(1, len(lam) + 1))
+    pairs = []
+    for i in range(1, len(lam) + 1):
+        for j in range(i, len(lam) + 1):
             if i == j and lam[i - 1] < 2:
                 continue
-            pairs[(i, j)] = multinomial_index(reduce_twice(lam, i, j))
-    return singles, pairs
+            pairs.append(((i, j), multinomial_index(reduce_twice(lam, i, j))))
+    return singles, tuple(pairs)
 
 
-@lru_cache(maxsize=None)
-def _label_tuples(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _arrangements(parts: tuple[int, ...]) -> Iterator[LabeledSetPartition]:
     # All arrangements of the multiset {1^parts[0], 2^parts[1], ...} in
-    # lexicographic order; the identity labeling comes first.
-    n = sum(parts)
-    k = len(parts)
-    counts = list(parts)
-    seq: list[int] = []
-    out: list[tuple[int, ...]] = []
-
-    def rec() -> None:
-        if len(seq) == n:
-            out.append(tuple(seq))
+    # lexicographic order, by repeated next-permutation; the identity
+    # labeling comes first.
+    seq = [j + 1 for j, p in enumerate(parts) for _ in range(p)]
+    n = len(seq)
+    while True:
+        yield LabeledSetPartition(seq)
+        i = n - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for j in range(k):
-            if counts[j]:
-                counts[j] -= 1
-                seq.append(j + 1)
-                rec()
-                seq.pop()
-                counts[j] += 1
-
-    rec()
-    return tuple(out)
+        j = n - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1 :] = seq[:i:-1]
 
 
-def enumerate_cosets(
+def iter_cosets(
     lam: Sequence[int], max_cosets: int = MAX_COSETS
-) -> list[LabeledSetPartition]:
-    """All cosets of the Young subgroup, as labeled set partitions.
+) -> Iterator[LabeledSetPartition]:
+    """Lazily yield the cosets of the Young subgroup, as labeled set partitions.
 
     Deterministic lexicographic order on the label tuples; the identity coset
-    is the first element.  Raises SizeLimitError before enumerating anything
-    when index_p(lam) exceeds the bound.
+    comes first.  The bound is checked eagerly, at the call, so
+    SizeLimitError is raised before anything is enumerated; the cosets are
+    then produced one at a time and nothing is kept.
     """
     lam = LabeledComposition(lam)
     count = index_p(lam)
     if count > max_cosets:
         raise SizeLimitError(f"{count} cosets exceed the bound {max_cosets}")
-    return [LabeledSetPartition(t) for t in _label_tuples(tuple(lam))]
+    return _arrangements(tuple(lam))
+
+
+def enumerate_cosets(
+    lam: Sequence[int], max_cosets: int = MAX_COSETS
+) -> list[LabeledSetPartition]:
+    """All cosets of the Young subgroup, as a list in iter_cosets order."""
+    return list(iter_cosets(lam, max_cosets))
 
 
 def identity_coset(lam: Sequence[int]) -> LabeledSetPartition:

@@ -7,8 +7,11 @@ runs all of them; the acceptance tests reuse them with pinned bounds.
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
+from math import prod
+from typing import NamedTuple, Sequence
 
 from .characters import (
     brute_force_character_table,
@@ -27,12 +30,23 @@ from .chern import (
     regular_checksum,
     regular_checksum_via_irreps,
 )
+from .moduli import (
+    HomTable,
+    StabilityCertificate,
+    VanishingReport,
+    offdiagonal_ext1_vanishing,
+    stability_certificate,
+)
 from .partitions import (
+    MAX_COSETS,
+    LabeledComposition,
+    LabeledSetPartition,
     dimension,
     enumerate_cosets,
     enumerate_partitions,
     index_p,
     is_rectangular,
+    iter_cosets,
     p_reduced,
 )
 
@@ -223,6 +237,122 @@ def regular_suite(max_n: int = 6, max_rank: int = 3) -> SuiteResult:
             if regular_checksum(n, rank, "e") != regular_checksum_via_irreps(n, rank, "e"):
                 failures.append(f"n={n} rank={rank}: checksum mismatch")
     return SuiteResult("regular-representation checksum", checks, failures)
+
+
+def vanishing_by_enumeration(
+    lam: Sequence[int], table: HomTable, max_cosets: int = MAX_COSETS
+) -> VanishingReport:
+    """Oracle for offdiagonal_ext1_vanishing: the degree-1 dimension of
+    every nontrivial coset in coset order, stopping at the first nonzero."""
+    lam = LabeledComposition(lam)
+    ident = lam.identity_labels()
+    n = lam.n
+    hom, ext1 = table.hom, table.ext1
+    for labels in iter_cosets(lam, max_cosets):
+        if labels == ident:
+            continue
+        h = [hom[ident[p] - 1][labels[p] - 1] for p in range(n)]
+        zeros = h.count(0)
+        if zeros >= 2:
+            continue
+        e = [ext1[ident[p] - 1][labels[p] - 1] for p in range(n)]
+        if zeros == 1:
+            p0 = h.index(0)
+            deg1 = e[p0] * prod(h[p] for p in range(n) if p != p0)
+        else:
+            full = prod(h)
+            deg1 = sum(e[p] * (full // h[p]) for p in range(n))
+        if deg1:
+            return VanishingReport(False, LabeledSetPartition(labels), deg1)
+    return VanishingReport(True, None, 0)
+
+
+def stability_by_enumeration(
+    lam: Sequence[int], table: HomTable, max_cosets: int = MAX_COSETS
+) -> StabilityCertificate:
+    """Oracle for stability_certificate: a slope witness searched on every
+    nontrivial coset in coset order, stopping at the first without one."""
+    lam = LabeledComposition(lam)
+    ident = lam.identity_labels()
+    labels_of = table.iso_labels
+    slopes = table.slopes
+    witnesses: list[tuple[LabeledSetPartition, int]] = []
+    for labels in iter_cosets(lam, max_cosets):
+        if labels == ident:
+            continue
+        found = 0
+        for p in range(lam.n):
+            a, b = ident[p] - 1, labels[p] - 1
+            if labels_of[a] != labels_of[b] and slopes[a] >= slopes[b]:
+                found = p + 1
+                break
+        if not found:
+            return StabilityCertificate(False, tuple(witnesses), LabeledSetPartition(labels))
+        witnesses.append((LabeledSetPartition(labels), found))
+    return StabilityCertificate(True, tuple(witnesses), None)
+
+
+def _compositions(n: int):
+    # every composition of n, each subset of the n - 1 gaps cut once
+    for cuts in product((False, True), repeat=n - 1):
+        parts = [1]
+        for cut in cuts:
+            if cut:
+                parts.append(1)
+            else:
+                parts[-1] += 1
+        yield tuple(parts)
+
+
+def _coset_scan_tables(k: int, rng: random.Random):
+    # identity Hom (every coset scanned), all-nonzero Hom/Ext^1 (first coset
+    # fails), random entries and labels, then one adjacent and one
+    # non-adjacent repeated label; Hom diagonals are 1, as ext requires
+    def matrix(low: int, high: int):
+        return [[rng.randint(low, high) for _ in range(k)] for _ in range(k)]
+
+    def table(hom, ext1, labels):
+        for i in range(k):
+            hom[i][i] = 1
+        slope_of = {name: Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for name in labels}
+        return HomTable(hom, ext1, labels, [slope_of[name] for name in labels])
+
+    distinct = [f"L{i}" for i in range(k)]
+    yield "identity-hom", table(matrix(0, 0), matrix(0, 2), distinct)
+    yield "all-nonzero", table(matrix(1, 2), matrix(1, 2), distinct)
+    yield "random", table(matrix(0, 2), matrix(0, 2), [f"L{rng.randrange(k)}" for _ in range(k)])
+    if k >= 2:
+        a = rng.randrange(k - 1)
+        yield "adjacent repeat", table(matrix(0, 2), matrix(0, 2), distinct[: a + 1] + distinct[a:-1])
+    if k >= 3:
+        a = rng.randrange(k - 2)
+        labels = list(distinct)
+        labels[rng.randrange(a + 2, k)] = labels[a]
+        yield "non-adjacent repeat", table(matrix(0, 2), matrix(0, 2), labels)
+
+
+def coset_scan_suite(max_n: int = 7) -> SuiteResult:
+    """Double-coset vanishing and closed-form stability vs coset enumeration
+    on every composition of n <= max_n, under seeded tables."""
+    rng = random.Random(20261017)
+    checks = 0
+    failures: list[str] = []
+    for n in range(1, max_n + 1):
+        for lam in _compositions(n):
+            for kind, table in _coset_scan_tables(len(lam), rng):
+                fast, slow = offdiagonal_ext1_vanishing(lam, table), vanishing_by_enumeration(lam, table)
+                checks += 1
+                if fast != slow:
+                    failures.append(f"lam={lam} {kind}: vanishing {fast} vs {slow}")
+                cert, oracle = stability_certificate(lam, table), stability_by_enumeration(lam, table)
+                checks += 1
+                if (
+                    (cert.ok, cert.failing_coset, len(cert.witnesses))
+                    != (oracle.ok, oracle.failing_coset, len(oracle.witnesses))
+                    or tuple(cert.witnesses[:11]) != oracle.witnesses[:11]
+                ):
+                    failures.append(f"lam={lam} {kind}: stability certificates differ")
+    return SuiteResult("double-coset scans vs coset enumeration", checks, failures)
 
 
 def verify_all(max_n: int = 6) -> list[SuiteResult]:

@@ -48,7 +48,8 @@ from hilbtaut.verify import (
 
 def _verdict(num: int, description: str, started: float, budget: float) -> None:
     elapsed = time.perf_counter() - started
-    print(f"criterion {num:2d} PASS ({elapsed:6.2f}s / budget {budget:g}s): {description}")
+    status = "PASS" if elapsed < budget else "FAIL"
+    print(f"criterion {num:2d} {status} ({elapsed:6.2f}s / budget {budget:g}s): {description}")
     assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget: {elapsed:.2f}s"
 
 

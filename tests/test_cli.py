@@ -10,6 +10,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from hilbtaut import moduli
 from hilbtaut.chern import c1, rank_G
 from hilbtaut.cli import (
     EXIT_INTERNAL,
@@ -140,6 +141,14 @@ def test_ext_json(spec_file):
         "moduli_component_dim": 6,
         "dimension_mismatch": None,
     }
+
+
+def test_ext_scans_cosets_once(spec_file, monkeypatch):
+    calls = []
+    scan = moduli.offdiagonal_ext1_vanishing
+    monkeypatch.setattr(moduli, "offdiagonal_ext1_vanishing", lambda *a: calls.append(a) or scan(*a))
+    assert run_cli("ext", "--spec", spec_file)[0] == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_ext_dimension_mismatch(tmp_path):

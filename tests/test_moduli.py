@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from hilbtaut.moduli import (
     stability_certificate,
 )
 from hilbtaut.partitions import enumerate_cosets, enumerate_partitions
+from hilbtaut.verify import coset_scan_suite, stability_by_enumeration
 
 
 def _table(hom, ext1, labels=None, slopes=None, **kw):
@@ -353,3 +355,51 @@ def test_stability_bounds_and_shape():
         stability_certificate((2, 1, 1), RUNNING_TABLE)
     with pytest.raises(SizeLimitError):
         stability_certificate((2, 1), RUNNING_TABLE, max_cosets=2)
+
+
+def test_stability_witnesses_behave_as_tuple():
+    t = _table(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0] * 3] * 3,
+        ["A", "B", "C"],
+        [2, Fraction(-1, 2), 1],
+    )
+    for lam in [(2, 1, 2), (3, 1, 1), (1, 1, 1)]:
+        lazy = stability_certificate(lam, t).witnesses
+        full = stability_by_enumeration(lam, t).witnesses
+        assert isinstance(full, tuple)
+        assert len(lazy) == len(full) and tuple(lazy) == full
+        assert lazy == full and full == lazy and lazy != list(full)
+        for key in (slice(None, 10), slice(3, None, 4), slice(None, None, -3), slice(-2, 1, -1)):
+            assert lazy[key] == full[key], key
+        assert [lazy[i] for i in (0, 2, -1, -len(full))] == [full[i] for i in (0, 2, -1, -len(full))]
+        with pytest.raises(IndexError):
+            lazy[len(full)]
+        assert hash(stability_certificate(lam, t)) == hash(stability_certificate(lam, t))
+    vacuous = stability_certificate((3,), _table([[1]], [[0]])).witnesses
+    assert vacuous == () and not vacuous and vacuous[:10] == ()
+
+
+def test_coset_scans_match_enumeration_n7():
+    # every composition of n <= 7, unsorted ones included, under identity,
+    # all-nonzero, random and repeated-label tables
+    result = coset_scan_suite(7)
+    assert not result.failures, result.failures
+    assert result.checks >= 2 * 127 * 3
+
+
+def test_coset_scans_memory_bounded():
+    lam = (6, 4, 3, 1)  # 840,840 cosets
+    k = len(lam)
+    eye = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    t = _table(eye, [[1] * k] * k, ["A", "B", "C", "D"], [3, 1, 2, 0])
+    tracemalloc.start()
+    try:
+        assert offdiagonal_ext1_vanishing(lam, t).holds
+        cert = stability_certificate(lam, t)
+        assert cert.ok and len(cert.witnesses) == 840839
+        assert len(cert.witnesses[:10]) == 10
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB"

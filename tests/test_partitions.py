@@ -22,6 +22,7 @@ from hilbtaut.partitions import (
     identity_coset,
     index_p,
     is_rectangular,
+    iter_cosets,
     multinomial_index,
     p_reduced,
     reduce_once,
@@ -213,6 +214,19 @@ def test_enumerate_cosets_bound():
     with pytest.raises(SizeLimitError):
         enumerate_cosets((1, 1, 1, 1), max_cosets=5)
     assert len(enumerate_cosets((2, 1), max_cosets=3)) == 3
+
+
+def test_iter_cosets_lazy_and_capped():
+    cosets = iter_cosets((2, 1, 1))
+    assert next(cosets) == identity_coset((2, 1, 1))
+    assert isinstance(next(cosets), LabeledSetPartition)
+    assert [tuple(c) for c in iter_cosets((2, 1, 1))] == [tuple(c) for c in enumerate_cosets((2, 1, 1))]
+    # the bound is checked at the call, before the first coset is asked for
+    with pytest.raises(SizeLimitError):
+        iter_cosets((1,) * 13)
+    with pytest.raises(SizeLimitError):
+        iter_cosets((2, 2), max_cosets=5)
+    assert next(iter_cosets((1,) * 13, max_cosets=10**10)) == tuple(range(1, 14))
 
 
 def test_labeled_set_partition_api():
