@@ -12,17 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .characters import character, restrict_to_transposition, transposition_type
 from .divisors import ClassPolynomial, DivisorClass, RationalPolynomial, poly_mul
-from .errors import IntegralityError, SizeLimitError
+from .errors import IntegralityError
 from .partitions import (
     LabeledComposition,
     MAX_COSETS,
     YoungDiagram,
+    bounded_index_p,
     dimension,
     enumerate_partitions,
     index_p,
@@ -57,7 +58,7 @@ class BundleBlock:
     def c1_class(self) -> DivisorClass:
         return _symbol_class(self.c1_symbol)
 
-    @property
+    @cached_property
     def rep_dim(self) -> int:
         return dimension(self.rep)
 
@@ -99,7 +100,7 @@ class BundleSpec:
     def k(self) -> int:
         return self.lam.k
 
-    @property
+    @cached_property
     def s(self) -> int:
         """Product of rank_i ** lambda_i (the fibre dimension of one summand)."""
         out = 1
@@ -107,7 +108,7 @@ class BundleSpec:
             out *= blk.rank**size
         return out
 
-    @property
+    @cached_property
     def w(self) -> int:
         """Product of the representation dimensions."""
         out = 1
@@ -122,14 +123,19 @@ def rank_G(spec: BundleSpec) -> int:
 
 
 def b_class(spec: BundleSpec) -> DivisorClass:
-    """The surface part of the first Chern class (no delta component)."""
+    """The surface part of the first Chern class (no delta component).
+
+    Block i contributes (s / r_i) * w * p_i times its class; r_i divides s
+    because block i has at least one position.
+    """
     singles, _ = p_reduced(spec.lam)
-    sw = spec.s * spec.w
-    total = DivisorClass.zero()
+    s, w = spec.s, spec.w
+    surface: dict[str, int] = {}
     for i, blk in enumerate(spec.blocks, start=1):
-        coeff = Fraction(sw * singles[i], blk.rank)
-        total = total + blk.c1_class * coeff
-    return total.require_integral("b_class")
+        if blk.c1_symbol not in _ZERO_SYMBOLS:
+            coeff = (s // blk.rank) * w * singles[i]
+            surface[blk.c1_symbol] = surface.get(blk.c1_symbol, 0) + coeff
+    return DivisorClass(surface)
 
 
 def r_number(spec: BundleSpec) -> int:
@@ -140,19 +146,20 @@ def r_number(spec: BundleSpec) -> int:
     multiplicities of the block representation restricted to a 2-cycle.
     """
     _, pairs = p_reduced(spec.lam)
-    total = Fraction(0)
+    sw = spec.s * spec.w
+    total = 0
     for (i, j), p in pairs.items():
         if i != j:
-            total += p
+            total += sw * p
         else:
             blk = spec.blocks[i - 1]
             alpha, beta = restrict_to_transposition(blk.rep)
             weight = alpha * comb(blk.rank, 2) + beta * comb(blk.rank + 1, 2)
-            total += Fraction(p * weight, blk.rank**2 * blk.rep_dim)
-    value = spec.s * spec.w * total
-    if value.denominator != 1:
-        raise IntegralityError(f"r_number came out as {value}")
-    return int(value)
+            num, den = sw * p * weight, blk.rank**2 * blk.rep_dim
+            if num % den:
+                raise IntegralityError(f"r_number: block {i} term {num}/{den} is not an integer")
+            total += num // den
+    return total
 
 
 def c1(spec: BundleSpec) -> DivisorClass:
@@ -166,7 +173,7 @@ def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
     return (b + DivisorClass.delta_class(-invariant_rank)).require_integral("c1_via_blowup")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _same_label_pair_counts(parts: tuple[int, ...], max_cosets: int) -> dict[int, int]:
     # Brute-force census: how many cosets give positions 1 and 2 the same
     # label i.  Counted by scanning the enumeration, never by formula.
@@ -190,8 +197,7 @@ def invariant_restriction_rank(spec: BundleSpec, max_cosets: int = MAX_COSETS) -
     n = spec.n
     if n < 2:
         return 0
-    if index_p(spec.lam) > max_cosets:
-        raise SizeLimitError(f"{index_p(spec.lam)} cosets exceed the bound {max_cosets}")
+    bounded_index_p(spec.lam, max_cosets)
     counts = _same_label_pair_counts(tuple(spec.lam), max_cosets)
     s, w = spec.s, spec.w
     trace = 0

@@ -52,6 +52,15 @@ class DivisorClass:
         self.delta = Fraction(delta)
 
     @classmethod
+    def _trusted(cls, surface: Mapping[str, Fraction], delta: Fraction) -> DivisorClass:
+        # Results of arithmetic on valid classes: the symbols were checked
+        # and the coefficients made Fractions when the operands were built.
+        obj = cls.__new__(cls)
+        obj.surface = {name: coeff for name, coeff in sorted(surface.items()) if coeff}
+        obj.delta = delta
+        return obj
+
+    @classmethod
     def zero(cls) -> DivisorClass:
         return cls()
 
@@ -69,7 +78,7 @@ class DivisorClass:
         merged = dict(self.surface)
         for name, coeff in other.surface.items():
             merged[name] = merged.get(name, 0) + coeff
-        return DivisorClass(merged, self.delta + other.delta)
+        return DivisorClass._trusted(merged, self.delta + other.delta)
 
     def __sub__(self, other: DivisorClass) -> DivisorClass:
         return self + (-other)
@@ -80,7 +89,7 @@ class DivisorClass:
     def __mul__(self, scalar: Rational) -> DivisorClass:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return DivisorClass(
+        return DivisorClass._trusted(
             {name: coeff * scalar for name, coeff in self.surface.items()},
             self.delta * scalar,
         )

@@ -37,7 +37,7 @@ from .partitions import (
     LabeledComposition,
     LabeledSetPartition,
     MAX_COSETS,
-    index_p,
+    bounded_index_p,
     iter_cosets,
     multinomial_index,
 )
@@ -48,12 +48,22 @@ MAX_GROUPING_BLOCKS = 10
 def _as_matrix(rows, k: int, what: str, allow_none: bool = False):
     if rows is None and allow_none:
         return None
-    rows = tuple(tuple(int(v) for v in row) for row in rows)
+    try:
+        rows = tuple(tuple(int(v) for v in row) for row in rows)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be a {k}x{k} matrix of integers") from exc
     if len(rows) != k or any(len(row) != k for row in rows):
         raise ShapeMismatchError(f"{what} must be a {k}x{k} matrix")
     if any(v < 0 for row in rows for v in row):
         raise ValueError(f"{what} entries must be non-negative")
     return rows
+
+
+def _as_slopes(values) -> tuple[Fraction, ...]:
+    try:
+        return tuple(Fraction(s) for s in values)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"slopes must be exact fractions, got {values!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,7 @@ class HomTable:
     def __post_init__(self):
         k = len(self.iso_labels)
         object.__setattr__(self, "iso_labels", tuple(str(s) for s in self.iso_labels))
-        object.__setattr__(self, "slopes", tuple(Fraction(s) for s in self.slopes))
+        object.__setattr__(self, "slopes", _as_slopes(self.slopes))
         if len(self.slopes) != k:
             raise ShapeMismatchError(f"{len(self.slopes)} slopes for {k} labels")
         object.__setattr__(self, "hom", _as_matrix(self.hom, k, "hom"))
@@ -126,7 +136,7 @@ class HomTable:
             hom=data["hom"],
             ext1=data["ext1"],
             iso_labels=data["labels"],
-            slopes=[Fraction(s) for s in data["slopes"]],
+            slopes=data["slopes"],
             ext2=data.get("ext2"),
             locally_free=bool(data.get("locally_free", True)),
         )
@@ -301,9 +311,7 @@ def offdiagonal_ext1_vanishing(
     """
     lam = LabeledComposition(lam)
     _require_block_match(lam, table)
-    count = index_p(lam)
-    if count > max_cosets:
-        raise SizeLimitError(f"{count} cosets exceed the bound {max_cosets}")
+    bounded_index_p(lam, max_cosets)
     found = _first_failing_table(lam, table.hom, table.ext1)
     if found is None:
         return VanishingReport(True, None, 0)
@@ -529,9 +537,7 @@ def stability_certificate(
     """
     lam = LabeledComposition(lam)
     _require_block_match(lam, table)
-    count = index_p(lam)
-    if count > max_cosets:
-        raise SizeLimitError(f"{count} cosets exceed the bound {max_cosets}")
+    count = bounded_index_p(lam, max_cosets)
     blocks_of: dict[str, list[int]] = {}
     for j, label in enumerate(table.iso_labels):
         blocks_of.setdefault(label, []).append(j)

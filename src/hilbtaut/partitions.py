@@ -23,12 +23,15 @@ class Partition(tuple):
     """A partition: non-increasing tuple of positive integers.
 
     The empty partition (of 0) is allowed; it shows up as the result of
-    reducing small compositions.
+    reducing small compositions.  A Partition passed in is returned as it
+    is: it was validated when it was made.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
+        if type(parts) is cls:
+            return parts
         t = tuple(int(p) for p in parts)
         if t and t[-1] < 1:
             raise ValueError(f"partition parts must be positive, got {t}")
@@ -51,11 +54,14 @@ class LabeledComposition(tuple):
 
     Unlike a partition the order is significant: block j owns the positions
     I_j = [1 + sum(lambda_i, i < j), sum(lambda_i, i <= j)], in order.
+    A LabeledComposition passed in is returned as it is.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int]):
+        if type(parts) is cls:
+            return parts
         t = tuple(int(p) for p in parts)
         if any(p < 1 for p in t):
             raise ValueError(f"composition parts must be positive, got {t}")
@@ -152,7 +158,13 @@ def is_rectangular(d: Sequence[int]) -> bool:
 
 def dimension(d: Sequence[int]) -> int:
     """Number of standard tableaux of the shape, by the hook-length formula."""
-    d = Partition(d)
+    return _hook_dimension(Partition(d))
+
+
+@lru_cache(maxsize=1024)
+def _hook_dimension(d: Partition) -> int:
+    # memoised: every BundleSpec of a sweep asks again for the few shapes
+    # its blocks carry
     if d.n == 0:
         return 1
     conj = conjugate(d)
@@ -196,6 +208,18 @@ def multinomial_index(parts: Sequence[int]) -> int:
 def index_p(lam: Sequence[int]) -> int:
     """Number of right cosets of the Young subgroup of a composition."""
     return multinomial_index(LabeledComposition(lam))
+
+
+def bounded_index_p(lam: Sequence[int], max_cosets: int = MAX_COSETS) -> int:
+    """index_p(lam), refusing with SizeLimitError when it exceeds max_cosets.
+
+    The one coset cap: every enumeration or scan that is bounded by a coset
+    count checks it here, before any work.
+    """
+    count = index_p(lam)
+    if count > max_cosets:
+        raise SizeLimitError(f"{count} cosets exceed the bound {max_cosets}")
+    return count
 
 
 def reduce_once(lam: Sequence[int], i: int) -> Partition:
@@ -282,9 +306,7 @@ def iter_cosets(
     then produced one at a time and nothing is kept.
     """
     lam = LabeledComposition(lam)
-    count = index_p(lam)
-    if count > max_cosets:
-        raise SizeLimitError(f"{count} cosets exceed the bound {max_cosets}")
+    bounded_index_p(lam, max_cosets)
     return _arrangements(tuple(lam))
 
 

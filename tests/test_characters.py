@@ -155,7 +155,7 @@ def test_restriction_frozen():
         restrict_to_transposition((1,))
 
 
-@pytest.mark.parametrize("m", range(2, 11))
+@pytest.mark.parametrize("m", range(2, 13))
 def test_restriction_sums(m):
     tau = transposition_type(m)
     for d in enumerate_partitions(m):

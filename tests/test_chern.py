@@ -12,6 +12,7 @@ from math import comb, factorial
 
 import pytest
 
+from hilbtaut.characters import restrict_to_transposition
 from hilbtaut.chern import (
     BundleSpec,
     b_class,
@@ -49,6 +50,28 @@ def test_spec_validation():
         BundleSpec.build((2,), [(1, "delta", (2,))])
     spec = BundleSpec.build((2,), [(3, "0", (1, 1))])
     assert spec.blocks[0].c1_class == DivisorClass.zero()
+
+
+def test_cached_invariants_leave_equality_alone():
+    a = BundleSpec.build((2, 1), [(2, "e1", (2,)), (3, "e2", (1,))])
+    b = BundleSpec.build((2, 1), [(2, "e1", (2,)), (3, "e2", (1,))])
+    assert (a.s, a.w, a.blocks[0].rep_dim) == (12, 1, 1)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    c = BundleSpec.build((2, 1), [(2, "e1", (1, 1)), (3, "e2", (1,))])
+    assert c.s == a.s and c != a
+
+
+def test_transposition_closed_form_any_block_size():
+    # no recursion through Murnaghan-Nakayama: a block of 3000 points
+    assert restrict_to_transposition((3000,)) == (1, 0)
+    assert restrict_to_transposition((1,) * 3000) == (0, 1)
+    n = 3000
+    triv = BundleSpec.build((n,), [(2, "e", (n,))])
+    sgn = BundleSpec.build((n,), [(2, "e", (1,) * n)])
+    # one block of rank r: r^(n-2) * C(r, 2), resp. r^(n-2) * C(r + 1, 2)
+    assert r_number(triv) == 2 ** (n - 2)
+    assert r_number(sgn) == 3 * 2 ** (n - 2)
 
 
 def test_rank_examples():

@@ -178,6 +178,26 @@ def test_ext_requires_hom_table(tmp_path):
     assert run_cli("chern", "--spec", str(path))[0] == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("slopes", ["1/0", "1"], "slopes must be exact fractions"),
+        ("hom", 5, "hom must be a 2x2 matrix of integers"),
+    ],
+)
+def test_hom_table_json_errors_exit_cleanly(tmp_path, capsys, key, value, message):
+    data = json.loads(json.dumps(SPEC))
+    data["hom_table"][key] = value
+    with pytest.raises(SpecValidationError, match=message):
+        parse_spec(json.dumps(data))
+    path = tmp_path / "bad_table.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli("stability", "--spec", str(path))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: hom_table: ") and err.count("\n") == 1
+
+
 def test_conditions_text(spec_file):
     code, out = run_cli("conditions", "--spec", spec_file)
     assert code == EXIT_OK
@@ -308,6 +328,22 @@ def test_verify_subcommand():
     assert code == EXIT_OK
     assert out.endswith("all oracles passed\n")
     assert out.count("ok   ") == 7
+
+
+def test_verify_output_pinned():
+    # every suite's check count at the default bound: a dropped or added
+    # check changes this output
+    assert run_cli("verify", "--max-n", "6") == (
+        EXIT_OK,
+        "ok   coset counts vs index numbers (536 checks)\n"
+        "ok   characters vs permutation brute force (35 checks)\n"
+        "ok   rectangularity vs tensor multiplicity (66 checks)\n"
+        "ok   transposition restriction sums (137 checks)\n"
+        "ok   chern delta coefficient vs swap-trace oracle (7116 checks)\n"
+        "ok   generating polynomial coefficients (56 checks)\n"
+        "ok   regular-representation checksum (15 checks)\n"
+        "all oracles passed\n",
+    )
 
 
 def test_exit_codes(spec_file, tmp_path):

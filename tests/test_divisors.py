@@ -56,6 +56,20 @@ def test_arithmetic():
     assert a - a == DivisorClass.zero()
 
 
+def test_arithmetic_results_are_normalised():
+    a = DivisorClass({"e2": 1, "e1": Fraction(1, 2)}, 1)
+    b = DivisorClass({"e2": -1, "f": 3})
+    total = a + b
+    assert total == DivisorClass({"e1": Fraction(1, 2), "f": 3}, 1)
+    assert list(total.surface) == ["e1", "f"]
+    assert list((b + a).surface) == ["e1", "f"]
+    assert all(type(c) is Fraction for c in total.surface.values())
+    assert type(total.delta) is Fraction
+    scaled = a * 0
+    assert scaled.is_zero and scaled.surface == {} and type(scaled.delta) is Fraction
+    assert hash(2 * a) == hash(DivisorClass({"e1": 1, "e2": 2}, 2))
+
+
 def test_render_frozen():
     assert DivisorClass({"e1": 4, "e2": 4}, -5).render_text() == "4*e1 + 4*e2 - 5*delta"
     assert DivisorClass({"e": 1}, -2).render_text() == "1*e - 2*delta"

@@ -14,6 +14,7 @@ from hilbtaut.partitions import (
     LabeledComposition,
     LabeledSetPartition,
     Partition,
+    bounded_index_p,
     conjugate,
     count_standard_tableaux,
     dimension,
@@ -53,6 +54,19 @@ def test_partition_validation():
         Partition((2, 0))
     with pytest.raises(ValueError):
         Partition((-1,))
+
+
+def test_typed_arguments_are_reused_not_revalidated():
+    p = Partition((2, 1))
+    assert Partition(p) is p
+    lam = LabeledComposition((1, 2))
+    assert LabeledComposition(lam) is lam
+    # another type is validated as before, even a tuple subclass
+    with pytest.raises(ValueError):
+        Partition(lam)
+    as_composition = LabeledComposition(p)
+    assert type(as_composition) is LabeledComposition
+    assert as_composition == (2, 1)
 
 
 def test_enumerate_partitions_order():
@@ -214,6 +228,13 @@ def test_enumerate_cosets_bound():
     with pytest.raises(SizeLimitError):
         enumerate_cosets((1, 1, 1, 1), max_cosets=5)
     assert len(enumerate_cosets((2, 1), max_cosets=3)) == 3
+
+
+def test_bounded_index_p():
+    assert bounded_index_p((2, 1, 1)) == index_p((2, 1, 1)) == 12
+    assert bounded_index_p((2, 2), max_cosets=6) == 6
+    with pytest.raises(SizeLimitError, match="^6 cosets exceed the bound 5$"):
+        bounded_index_p((2, 2), max_cosets=5)
 
 
 def test_iter_cosets_lazy_and_capped():
