@@ -49,13 +49,7 @@ from .characters import (
     standard_tensor_multiplicity,
     transposition_type,
 )
-from .divisors import (
-    ClassPolynomial,
-    DivisorClass,
-    RationalPolynomial,
-    binom_poly,
-    poly_mul,
-)
+from .divisors import ClassPolynomial, DivisorClass
 from .chern import (
     BundleBlock,
     BundleSpec,

@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .characters import character, restrict_to_transposition, transposition_type
-from .divisors import ClassPolynomial, DivisorClass, RationalPolynomial, poly_mul
-from .errors import IntegralityError
+from .divisors import ClassPolynomial, DivisorClass, _check_exponents
+from .errors import IntegralityError, SizeLimitError
 from .partitions import (
     LabeledComposition,
     MAX_COSETS,
@@ -28,10 +29,14 @@ from .partitions import (
     enumerate_partitions,
     index_p,
     iter_cosets,
+    multinomial_index,
     p_reduced,
 )
 
 _ZERO_SYMBOLS = ("", "0")
+
+# Largest full generating-polynomial expansion, in monomials.
+MAX_MONOMIALS = 25_000
 
 
 def _symbol_class(symbol: str) -> DivisorClass:
@@ -212,6 +217,46 @@ def invariant_restriction_rank(spec: BundleSpec, max_cosets: int = MAX_COSETS) -
     return (dim - trace) // 2
 
 
+def _weak_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    # stars and bars: k - 1 bars among n + k - 1 slots
+    for bars in combinations(range(n + k - 1), k - 1):
+        edges = (-1, *bars, n + k - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def _generating_inputs(n: int, inputs, variant: str) -> tuple[list[tuple[int, str]], int]:
+    # the validated inputs, and the sign of sum r_i t_i^2 in the pair rank
+    if variant not in ("trivial", "sign"):
+        raise ValueError(f"variant must be 'trivial' or 'sign', got {variant!r}")
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    inputs = list(inputs)
+    if not inputs:
+        raise ValueError("at least one input bundle required")
+    for rank, symbol in inputs:
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        _symbol_class(symbol)
+    return inputs, 1 if variant == "sign" else -1
+
+
+def _coefficient(n: int, inputs, expts: tuple[int, ...], sign: int) -> DivisorClass:
+    # X = M(n; a) r^a; then M(n-1; a-e_i) r^{a-e_i} = X a_i / (n r_i) and
+    # r_i M(n-2; a-2e_i) r^{a-2e_i} = X a_i (a_i-1) / (n (n-1) r_i), exactly
+    if sum(expts) != n:
+        return DivisorClass.zero()
+    x = multinomial_index(expts)
+    for (rank, _), e in zip(inputs, expts):
+        x *= rank**e
+    surface: dict[str, int] = {}
+    pairs = 0
+    for (rank, symbol), e in zip(inputs, expts):
+        if e and symbol not in _ZERO_SYMBOLS:
+            surface[symbol] = surface.get(symbol, 0) + x * e // (n * rank)
+        pairs += x * e * (e - 1) // (n * (n - 1) * rank)
+    return DivisorClass(surface, Fraction(-(x + sign * pairs), 2))
+
+
 def generating_polynomial(
     n: int, inputs: Sequence[tuple[int, str]], variant: str = "trivial"
 ) -> ClassPolynomial:
@@ -224,36 +269,27 @@ def generating_polynomial(
     exterior (resp. symmetric) power of the weighted sum of the inputs; the
     plain binomial in the weighted total rank only agrees with it after
     setting every t_i = 1.
+
+    Each coefficient is computed in closed form: with M(m; b) the
+    multinomial coefficient (0 if some b_i < 0) and r^b = prod r_i^{b_i},
+    coef(a) = sum_i M(n-1; a-e_i) r^{a-e_i} c_i - (M(n; a) r^a
+    -+ sum_i r_i M(n-2; a-2e_i) r^{a-2e_i}) / 2 * delta, - for 'trivial'.
+    More than MAX_MONOMIALS monomials raise SizeLimitError.
     """
-    if variant not in ("trivial", "sign"):
-        raise ValueError(f"variant must be 'trivial' or 'sign', got {variant!r}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    inputs = list(inputs)
+    inputs, sign = _generating_inputs(n, inputs, variant)
     k = len(inputs)
-    if k < 1:
-        raise ValueError("at least one input bundle required")
-    for rank, symbol in inputs:
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        _symbol_class(symbol)
-
-    rt = RationalPolynomial.zero(k)
-    rt_sq = RationalPolynomial.zero(k)
-    c1t = ClassPolynomial.zero(k)
-    for i, (rank, symbol) in enumerate(inputs, start=1):
-        ti = RationalPolynomial.variable(i, k)
-        rt = rt + rank * ti
-        rt_sq = rt_sq + rank * poly_mul(ti, ti)
-        c1t = c1t + poly_mul(ti, ClassPolynomial.constant(_symbol_class(symbol), k))
-
-    pair_rank = (poly_mul(rt, rt) + (rt_sq if variant == "sign" else -rt_sq)) * Fraction(1, 2)
-    main = poly_mul(rt**(n - 1), c1t)
-    correction = poly_mul(
-        rt ** (n - 2) * pair_rank,
-        ClassPolynomial.constant(DivisorClass.delta_class(1), k),
+    count = comb(n + k - 1, k - 1)
+    if count > MAX_MONOMIALS:
+        raise SizeLimitError(f"{count} monomials exceed the bound {MAX_MONOMIALS}")
+    return ClassPolynomial(
+        k, {a: _coefficient(n, inputs, a, sign) for a in _weak_compositions(n, k)}
     )
-    return main - correction
+
+
+def _generating_coefficient(n: int, inputs, expts, variant: str = "trivial") -> DivisorClass:
+    # generating_polynomial(...).coefficient_of(expts) without the expansion
+    inputs, sign = _generating_inputs(n, inputs, variant)
+    return _coefficient(n, inputs, _check_exponents(len(inputs), expts), sign)
 
 
 def regular_checksum(n: int, rank: int, symbol: str) -> DivisorClass:

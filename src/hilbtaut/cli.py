@@ -17,6 +17,7 @@ from .characters import character_table
 from .chern import (
     BundleBlock,
     BundleSpec,
+    _generating_coefficient,
     c1,
     generating_polynomial,
     rank_G,
@@ -319,15 +320,15 @@ def _cmd_generating(args) -> int:
             raise SpecValidationError("variant 'regular' has no per-monomial coefficients")
         print(regular_checksum(args.n, ranks[0], symbols[0]).render_text())
         return EXIT_OK
-    poly = generating_polynomial(args.n, list(zip(ranks, symbols)), args.variant)
+    inputs = list(zip(ranks, symbols))
     if args.coeff is not None:
         if len(args.coeff) != len(ranks):
             raise SpecValidationError(
                 f"--coeff needs {len(ranks)} exponents, got {len(args.coeff)}"
             )
-        print(poly.coefficient_of(args.coeff).render_text())
+        print(_generating_coefficient(args.n, inputs, args.coeff, args.variant).render_text())
     else:
-        print(poly.render_text())
+        print(generating_polynomial(args.n, inputs, args.variant).render_text())
     return EXIT_OK
 
 
@@ -425,6 +426,10 @@ def dispatch(argv: Sequence[str]) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:
+        # the last line of defence: one line on stderr, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

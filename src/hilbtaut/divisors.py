@@ -1,10 +1,10 @@
-"""Exact divisor-class bookkeeping and sparse polynomials over it.
+"""Exact divisor-class bookkeeping and a sparse polynomial over it.
 
 A DivisorClass is a rational combination of named surface classes plus a
-multiple of the exceptional half-diagonal class `delta`.  Polynomials come in
-two flavours sharing one term layout, exponent tuple -> coefficient: rational
-coefficients (RationalPolynomial) and divisor-class coefficients
-(ClassPolynomial).  All arithmetic is exact.
+multiple of the exceptional half-diagonal class `delta`.  A ClassPolynomial
+maps exponent tuples to DivisorClass coefficients; it is built whole (the
+generating polynomial computes each coefficient in closed form) and then
+only read.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -203,93 +203,6 @@ def _check_exponents(nvars: int, expts: Sequence[int]) -> tuple[int, ...]:
     return t
 
 
-class RationalPolynomial:
-    """Sparse polynomial in t_1..t_nvars with exact rational coefficients."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Mapping[Sequence[int], Rational] | None = None):
-        self.nvars = int(nvars)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for expts, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[_check_exponents(self.nvars, expts)] = coeff
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, nvars: int) -> RationalPolynomial:
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, value: Rational, nvars: int) -> RationalPolynomial:
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, index: int, nvars: int) -> RationalPolynomial:
-        """The monomial t_index (1-based)."""
-        if not 1 <= index <= nvars:
-            raise IndexError(f"variable index {index} out of range 1..{nvars}")
-        expts = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return cls(nvars, {expts: 1})
-
-    def _require_same_arity(self, other) -> None:
-        if self.nvars != other.nvars:
-            raise ShapeMismatchError(f"arity mismatch: {self.nvars} vs {other.nvars}")
-
-    def __add__(self, other: RationalPolynomial) -> RationalPolynomial:
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        self._require_same_arity(other)
-        merged = dict(self.terms)
-        for expts, coeff in other.terms.items():
-            merged[expts] = merged.get(expts, 0) + coeff
-        return RationalPolynomial(self.nvars, merged)
-
-    def __sub__(self, other: RationalPolynomial) -> RationalPolynomial:
-        return self + (other * -1)
-
-    def __neg__(self) -> RationalPolynomial:
-        return self * -1
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPolynomial(
-                self.nvars, {e: c * other for e, c in self.terms.items()}
-            )
-        if isinstance(other, (RationalPolynomial, ClassPolynomial)):
-            return poly_mul(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> RationalPolynomial:
-        if exponent < 0:
-            raise ValueError(f"negative power {exponent}")
-        out = RationalPolynomial.constant(1, self.nvars)
-        for _ in range(exponent):
-            out = poly_mul(self, out)
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"RationalPolynomial({self.nvars}, {self.terms})"
-
-    def coefficient(self, expts: Sequence[int]) -> Fraction:
-        return self.terms.get(_check_exponents(self.nvars, expts), Fraction(0))
-
-    def at_ones(self) -> Fraction:
-        """Evaluate at t_1 = ... = t_nvars = 1."""
-        return sum(self.terms.values(), Fraction(0))
-
-
 class ClassPolynomial:
     """Sparse polynomial whose coefficients are DivisorClass values."""
 
@@ -304,42 +217,6 @@ class ClassPolynomial:
             if not cls_val.is_zero:
                 clean[_check_exponents(self.nvars, expts)] = cls_val
         self.terms = clean
-
-    @classmethod
-    def zero(cls, nvars: int) -> ClassPolynomial:
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, value: DivisorClass, nvars: int) -> ClassPolynomial:
-        return cls(nvars, {(0,) * nvars: value})
-
-    def _require_same_arity(self, other) -> None:
-        if self.nvars != other.nvars:
-            raise ShapeMismatchError(f"arity mismatch: {self.nvars} vs {other.nvars}")
-
-    def __add__(self, other: ClassPolynomial) -> ClassPolynomial:
-        if not isinstance(other, ClassPolynomial):
-            return NotImplemented
-        self._require_same_arity(other)
-        merged = dict(self.terms)
-        for expts, val in other.terms.items():
-            merged[expts] = merged.get(expts, DivisorClass.zero()) + val
-        return ClassPolynomial(self.nvars, merged)
-
-    def __sub__(self, other: ClassPolynomial) -> ClassPolynomial:
-        return self + other.scale(-1)
-
-    def scale(self, scalar: Rational) -> ClassPolynomial:
-        return ClassPolynomial(
-            self.nvars, {e: v * scalar for e, v in self.terms.items()}
-        )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, RationalPolynomial):
-            return poly_mul(other, self)
-        return NotImplemented
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassPolynomial):
@@ -372,37 +249,3 @@ class ClassPolynomial:
             ) or "1"
             lines.append(f"{mono}: {self.terms[expts].render_text()}")
         return "\n".join(lines)
-
-
-def poly_mul(p: RationalPolynomial, q: RationalPolynomial | ClassPolynomial):
-    """Product of a rational polynomial with a polynomial of either kind.
-
-    Returns the same kind as q.
-    """
-    if not isinstance(p, RationalPolynomial):
-        raise ValueError("left factor must be a RationalPolynomial")
-    if p.nvars != q.nvars:
-        raise ShapeMismatchError(f"arity mismatch: {p.nvars} vs {q.nvars}")
-    if isinstance(q, RationalPolynomial):
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in p.terms.items():
-            for e2, c2 in q.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return RationalPolynomial(p.nvars, out)
-    if isinstance(q, ClassPolynomial):
-        cls_out: dict[tuple[int, ...], DivisorClass] = {}
-        for e1, c1 in p.terms.items():
-            for e2, v2 in q.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                cls_out[key] = cls_out.get(key, DivisorClass.zero()) + v2 * c1
-        return ClassPolynomial(p.nvars, cls_out)
-    raise ValueError(f"cannot multiply by {type(q).__name__}")
-
-
-def binom_poly(p: RationalPolynomial, shift: int) -> RationalPolynomial:
-    """p*(p-1)/2 for shift 0, p*(p+1)/2 for shift 1, exactly."""
-    if shift not in (0, 1):
-        raise ValueError(f"shift must be 0 or 1, got {shift}")
-    linear = p if shift else p * -1
-    return (poly_mul(p, p) + linear) * Fraction(1, 2)

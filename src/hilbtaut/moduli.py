@@ -27,6 +27,7 @@ from typing import Mapping, NamedTuple
 
 from .chern import BundleSpec
 from .characters import standard_tensor_multiplicity
+from .divisors import _frac_from_json
 from .errors import (
     ModuliDimensionMismatchError,
     NotApplicableError,
@@ -45,13 +46,21 @@ from .partitions import (
 MAX_GROUPING_BLOCKS = 10
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _all_of(values, check) -> bool:
+    # a list or tuple (never a string) whose every entry passes check
+    return isinstance(values, (list, tuple)) and all(check(v) for v in values)
+
+
 def _as_matrix(rows, k: int, what: str, allow_none: bool = False):
     if rows is None and allow_none:
         return None
-    try:
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-    except TypeError as exc:
-        raise ValueError(f"{what} must be a {k}x{k} matrix of integers") from exc
+    if not _all_of(rows, lambda row: _all_of(row, _is_int)):
+        raise ValueError(f"{what} must be a {k}x{k} matrix of integers")
+    rows = tuple(map(tuple, rows))
     if len(rows) != k or any(len(row) != k for row in rows):
         raise ShapeMismatchError(f"{what} must be a {k}x{k} matrix")
     if any(v < 0 for row in rows for v in row):
@@ -60,10 +69,14 @@ def _as_matrix(rows, k: int, what: str, allow_none: bool = False):
 
 
 def _as_slopes(values) -> tuple[Fraction, ...]:
+    # Fractions, or the ints and 'p/q' strings of JSON; never floats or bools
+    bad = ValueError(f"slopes must be exact fractions, got {values!r}")
+    if not isinstance(values, (list, tuple)):
+        raise bad
     try:
-        return tuple(Fraction(s) for s in values)
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"slopes must be exact fractions, got {values!r}") from exc
+        return tuple(s if isinstance(s, Fraction) else _frac_from_json(s) for s in values)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise bad from exc
 
 
 @dataclass(frozen=True)
@@ -84,8 +97,12 @@ class HomTable:
     locally_free: bool = True
 
     def __post_init__(self):
+        if not _all_of(self.iso_labels, lambda label: isinstance(label, str)):
+            raise ValueError(f"labels must be a list of strings, got {self.iso_labels!r}")
+        if not isinstance(self.locally_free, bool):
+            raise ValueError(f"locally_free must be true or false, got {self.locally_free!r}")
         k = len(self.iso_labels)
-        object.__setattr__(self, "iso_labels", tuple(str(s) for s in self.iso_labels))
+        object.__setattr__(self, "iso_labels", tuple(self.iso_labels))
         object.__setattr__(self, "slopes", _as_slopes(self.slopes))
         if len(self.slopes) != k:
             raise ShapeMismatchError(f"{len(self.slopes)} slopes for {k} labels")
@@ -138,9 +155,11 @@ class HomTable:
             iso_labels=data["labels"],
             slopes=data["slopes"],
             ext2=data.get("ext2"),
-            locally_free=bool(data.get("locally_free", True)),
+            locally_free=data.get("locally_free", True),
         )
-        if "k" in data and int(data["k"]) != table.k:
+        if "k" in data and not _is_int(data["k"]):
+            raise ValueError(f"k must be an integer, got {data['k']!r}")
+        if data.get("k", table.k) != table.k:
             raise ValueError(f"declared k = {data['k']} but tables have size {table.k}")
         return table
 

@@ -12,9 +12,11 @@ from math import comb, factorial
 
 import pytest
 
+from hilbtaut import chern
 from hilbtaut.characters import restrict_to_transposition
 from hilbtaut.chern import (
     BundleSpec,
+    _generating_coefficient,
     b_class,
     c1,
     c1_via_blowup,
@@ -26,7 +28,7 @@ from hilbtaut.chern import (
     regular_checksum_via_irreps,
 )
 from hilbtaut.divisors import DivisorClass
-from hilbtaut.errors import IntegralityError, SizeLimitError
+from hilbtaut.errors import IntegralityError, ShapeMismatchError, SizeLimitError
 from hilbtaut.partitions import dimension, enumerate_partitions
 
 RUNNING = BundleSpec.build((2, 1), [(2, "e1", (2,)), (1, "e2", (1,))])
@@ -212,7 +214,7 @@ def test_generating_polynomial_frozen():
 
 
 @pytest.mark.parametrize("variant", ["trivial", "sign"])
-@pytest.mark.parametrize("n", range(2, 5))
+@pytest.mark.parametrize("n", range(2, 7))
 def test_generating_polynomial_vs_block_formula(n, variant):
     # the coefficient of t^lam is the class for the spec whose block reps
     # are all trivial (or all sign)
@@ -238,6 +240,7 @@ def test_generating_polynomial_vs_block_formula(n, variant):
                 ]
                 spec = BundleSpec.build(lam, blocks)
                 assert poly.coefficient_of(expts) == c1(spec), (lam, variant)
+                assert _generating_coefficient(n, inputs[:k], expts, variant) == c1(spec)
 
 
 def test_generating_polynomial_validation():
@@ -249,6 +252,23 @@ def test_generating_polynomial_validation():
         generating_polynomial(2, [])
     with pytest.raises(ValueError):
         generating_polynomial(2, [(0, "e")])
+    with pytest.raises(ValueError):
+        _generating_coefficient(3, [(2, "e"), (1, "f")], (-1, 4))
+    with pytest.raises(ShapeMismatchError):
+        _generating_coefficient(3, [(2, "e"), (1, "f")], (3,))
+    assert _generating_coefficient(3, [(2, "e"), (1, "f")], (2, 2)).is_zero
+
+
+def test_generating_polynomial_monomial_cap(monkeypatch):
+    # comb(n+k-1, k-1) monomials: 10 for n = 3 and k = 3, 15 for n = 4
+    inputs = [(1, "a"), (2, "b"), (3, "c")]
+    monkeypatch.setattr(chern, "MAX_MONOMIALS", 10)
+    assert len(generating_polynomial(3, inputs).terms) == 10
+    with pytest.raises(SizeLimitError, match="15 monomials exceed the bound 10"):
+        generating_polynomial(4, inputs)
+    assert _generating_coefficient(4, inputs, (2, 1, 1)) == c1(
+        BundleSpec.build((2, 1, 1), [(1, "a", (2,)), (2, "b", (1,)), (3, "c", (1,))])
+    )
 
 
 def test_regular_checksum():

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from hilbtaut import moduli
-from hilbtaut.chern import c1, rank_G
+from hilbtaut import cli, moduli
+from hilbtaut.chern import BundleSpec, c1, rank_G
 from hilbtaut.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -183,6 +185,12 @@ def test_ext_requires_hom_table(tmp_path):
     [
         ("slopes", ["1/0", "1"], "slopes must be exact fractions"),
         ("hom", 5, "hom must be a 2x2 matrix of integers"),
+        ("labels", 5, "labels must be a list of strings"),
+        ("labels", "AB", "labels must be a list of strings"),
+        ("k", [2], "k must be an integer"),
+        ("k", None, "k must be an integer"),
+        ("hom", [[1.9, 0], [0, True]], "hom must be a 2x2 matrix of integers"),
+        ("slopes", [0.5, 1], "slopes must be exact fractions"),
     ],
 )
 def test_hom_table_json_errors_exit_cleanly(tmp_path, capsys, key, value, message):
@@ -321,6 +329,109 @@ def test_generating_validation():
     # malformed integer list is a usage error
     code, _ = run_cli("generating", "--n", "2", "--ranks", "2,x", "--symbols", "e")
     assert code == EXIT_USAGE
+
+
+def _run_module(*argv, timeout):
+    # a subprocess, so that a call that never returns fails the test
+    return subprocess.run(
+        [sys.executable, "-m", "hilbtaut", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def test_generating_coeff_is_computed_alone():
+    # the full expansion has 1,221,759 monomials; one coefficient is one
+    # closed multinomial expression
+    proc = _run_module(
+        "generating", "--n", "40", "--ranks", "1,2,3,1,2,3", "--symbols", "a,b,c,d,e,f",
+        "--coeff", "10,10,5,5,5,5", timeout=2,
+    )
+    spec = BundleSpec.build(
+        (10, 10, 5, 5, 5, 5),
+        [
+            (rank, symbol, (size,))
+            for rank, symbol, size in zip((1, 2, 3, 1, 2, 3), "abcdef", (10, 10, 5, 5, 5, 5))
+        ],
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_OK, c1(spec).render_text() + "\n")
+
+
+def test_generating_expansion_is_capped():
+    proc = _run_module(
+        "generating", "--n", "40", "--ranks", "1,2,3,1,2,3", "--symbols", "a,b,c,d,e,f",
+        timeout=2,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
+    assert proc.stderr == "error: 1221759 monomials exceed the bound 25000\n"
+
+
+def test_unexpected_exception_is_one_line(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "rank", broken)
+    assert run_cli("rank", "--spec", "{}") == (EXIT_INTERNAL, "")
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+_JUNK = (
+    None, True, False, 0, -1, 2, 3, 1.5, 1e300, "x", "1/0", "",
+    [], [1], [[1.9]], [None, [2]], {}, {"n": 1},
+)
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutate(rng, doc):
+    # one mutation at a random place: a junk value, a deleted key, or the
+    # old value nested one list deeper
+    path = rng.choice(list(_json_paths(doc)))
+    if not path:
+        return rng.choice(_JUNK)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    action = rng.randrange(4)
+    if action == 0 and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif action == 1:
+        parent[path[-1]] = [parent[path[-1]]]
+    else:
+        parent[path[-1]] = rng.choice(_JUNK)
+    return doc
+
+
+def test_fuzzed_specs_exit_cleanly():
+    # mutated spec and hom_table JSON through every spec command: each ends
+    # in an answer or a one-line validation error, in bounded total time
+    rng = random.Random(2510)
+    commands = (
+        ("chern",), ("chern", "--json"), ("rank",), ("ext",), ("ext", "--json"),
+        ("conditions",), ("stability",),
+    )
+    started = time.perf_counter()
+    for _ in range(600):
+        doc = json.loads(json.dumps(SPEC))
+        for _ in range(rng.randint(1, 3)):
+            doc = _mutate(rng, doc)
+        argv = [*rng.choice(commands), "--spec", json.dumps(doc)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = dispatch(argv)
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_INTERNAL, EXIT_USAGE), argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert not err.getvalue().startswith("internal error"), (argv, err.getvalue())
+    assert time.perf_counter() - started < 5.0
 
 
 def test_verify_subcommand():
