@@ -255,14 +255,15 @@ def brute_force_character_table(m: int) -> CharacterTable:
     characters from counting tabloids fixed by an explicit permutation, and
     irreducible characters from Gram-Schmidt in descending lexicographic
     order (which refines dominance, so each step strips off exactly the
-    previously extracted constituents).  Exact and slow; degree <= 7.
+    previously extracted constituents), with inner products weighted by
+    those counted class sizes.  Exact and slow; degree <= 7.
     """
     if m > _BRUTE_FORCE_MAX:
         raise SizeLimitError(f"brute-force table capped at degree {_BRUTE_FORCE_MAX}")
     diagrams = enumerate_partitions(m)
-    perm_types = [cycle_type_of(g) for g in permutations(range(m))]
     sizes: dict[CycleType, int] = {}
-    for t in perm_types:
+    for g in permutations(range(m)):
+        t = cycle_type_of(g)
         sizes[t] = sizes.get(t, 0) + 1
     cycle_types = diagrams  # same enumeration order
     reps = {c: canonical_permutation(c) for c in cycle_types}
@@ -275,8 +276,8 @@ def brute_force_character_table(m: int) -> CharacterTable:
         return total
 
     def dot(f_vals: dict, g_vals: dict) -> Fraction:
-        # inner product as an explicit sum over all m! permutations
-        total = sum(f_vals[t] * g_vals[t] for t in perm_types)
+        # the sum over all m! permutations, grouped by cycle type
+        total = sum(sizes[t] * f_vals[t] * g_vals[t] for t in cycle_types)
         return Fraction(total, factorial(m))
 
     irreducibles: list[dict[CycleType, Fraction]] = []

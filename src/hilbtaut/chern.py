@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .characters import character, restrict_to_transposition, transposition_type
-from .divisors import ClassPolynomial, DivisorClass, _check_exponents
+from .divisors import ClassPolynomial, DivisorClass, _check_exponents, _check_symbol
 from .errors import IntegralityError, SizeLimitError
 from .partitions import (
     LabeledComposition,
@@ -45,9 +45,18 @@ def _symbol_class(symbol: str) -> DivisorClass:
     return DivisorClass.symbol(symbol)
 
 
+def _check_c1_symbol(symbol: str) -> None:
+    if symbol not in _ZERO_SYMBOLS:
+        _check_symbol(symbol)
+
+
 @dataclass(frozen=True)
 class BundleBlock:
-    """One input bundle with the representation attached to its block."""
+    """One input bundle with the representation attached to its block.
+
+    `rep_dim`, the dimension of `rep`, is computed at construction; it is
+    not a field, so equality, hashing and repr ignore it.
+    """
 
     rank: int
     c1_symbol: str
@@ -57,20 +66,23 @@ class BundleBlock:
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         object.__setattr__(self, "rep", YoungDiagram(self.rep))
-        _symbol_class(self.c1_symbol)  # validates the symbol
+        _check_c1_symbol(self.c1_symbol)
+        object.__setattr__(self, "rep_dim", dimension(self.rep))
 
     @property
     def c1_class(self) -> DivisorClass:
         return _symbol_class(self.c1_symbol)
 
-    @cached_property
-    def rep_dim(self) -> int:
-        return dimension(self.rep)
-
 
 @dataclass(frozen=True)
 class BundleSpec:
-    """Composition of n together with one BundleBlock per part."""
+    """Composition of n together with one BundleBlock per part.
+
+    Computed at construction and not fields (equality, hashing and repr
+    ignore them): `s`, the product of rank_i ** lambda_i (the fibre
+    dimension of one summand), and `w`, the product of the representation
+    dimensions.
+    """
 
     lam: LabeledComposition
     blocks: tuple[BundleBlock, ...]
@@ -87,6 +99,10 @@ class BundleSpec:
                 raise ValueError(
                     f"block {idx}: rep {tuple(blk.rep)} is not a partition of {size}"
                 )
+        object.__setattr__(
+            self, "s", prod(blk.rank**size for size, blk in zip(self.lam, self.blocks))
+        )
+        object.__setattr__(self, "w", prod(blk.rep_dim for blk in self.blocks))
 
     @classmethod
     def build(
@@ -105,21 +121,21 @@ class BundleSpec:
     def k(self) -> int:
         return self.lam.k
 
-    @cached_property
-    def s(self) -> int:
-        """Product of rank_i ** lambda_i (the fibre dimension of one summand)."""
-        out = 1
-        for size, blk in zip(self.lam, self.blocks):
-            out *= blk.rank**size
-        return out
 
-    @cached_property
-    def w(self) -> int:
-        """Product of the representation dimensions."""
-        out = 1
-        for blk in self.blocks:
-            out *= blk.rep_dim
-        return out
+def _once_per_spec(fn):
+    # Keep fn(spec) in the spec's own __dict__: c1 and the oracle sweep ask
+    # again for what r_number and b_class already computed.  Not a field, so
+    # equality, hashing and repr ignore it.
+    key = f"_{fn.__name__}"
+
+    @wraps(fn)
+    def memoised(spec: BundleSpec):
+        memo = spec.__dict__
+        if key not in memo:
+            memo[key] = fn(spec)
+        return memo[key]
+
+    return memoised
 
 
 def rank_G(spec: BundleSpec) -> int:
@@ -127,6 +143,7 @@ def rank_G(spec: BundleSpec) -> int:
     return index_p(spec.lam) * spec.s * spec.w
 
 
+@_once_per_spec
 def b_class(spec: BundleSpec) -> DivisorClass:
     """The surface part of the first Chern class (no delta component).
 
@@ -140,9 +157,13 @@ def b_class(spec: BundleSpec) -> DivisorClass:
         if blk.c1_symbol not in _ZERO_SYMBOLS:
             coeff = (s // blk.rank) * w * singles[i]
             surface[blk.c1_symbol] = surface.get(blk.c1_symbol, 0) + coeff
-    return DivisorClass(surface)
+    # the symbols were checked when the blocks were built
+    return DivisorClass._trusted(
+        {name: Fraction(coeff) for name, coeff in surface.items()}, Fraction(0)
+    )
 
 
+@_once_per_spec
 def r_number(spec: BundleSpec) -> int:
     """Coefficient of -delta in the first Chern class, by the closed formula.
 
@@ -236,7 +257,7 @@ def _generating_inputs(n: int, inputs, variant: str) -> tuple[list[tuple[int, st
     for rank, symbol in inputs:
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
-        _symbol_class(symbol)
+        _check_c1_symbol(symbol)
     return inputs, 1 if variant == "sign" else -1
 
 

@@ -70,11 +70,18 @@ class SpecDocument:
         return out
 
 
-def _load_json(source: str | Path) -> dict:
-    if isinstance(source, Path) or not source.lstrip().startswith("{"):
+def _load_json(source: str | Path) -> object:
+    if isinstance(source, Path) or not source.lstrip().startswith(("{", "[")):
         try:
             text = Path(source).read_text()
         except OSError as exc:
+            # JSON text such as null, 5 or "x" is not a path either; parse_spec
+            # rejects every value that is not an object
+            if isinstance(source, str):
+                try:
+                    return json.loads(source)
+                except ValueError:
+                    pass
             raise SpecValidationError(f"cannot read spec: {exc}") from exc
     else:
         text = source

@@ -25,6 +25,11 @@ def _frac_to_json(value: Fraction) -> int | str:
     return int(value) if value.denominator == 1 else str(value)
 
 
+def _check_symbol(name: str) -> None:
+    if not _SYMBOL_RE.match(name) or name == "delta":
+        raise ValueError(f"invalid surface symbol {name!r}")
+
+
 def _frac_from_json(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"expected integer or 'p/q' string, got {value!r}")
@@ -43,8 +48,7 @@ class DivisorClass:
     def __init__(self, surface: Mapping[str, Rational] | None = None, delta: Rational = 0):
         clean: dict[str, Fraction] = {}
         for name, coeff in sorted((surface or {}).items()):
-            if not _SYMBOL_RE.match(name) or name == "delta":
-                raise ValueError(f"invalid surface symbol {name!r}")
+            _check_symbol(name)
             coeff = Fraction(coeff)
             if coeff:
                 clean[name] = coeff

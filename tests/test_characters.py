@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from hilbtaut import characters
 from hilbtaut.characters import (
     brute_force_character_table,
     canonical_permutation,
@@ -90,7 +91,7 @@ def test_character_shape_mismatch():
         character((2, 1), (2, 2))
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 8))
 def test_table_vs_brute_force(m):
     table = character_table(m)
     brute = brute_force_character_table(m)
@@ -98,6 +99,21 @@ def test_table_vs_brute_force(m):
     assert table.cycle_types == brute.cycle_types
     assert table.class_sizes == brute.class_sizes
     assert table.values == brute.values
+
+
+def test_brute_force_never_uses_murnaghan_nakayama(monkeypatch):
+    expected = {m: character_table(m) for m in range(1, 8)}
+
+    def refuse(*args):
+        raise AssertionError("the oracle must not evaluate characters")
+
+    monkeypatch.setattr(characters, "_mn", refuse)
+    monkeypatch.setattr(characters, "character", refuse)
+    brute_force_character_table.cache_clear()
+    for m, table in expected.items():
+        brute = brute_force_character_table(m)
+        assert (brute.diagrams, brute.cycle_types) == (table.diagrams, table.cycle_types)
+        assert (brute.class_sizes, brute.values) == (table.class_sizes, table.values)
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -7,6 +7,7 @@ recounts invariants directly over the enumerated cosets.
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields
 from fractions import Fraction
 from math import comb, factorial
 
@@ -15,6 +16,7 @@ import pytest
 from hilbtaut import chern
 from hilbtaut.characters import restrict_to_transposition
 from hilbtaut.chern import (
+    BundleBlock,
     BundleSpec,
     _generating_coefficient,
     b_class,
@@ -50,6 +52,8 @@ def test_spec_validation():
         BundleSpec.build((2,), [(0, "e1", (2,))])
     with pytest.raises(ValueError):
         BundleSpec.build((2,), [(1, "delta", (2,))])
+    with pytest.raises(ValueError, match="^invalid surface symbol '1bad'$"):
+        BundleSpec.build((2,), [(1, "1bad", (2,))])
     spec = BundleSpec.build((2,), [(3, "0", (1, 1))])
     assert spec.blocks[0].c1_class == DivisorClass.zero()
 
@@ -62,6 +66,25 @@ def test_cached_invariants_leave_equality_alone():
     assert repr(a) == repr(b)
     c = BundleSpec.build((2, 1), [(2, "e1", (1, 1)), (3, "e2", (1,))])
     assert c.s == a.s and c != a
+    c1(a)  # memoises b_class and r_number on a
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert [f.name for f in fields(BundleSpec)] == ["lam", "blocks"]
+    assert [f.name for f in fields(BundleBlock)] == ["rank", "c1_symbol", "rep"]
+
+
+def test_r_number_closed_form_runs_once_per_spec(monkeypatch):
+    calls = []
+
+    def counted(d):
+        calls.append(tuple(d))
+        return restrict_to_transposition(d)
+
+    monkeypatch.setattr(chern, "restrict_to_transposition", counted)
+    spec = BundleSpec.build((3, 1), [(2, "e1", (2, 1)), (3, "e2", (1,))])
+    r = r_number(spec)
+    assert c1(spec) == b_class(spec) + DivisorClass.delta_class(-r)
+    assert calls == [(2, 1)]
 
 
 def test_transposition_closed_form_any_block_size():

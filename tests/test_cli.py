@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import hilbtaut
 from hilbtaut import cli, moduli
 from hilbtaut.chern import BundleSpec, c1, rank_G
 from hilbtaut.cli import (
@@ -89,6 +92,24 @@ def test_parse_spec_malformed_json():
     msg = str(exc.value)
     assert "malformed JSON" in msg
     assert "line 1" in msg and "column" in msg
+
+
+@pytest.mark.parametrize("text", ["[1]", "null", "5", '"x"', " [ ]"])
+def test_non_object_spec_text(text):
+    # valid JSON that is not an object is neither read as a path nor accepted
+    with pytest.raises(SpecValidationError, match="^spec must be a JSON object$"):
+        parse_spec(text)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run_cli("chern", "--spec", text)[0] == EXIT_VALIDATION
+    assert err.getvalue() == "error: spec must be a JSON object\n"
+
+
+def test_unreadable_spec_path_and_bracket_text(tmp_path):
+    with pytest.raises(SpecValidationError, match="^cannot read spec: .*missing.json"):
+        parse_spec(str(tmp_path / "missing.json"))
+    with pytest.raises(SpecValidationError, match="^malformed JSON"):
+        parse_spec("[1,2")
 
 
 def test_chern_text(spec_file):
@@ -332,12 +353,16 @@ def test_generating_validation():
 
 
 def _run_module(*argv, timeout):
-    # a subprocess, so that a call that never returns fails the test
+    # a subprocess, so that a call that never returns fails the test; it
+    # imports the hilbtaut under test, installed or not
+    src = str(Path(hilbtaut.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "hilbtaut", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -470,10 +495,6 @@ def test_exit_codes(spec_file, tmp_path):
 
 
 def test_module_entrypoint(spec_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hilbtaut", "chern", "--spec", spec_file],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_module("chern", "--spec", spec_file, timeout=None)
     assert proc.returncode == 0
     assert proc.stdout == "4*e1 + 4*e2 - 5*delta\n"
