@@ -31,6 +31,7 @@ from .partitions import (
     p_reduced,
     reduce_once,
     reduce_twice,
+    standard_tensor_multiplicity,
 )
 from .characters import (
     CharacterTable,
@@ -46,7 +47,6 @@ from .characters import (
     regular_character_value,
     restrict_to_transposition,
     sign_character,
-    standard_tensor_multiplicity,
     transposition_type,
 )
 from .divisors import ClassPolynomial, DivisorClass

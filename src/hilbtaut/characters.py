@@ -29,7 +29,6 @@ from .partitions import (
 # A cycle type is a partition of m listing cycle lengths.
 CycleType = Partition
 
-MAX_DEGREE = 14
 _BRUTE_FORCE_MAX = 7
 
 
@@ -43,9 +42,9 @@ def class_size(c: Sequence[int]) -> int:
     return factorial(c.n) // centraliser
 
 
-def conjugacy_classes(m: int, max_m: int = MAX_DEGREE) -> list[tuple[CycleType, int]]:
+def conjugacy_classes(m: int) -> list[tuple[CycleType, int]]:
     """(cycle type, class size) pairs in descending lexicographic order."""
-    return [(c, class_size(c)) for c in enumerate_partitions(m, max_m)]
+    return [(c, class_size(c)) for c in enumerate_partitions(m)]
 
 
 def identity_type(m: int) -> CycleType:
@@ -125,15 +124,13 @@ _TABLE_CACHE: dict[int, CharacterTable] = {}
 _TABLE_LOCK = threading.Lock()
 
 
-def character_table(m: int, max_m: int = MAX_DEGREE) -> CharacterTable:
+def character_table(m: int) -> CharacterTable:
     """Cached character table of degree m; built at most once per degree."""
-    if m > max_m:
-        raise SizeLimitError(f"degree {m} exceeds the table bound {max_m}")
     with _TABLE_LOCK:
         table = _TABLE_CACHE.get(m)
         if table is None:
-            classes = conjugacy_classes(m, max_m)
-            diagrams = enumerate_partitions(m, max_m)
+            classes = conjugacy_classes(m)
+            diagrams = enumerate_partitions(m)
             values = [
                 [character(d, c) for c, _ in classes] for d in diagrams
             ]
@@ -199,25 +196,6 @@ def restrict_to_transposition(d: Sequence[int]) -> RestrictionPair:
     if (dim + chi) % 2:
         raise ArithmeticError(f"parity failure for {d}: dim {dim}, trace {chi}")
     return RestrictionPair((dim + chi) // 2, (dim - chi) // 2)
-
-
-def standard_tensor_multiplicity(d: Sequence[int]) -> int:
-    """Multiplicity of the irreducible d inside (permutation module) x d.
-
-    Equals 1 exactly for rectangular diagrams and is >= 2 otherwise.
-    """
-    d = YoungDiagram(d)
-    m = d.n
-    if m < 1:
-        raise ValueError("degree must be >= 1")
-    val = inner_product(
-        lambda c: permutation_character(c) * character(d, c),
-        lambda c: character(d, c),
-        m,
-    )
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integral multiplicity {val} for {d}")
-    return int(val)
 
 
 def cycle_type_of(perm: Sequence[int]) -> CycleType:

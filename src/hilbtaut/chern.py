@@ -22,8 +22,8 @@ from .divisors import ClassPolynomial, DivisorClass, _check_exponents, _check_sy
 from .errors import IntegralityError, SizeLimitError
 from .partitions import (
     LabeledComposition,
-    MAX_COSETS,
     YoungDiagram,
+    _is_int,
     bounded_index_p,
     dimension,
     enumerate_partitions,
@@ -50,6 +50,11 @@ def _check_c1_symbol(symbol: str) -> None:
         _check_symbol(symbol)
 
 
+def _check_rank(rank: int) -> None:
+    if not _is_int(rank) or rank < 1:
+        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+
+
 @dataclass(frozen=True)
 class BundleBlock:
     """One input bundle with the representation attached to its block.
@@ -63,8 +68,7 @@ class BundleBlock:
     rep: YoungDiagram
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        _check_rank(self.rank)
         object.__setattr__(self, "rep", YoungDiagram(self.rep))
         _check_c1_symbol(self.c1_symbol)
         object.__setattr__(self, "rep_dim", dimension(self.rep))
@@ -200,17 +204,17 @@ def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
 
 
 @lru_cache(maxsize=256)
-def _same_label_pair_counts(parts: tuple[int, ...], max_cosets: int) -> dict[int, int]:
+def _same_label_pair_counts(parts: tuple[int, ...]) -> dict[int, int]:
     # Brute-force census: how many cosets give positions 1 and 2 the same
     # label i.  Counted by scanning the enumeration, never by formula.
     counts: dict[int, int] = {}
-    for labels in iter_cosets(parts, max_cosets):
+    for labels in iter_cosets(parts):
         if labels[0] == labels[1]:
             counts[labels[0]] = counts.get(labels[0], 0) + 1
     return counts
 
 
-def invariant_restriction_rank(spec: BundleSpec, max_cosets: int = MAX_COSETS) -> int:
+def invariant_restriction_rank(spec: BundleSpec) -> int:
     """Rank of the invariants of the sign-twisted restriction to the
     pairwise diagonal, via the trace of the swap.
 
@@ -223,8 +227,8 @@ def invariant_restriction_rank(spec: BundleSpec, max_cosets: int = MAX_COSETS) -
     n = spec.n
     if n < 2:
         return 0
-    bounded_index_p(spec.lam, max_cosets)
-    counts = _same_label_pair_counts(tuple(spec.lam), max_cosets)
+    bounded_index_p(spec.lam)
+    counts = _same_label_pair_counts(tuple(spec.lam))
     s, w = spec.s, spec.w
     trace = 0
     for i, cnt in counts.items():
@@ -255,8 +259,7 @@ def _generating_inputs(n: int, inputs, variant: str) -> tuple[list[tuple[int, st
     if not inputs:
         raise ValueError("at least one input bundle required")
     for rank, symbol in inputs:
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+        _check_rank(rank)
         _check_c1_symbol(symbol)
     return inputs, 1 if variant == "sign" else -1
 
@@ -321,8 +324,7 @@ def regular_checksum(n: int, rank: int, symbol: str) -> DivisorClass:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    _check_rank(rank)
     base = _symbol_class(symbol) * (factorial(n) * rank ** (n - 1))
     delta_part = DivisorClass.delta_class(-(factorial(n) // 2) * rank**n)
     return (base + delta_part).require_integral("regular_checksum")

@@ -29,7 +29,7 @@ from .errors import (
     SpecValidationError,
 )
 from .moduli import HomTable, _ext_dims, check_conditions, stability_certificate
-from .partitions import LabeledComposition, Partition, YoungDiagram
+from .partitions import LabeledComposition, Partition, YoungDiagram, _is_int
 from .verify import verify_all
 
 EXIT_OK = 0
@@ -102,7 +102,7 @@ def parse_spec(source: str | Path) -> SpecDocument:
     if unknown:
         raise SpecValidationError(f"unknown spec keys {sorted(unknown)}")
     n = data.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SpecValidationError(f"n: expected a positive integer, got {n!r}")
     blocks_data = data.get("blocks")
     if not isinstance(blocks_data, list) or not blocks_data:
@@ -121,15 +121,13 @@ def parse_spec(source: str | Path) -> SpecDocument:
             if key not in entry:
                 raise SpecValidationError(f"{where}: missing {key!r}")
         size, rank, symbol, rep = entry["size"], entry["rank"], entry["c1"], entry["rep"]
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        if not _is_int(size) or size < 1:
             raise SpecValidationError(f"{where}.size: expected a positive integer")
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+        if not _is_int(rank) or rank < 1:
             raise SpecValidationError(f"{where}.rank: expected a positive integer")
         if not isinstance(symbol, str):
             raise SpecValidationError(f"{where}.c1: expected a string symbol")
-        if not isinstance(rep, list) or not all(
-            isinstance(p, int) and not isinstance(p, bool) for p in rep
-        ):
+        if not isinstance(rep, list) or not all(map(_is_int, rep)):
             raise SpecValidationError(f"{where}.rep: expected an array of integers")
         try:
             diagram = YoungDiagram(rep)

@@ -30,6 +30,12 @@ def _check_symbol(name: str) -> None:
         raise ValueError(f"invalid surface symbol {name!r}")
 
 
+def _as_rational(value) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"coefficients must be int or Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def _frac_from_json(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"expected integer or 'p/q' string, got {value!r}")
@@ -49,11 +55,11 @@ class DivisorClass:
         clean: dict[str, Fraction] = {}
         for name, coeff in sorted((surface or {}).items()):
             _check_symbol(name)
-            coeff = Fraction(coeff)
+            coeff = _as_rational(coeff)
             if coeff:
                 clean[name] = coeff
         self.surface = clean
-        self.delta = Fraction(delta)
+        self.delta = _as_rational(delta)
 
     @classmethod
     def _trusted(cls, surface: Mapping[str, Fraction], delta: Fraction) -> DivisorClass:

@@ -26,7 +26,6 @@ from math import prod
 from typing import Mapping, NamedTuple
 
 from .chern import BundleSpec
-from .characters import standard_tensor_multiplicity
 from .divisors import _frac_from_json
 from .errors import (
     ModuliDimensionMismatchError,
@@ -37,17 +36,14 @@ from .errors import (
 from .partitions import (
     LabeledComposition,
     LabeledSetPartition,
-    MAX_COSETS,
+    _is_int,
     bounded_index_p,
     iter_cosets,
     multinomial_index,
+    standard_tensor_multiplicity,
 )
 
 MAX_GROUPING_BLOCKS = 10
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _all_of(values, check) -> bool:
@@ -177,7 +173,7 @@ class ConditionReport:
         return self.grouping is not None
 
 
-def check_conditions(table: HomTable, max_k: int = MAX_GROUPING_BLOCKS) -> ConditionReport:
+def check_conditions(table: HomTable) -> ConditionReport:
     """Search for an ordered grouping of the blocks under which all maps
     from later groups to earlier groups vanish in degrees 0 and 1, blocks in
     one group have no maps between distinct members, and every block is
@@ -186,8 +182,8 @@ def check_conditions(table: HomTable, max_k: int = MAX_GROUPING_BLOCKS) -> Condi
     reasons none exists.
     """
     k = table.k
-    if k > max_k:
-        raise SizeLimitError(f"grouping search capped at {max_k} blocks, got {k}")
+    if k > MAX_GROUPING_BLOCKS:
+        raise SizeLimitError(f"grouping search capped at {MAX_GROUPING_BLOCKS} blocks, got {k}")
     distinct_ok = len(set(table.iso_labels)) == k
     witnesses: list[str] = []
 
@@ -310,9 +306,7 @@ def _first_failing_table(
     return (cells, deg1) if deg1 else None
 
 
-def offdiagonal_ext1_vanishing(
-    lam: Sequence[int], table: HomTable, max_cosets: int = MAX_COSETS
-) -> VanishingReport:
+def offdiagonal_ext1_vanishing(lam: Sequence[int], table: HomTable) -> VanishingReport:
     """Check that every nontrivial coset contributes zero in degree 1.
 
     Per coset the degree-1 dimension factors through positions: a sum over
@@ -330,7 +324,7 @@ def offdiagonal_ext1_vanishing(
     """
     lam = LabeledComposition(lam)
     _require_block_match(lam, table)
-    bounded_index_p(lam, max_cosets)
+    bounded_index_p(lam)
     found = _first_failing_table(lam, table.hom, table.ext1)
     if found is None:
         return VanishingReport(True, None, 0)
@@ -362,9 +356,7 @@ def _require_simple_diagonal(table: HomTable) -> None:
             )
 
 
-def _ext_dims(
-    spec: BundleSpec, table: HomTable, max_cosets: int = MAX_COSETS
-) -> tuple[EndDims, int | ValueError]:
+def _ext_dims(spec: BundleSpec, table: HomTable) -> tuple[EndDims, int | ValueError]:
     # equivariant_end_dims and moduli_component_dim from one coset scan; the
     # second entry is the component dimension or the error explaining why
     # there is none
@@ -374,7 +366,7 @@ def _ext_dims(
         standard_tensor_multiplicity(blk.rep) * table.ext1[i][i]
         for i, blk in enumerate(spec.blocks)
     )
-    vanishing = offdiagonal_ext1_vanishing(spec.lam, table, max_cosets)
+    vanishing = offdiagonal_ext1_vanishing(spec.lam, table)
     dims = EndDims(1, tangent_dim, vanishing.holds, vanishing.failing_coset)
     if not vanishing.holds:
         return dims, ValueError(
@@ -387,9 +379,7 @@ def _ext_dims(
     return dims, image_dim
 
 
-def equivariant_end_dims(
-    spec: BundleSpec, table: HomTable, max_cosets: int = MAX_COSETS
-) -> EndDims:
+def equivariant_end_dims(spec: BundleSpec, table: HomTable) -> EndDims:
     """Equivariant End dimensions in degrees 0 and 1.
 
     Degree 0 is 1 (simple blocks, one irreducible per block).  Degree 1 from
@@ -399,12 +389,10 @@ def equivariant_end_dims(
     off-diagonal coset survives in degree 1 the flag is lowered and the
     returned end1 is only the identity-coset part.
     """
-    return _ext_dims(spec, table, max_cosets)[0]
+    return _ext_dims(spec, table)[0]
 
 
-def moduli_component_dim(
-    table: HomTable, spec: BundleSpec, max_cosets: int = MAX_COSETS
-) -> int:
+def moduli_component_dim(table: HomTable, spec: BundleSpec) -> int:
     """Dimension of the moduli component traced out by the construction.
 
     The image dimension (sum of self-extension counts) must equal the
@@ -412,7 +400,7 @@ def moduli_component_dim(
     every block representation is rectangular, otherwise a mismatch error
     carrying both numbers is raised.
     """
-    dim = _ext_dims(spec, table, max_cosets)[1]
+    dim = _ext_dims(spec, table)[1]
     if isinstance(dim, ValueError):
         raise dim
     return dim
@@ -449,7 +437,7 @@ def slope_of_induced(lam: Sequence[int], slopes: Sequence[Fraction | int]) -> Fr
     same for all of them; that balance is what drives the certificates.
     """
     lam = LabeledComposition(lam)
-    slopes = [Fraction(s) for s in slopes]
+    slopes = _as_slopes(slopes)
     if len(slopes) != lam.k:
         raise ShapeMismatchError(f"{len(slopes)} slopes for {lam.k} blocks")
     return sum((size * mu for size, mu in zip(lam, slopes)), Fraction(0))
@@ -463,11 +451,10 @@ class _Witnesses(Sequence):
     indexing, slicing, equality) without holding any of them.
     """
 
-    def __init__(self, lam: LabeledComposition, table: HomTable, length: int, max_cosets: int):
+    def __init__(self, lam: LabeledComposition, table: HomTable, length: int):
         self._lam = lam
         self._table = table
         self._length = length
-        self._max_cosets = max_cosets
 
     def __len__(self) -> int:
         return self._length
@@ -475,7 +462,7 @@ class _Witnesses(Sequence):
     def __iter__(self):
         ident = self._lam.identity_labels()
         labels_of, slopes = self._table.iso_labels, self._table.slopes
-        cosets = iter_cosets(self._lam, self._max_cosets)
+        cosets = iter_cosets(self._lam)
         next(cosets)  # the identity coset
         for labels in islice(cosets, self._length):
             for p in range(self._lam.n):
@@ -537,9 +524,7 @@ def _lex_rank(labels: Sequence[int], counts: Sequence[int]) -> int:
     return rank
 
 
-def stability_certificate(
-    lam: Sequence[int], table: HomTable, max_cosets: int = MAX_COSETS
-) -> StabilityCertificate:
+def stability_certificate(lam: Sequence[int], table: HomTable) -> StabilityCertificate:
     """Find a slope witness on every nontrivial coset, or the first coset
     without one.
 
@@ -556,18 +541,16 @@ def stability_certificate(
     """
     lam = LabeledComposition(lam)
     _require_block_match(lam, table)
-    count = bounded_index_p(lam, max_cosets)
+    count = bounded_index_p(lam)
     blocks_of: dict[str, list[int]] = {}
     for j, label in enumerate(table.iso_labels):
         blocks_of.setdefault(label, []).append(j)
     last_two = [blocks[-2:] for blocks in blocks_of.values() if len(blocks) > 1]
     if not last_two:
-        return StabilityCertificate(True, _Witnesses(lam, table, count - 1, max_cosets), None)
+        return StabilityCertificate(True, _Witnesses(lam, table, count - 1), None)
     b1, b2 = max(last_two)
     labels = list(lam.identity_labels())
     end_b1, start_b2 = sum(lam[: b1 + 1]) - 1, sum(lam[:b2])
     labels[end_b1], labels[start_b2] = b2 + 1, b1 + 1
     length = _lex_rank(labels, lam) - 1
-    return StabilityCertificate(
-        False, _Witnesses(lam, table, length, max_cosets), LabeledSetPartition(labels)
-    )
+    return StabilityCertificate(False, _Witnesses(lam, table, length), LabeledSetPartition(labels))

@@ -14,9 +14,13 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeLimitError
 
-# Default safety bounds; every enumeration takes an explicit override.
+# Safety bounds, read at each check; there is no per-call override.
 MAX_PARTITION_N = 14
 MAX_COSETS = 10**6
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Partition(tuple):
@@ -32,7 +36,9 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()):
         if type(parts) is cls:
             return parts
-        t = tuple(int(p) for p in parts)
+        t = tuple(parts)
+        if not all(map(_is_int, t)):
+            raise ValueError(f"partition parts must be integers, got {t!r}")
         if t and t[-1] < 1:
             raise ValueError(f"partition parts must be positive, got {t}")
         for a, b in zip(t, t[1:]):
@@ -62,7 +68,9 @@ class LabeledComposition(tuple):
     def __new__(cls, parts: Iterable[int]):
         if type(parts) is cls:
             return parts
-        t = tuple(int(p) for p in parts)
+        t = tuple(parts)
+        if not all(map(_is_int, t)):
+            raise ValueError(f"composition parts must be integers, got {t!r}")
         if any(p < 1 for p in t):
             raise ValueError(f"composition parts must be positive, got {t}")
         return super().__new__(cls, t)
@@ -130,7 +138,7 @@ def _partitions_desc(n: int, largest: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def enumerate_partitions(n: int, max_n: int = MAX_PARTITION_N) -> list[Partition]:
+def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n, in descending lexicographic order.
 
     The first entry is (n), the last is (1,)*n.  The order is the canonical
@@ -138,8 +146,8 @@ def enumerate_partitions(n: int, max_n: int = MAX_PARTITION_N) -> list[Partition
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > max_n:
-        raise SizeLimitError(f"n = {n} exceeds the partition bound {max_n}")
+    if n > MAX_PARTITION_N:
+        raise SizeLimitError(f"n = {n} exceeds the partition bound {MAX_PARTITION_N}")
     return [Partition(p) for p in _partitions_desc(n, n)]
 
 
@@ -154,6 +162,20 @@ def conjugate(d: Sequence[int]) -> Partition:
 def is_rectangular(d: Sequence[int]) -> bool:
     """True iff the diagram has at most one distinct part length."""
     return len(set(Partition(d))) <= 1
+
+
+def standard_tensor_multiplicity(d: Sequence[int]) -> int:
+    """Multiplicity of the irreducible d inside (permutation module) x d.
+
+    The permutation module is induced from the trivial module of S_{m-1},
+    so the product is Ind Res d, and by the branching rule its multiplicity
+    of d is the number of removable corners of d: its distinct part count.
+    Equals 1 exactly for rectangular diagrams and is >= 2 otherwise.
+    """
+    d = YoungDiagram(d)
+    if not d:
+        raise ValueError("degree must be >= 1")
+    return len(set(d))
 
 
 def dimension(d: Sequence[int]) -> int:
@@ -210,15 +232,15 @@ def index_p(lam: Sequence[int]) -> int:
     return multinomial_index(LabeledComposition(lam))
 
 
-def bounded_index_p(lam: Sequence[int], max_cosets: int = MAX_COSETS) -> int:
-    """index_p(lam), refusing with SizeLimitError when it exceeds max_cosets.
+def bounded_index_p(lam: Sequence[int]) -> int:
+    """index_p(lam), refusing with SizeLimitError when it exceeds MAX_COSETS.
 
     The one coset cap: every enumeration or scan that is bounded by a coset
     count checks it here, before any work.
     """
     count = index_p(lam)
-    if count > max_cosets:
-        raise SizeLimitError(f"{count} cosets exceed the bound {max_cosets}")
+    if count > MAX_COSETS:
+        raise SizeLimitError(f"{count} cosets exceed the bound {MAX_COSETS}")
     return count
 
 
@@ -295,9 +317,7 @@ def _arrangements(parts: tuple[int, ...]) -> Iterator[LabeledSetPartition]:
         seq[i + 1 :] = seq[:i:-1]
 
 
-def iter_cosets(
-    lam: Sequence[int], max_cosets: int = MAX_COSETS
-) -> Iterator[LabeledSetPartition]:
+def iter_cosets(lam: Sequence[int]) -> Iterator[LabeledSetPartition]:
     """Lazily yield the cosets of the Young subgroup, as labeled set partitions.
 
     Deterministic lexicographic order on the label tuples; the identity coset
@@ -306,15 +326,13 @@ def iter_cosets(
     then produced one at a time and nothing is kept.
     """
     lam = LabeledComposition(lam)
-    bounded_index_p(lam, max_cosets)
+    bounded_index_p(lam)
     return _arrangements(tuple(lam))
 
 
-def enumerate_cosets(
-    lam: Sequence[int], max_cosets: int = MAX_COSETS
-) -> list[LabeledSetPartition]:
+def enumerate_cosets(lam: Sequence[int]) -> list[LabeledSetPartition]:
     """All cosets of the Young subgroup, as a list in iter_cosets order."""
-    return list(iter_cosets(lam, max_cosets))
+    return list(iter_cosets(lam))
 
 
 def identity_coset(lam: Sequence[int]) -> LabeledSetPartition:

@@ -15,9 +15,11 @@ from typing import NamedTuple, Sequence
 
 from .characters import (
     brute_force_character_table,
+    character,
     character_table,
+    inner_product,
+    permutation_character,
     restrict_to_transposition,
-    standard_tensor_multiplicity,
 )
 from .chern import (
     BundleSpec,
@@ -38,7 +40,6 @@ from .moduli import (
     stability_certificate,
 )
 from .partitions import (
-    MAX_COSETS,
     LabeledComposition,
     LabeledSetPartition,
     dimension,
@@ -48,6 +49,7 @@ from .partitions import (
     is_rectangular,
     iter_cosets,
     p_reduced,
+    standard_tensor_multiplicity,
 )
 
 
@@ -134,18 +136,28 @@ def character_suite(max_m: int = 6) -> SuiteResult:
     return SuiteResult("characters vs permutation brute force", checks, failures)
 
 
+def _tensor_multiplicity_by_characters(d: Sequence[int]) -> Fraction:
+    """Oracle for standard_tensor_multiplicity: the class-function inner
+    product of (permutation character) * chi_d with chi_d."""
+    return inner_product(
+        lambda c: permutation_character(c) * character(d, c),
+        lambda c: character(d, c),
+        sum(d),
+    )
+
+
 def rectangularity_suite(max_m: int = 8) -> SuiteResult:
-    """Tensor multiplicity 1 exactly on rectangular diagrams."""
+    """Distinct-part count vs the character inner product, and
+    multiplicity 1 exactly on rectangular diagrams."""
     checks = 0
     failures: list[str] = []
     for m in range(1, max_m + 1):
         for d in enumerate_partitions(m):
             mult = standard_tensor_multiplicity(d)
+            oracle = _tensor_multiplicity_by_characters(d)
             checks += 1
-            if (mult == 1) != is_rectangular(d):
-                failures.append(f"{tuple(d)}: multiplicity {mult}")
-            if mult < 1:
-                failures.append(f"{tuple(d)}: multiplicity {mult} < 1")
+            if mult != oracle or (mult == 1) != is_rectangular(d):
+                failures.append(f"{tuple(d)}: multiplicity {mult}, inner product {oracle}")
     return SuiteResult("rectangularity vs tensor multiplicity", checks, failures)
 
 
@@ -239,16 +251,14 @@ def regular_suite(max_n: int = 6, max_rank: int = 3) -> SuiteResult:
     return SuiteResult("regular-representation checksum", checks, failures)
 
 
-def vanishing_by_enumeration(
-    lam: Sequence[int], table: HomTable, max_cosets: int = MAX_COSETS
-) -> VanishingReport:
+def vanishing_by_enumeration(lam: Sequence[int], table: HomTable) -> VanishingReport:
     """Oracle for offdiagonal_ext1_vanishing: the degree-1 dimension of
     every nontrivial coset in coset order, stopping at the first nonzero."""
     lam = LabeledComposition(lam)
     ident = lam.identity_labels()
     n = lam.n
     hom, ext1 = table.hom, table.ext1
-    for labels in iter_cosets(lam, max_cosets):
+    for labels in iter_cosets(lam):
         if labels == ident:
             continue
         h = [hom[ident[p] - 1][labels[p] - 1] for p in range(n)]
@@ -267,9 +277,7 @@ def vanishing_by_enumeration(
     return VanishingReport(True, None, 0)
 
 
-def stability_by_enumeration(
-    lam: Sequence[int], table: HomTable, max_cosets: int = MAX_COSETS
-) -> StabilityCertificate:
+def stability_by_enumeration(lam: Sequence[int], table: HomTable) -> StabilityCertificate:
     """Oracle for stability_certificate: a slope witness searched on every
     nontrivial coset in coset order, stopping at the first without one."""
     lam = LabeledComposition(lam)
@@ -277,7 +285,7 @@ def stability_by_enumeration(
     labels_of = table.iso_labels
     slopes = table.slopes
     witnesses: list[tuple[LabeledSetPartition, int]] = []
-    for labels in iter_cosets(lam, max_cosets):
+    for labels in iter_cosets(lam):
         if labels == ident:
             continue
         found = 0

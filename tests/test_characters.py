@@ -27,11 +27,16 @@ from hilbtaut.characters import (
     regular_character_value,
     restrict_to_transposition,
     sign_character,
-    standard_tensor_multiplicity,
     transposition_type,
 )
 from hilbtaut.errors import ShapeMismatchError
-from hilbtaut.partitions import dimension, enumerate_partitions, is_rectangular
+from hilbtaut.partitions import (
+    dimension,
+    enumerate_partitions,
+    is_rectangular,
+    standard_tensor_multiplicity,
+)
+from hilbtaut.verify import _tensor_multiplicity_by_characters
 
 
 def _class_types(m):
@@ -189,11 +194,13 @@ def test_standard_tensor_multiplicity_frozen():
     assert standard_tensor_multiplicity((3, 1)) == 2
 
 
-@pytest.mark.parametrize("m", range(1, 11))
+@pytest.mark.parametrize("m", range(1, 13))
 def test_standard_tensor_multiplicity_rectangular(m):
-    # multiplicity one exactly at rectangular diagrams
+    # multiplicity one exactly at rectangular diagrams, and the distinct-part
+    # count agrees with the character inner product
     for d in enumerate_partitions(m):
         mult = standard_tensor_multiplicity(d)
+        assert mult == _tensor_multiplicity_by_characters(d), d
         if is_rectangular(d):
             assert mult == 1, d
         else:

@@ -50,6 +50,9 @@ def test_spec_validation():
         BundleSpec.build((2, 1), [(2, "e1", (3,)), (1, "e2", (1,))])
     with pytest.raises(ValueError):
         BundleSpec.build((2,), [(0, "e1", (2,))])
+    for rank in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="^rank must be a positive integer"):
+            BundleSpec.build((2,), [(rank, "a", (2,))])
     with pytest.raises(ValueError):
         BundleSpec.build((2,), [(1, "delta", (2,))])
     with pytest.raises(ValueError, match="^invalid surface symbol '1bad'$"):
@@ -275,6 +278,11 @@ def test_generating_polynomial_validation():
         generating_polynomial(2, [])
     with pytest.raises(ValueError):
         generating_polynomial(2, [(0, "e")])
+    for rank in (2.5, True):
+        with pytest.raises(ValueError, match="^rank must be a positive integer"):
+            generating_polynomial(2, [(rank, "e")])
+        with pytest.raises(ValueError, match="^rank must be a positive integer"):
+            _generating_coefficient(2, [(rank, "e")], (2,))
     with pytest.raises(ValueError):
         _generating_coefficient(3, [(2, "e"), (1, "f")], (-1, 4))
     with pytest.raises(ShapeMismatchError):

@@ -174,6 +174,20 @@ def test_ext_scans_cosets_once(spec_file, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("rep", [[5, 4, 4, 2], [10, 10, 8, 7, 3, 2]])
+def test_ext_any_block_size(rep):
+    # the tangent multiplicity is the distinct-part count, for blocks of any size
+    n = sum(rep)
+    spec = {
+        "n": n,
+        "blocks": [{"size": n, "rank": 2, "c1": "e", "rep": rep}],
+        "hom_table": {"hom": [[1]], "ext1": [[3]], "labels": ["A"], "slopes": [1]},
+    }
+    code, out = run_cli("ext", "--spec", json.dumps(spec))
+    assert code == EXIT_OK
+    assert out.splitlines()[:2] == ["end0 = 1", f"end1 = {len(set(rep)) * 3}"]
+
+
 def test_ext_dimension_mismatch(tmp_path):
     data = json.loads(json.dumps(SPEC))
     data["n"] = 4

@@ -40,6 +40,15 @@ def test_symbol_validation():
     assert DivisorClass({"f_0": 1}).render_text() == "1*f_0"
 
 
+def test_coefficients_are_exact():
+    for bad in (0.1, 1.0, True, "1/2"):
+        with pytest.raises(ValueError, match="^coefficients must be int or Fraction"):
+            DivisorClass({"a": bad})
+        with pytest.raises(ValueError, match="^coefficients must be int or Fraction"):
+            DivisorClass(delta=bad)
+    assert DivisorClass({"a": Fraction(1, 2)}, 3).render_text() == "1/2*a + 3*delta"
+
+
 def test_arithmetic():
     a = DivisorClass.symbol("e", 2) - DivisorClass.delta_class(1)
     b = DivisorClass.symbol("e", -2) + DivisorClass.delta_class(1)

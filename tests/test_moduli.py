@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from hilbtaut import partitions
 from hilbtaut.chern import BundleSpec
 from hilbtaut.errors import (
     ModuliDimensionMismatchError,
@@ -217,11 +218,12 @@ def test_vanishing_vs_permutation_oracle():
             assert (coset, got.degree1_dim) == (want[1], want[2])
 
 
-def test_vanishing_bounds_and_shape():
+def test_vanishing_bounds_and_shape(monkeypatch):
     with pytest.raises(ShapeMismatchError):
         offdiagonal_ext1_vanishing((2, 1, 1), RUNNING_TABLE)
+    monkeypatch.setattr(partitions, "MAX_COSETS", 2)
     with pytest.raises(SizeLimitError):
-        offdiagonal_ext1_vanishing((2, 1), RUNNING_TABLE, max_cosets=2)
+        offdiagonal_ext1_vanishing((2, 1), RUNNING_TABLE)
 
 
 def test_end_dims_running_example():
@@ -298,6 +300,10 @@ def test_slope_of_induced():
     assert isinstance(slope_of_induced((1, 1), [0, 0]), Fraction)
     with pytest.raises(ShapeMismatchError):
         slope_of_induced((2, 1), [1])
+    # the slope rule HomTable enforces: floats and bools are refused
+    for slopes in ([0.1, 1], [True, 1]):
+        with pytest.raises(ValueError, match="^slopes must be exact fractions"):
+            slope_of_induced((1, 2), slopes)
 
 
 def test_stability_running_example():
@@ -350,11 +356,12 @@ def test_stability_iff_distinct_labels():
                 assert not stability_certificate(lam, dup).ok, lam
 
 
-def test_stability_bounds_and_shape():
+def test_stability_bounds_and_shape(monkeypatch):
     with pytest.raises(ShapeMismatchError):
         stability_certificate((2, 1, 1), RUNNING_TABLE)
+    monkeypatch.setattr(partitions, "MAX_COSETS", 2)
     with pytest.raises(SizeLimitError):
-        stability_certificate((2, 1), RUNNING_TABLE, max_cosets=2)
+        stability_certificate((2, 1), RUNNING_TABLE)
 
 
 def test_stability_witnesses_behave_as_tuple():

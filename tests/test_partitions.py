@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from hilbtaut import partitions
 from hilbtaut.errors import SizeLimitError
 from hilbtaut.partitions import (
     LabeledComposition,
@@ -88,12 +89,20 @@ def test_partition_count_frozen():
     assert len(enumerate_partitions(10)) == 42
 
 
-def test_enumerate_partitions_bounds():
+def test_enumerate_partitions_bounds(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_partitions(0)
     with pytest.raises(SizeLimitError):
         enumerate_partitions(15)
-    assert len(enumerate_partitions(15, max_n=20)) == 176
+    monkeypatch.setattr(partitions, "MAX_PARTITION_N", 20)
+    assert len(enumerate_partitions(15)) == 176
+
+
+@pytest.mark.parametrize("kind", [Partition, LabeledComposition])
+@pytest.mark.parametrize("parts", ["21", (2.7, 1), (2.5, 1), (2.0, 1), (True,), (2, False)])
+def test_parts_are_never_coerced(kind, parts):
+    with pytest.raises(ValueError, match="parts must be integers"):
+        kind(parts)
 
 
 def test_composition_basics():
@@ -222,22 +231,26 @@ def test_coset_position_label_census():
             assert sum(1 for c in cosets if (c[0], c[1]) == (j, i)) == expected
 
 
-def test_enumerate_cosets_bound():
+def test_enumerate_cosets_bound(monkeypatch):
     with pytest.raises(SizeLimitError):
         enumerate_cosets((1,) * 13)  # 13! cosets, checked before enumerating
+    monkeypatch.setattr(partitions, "MAX_COSETS", 5)
     with pytest.raises(SizeLimitError):
-        enumerate_cosets((1, 1, 1, 1), max_cosets=5)
-    assert len(enumerate_cosets((2, 1), max_cosets=3)) == 3
+        enumerate_cosets((1, 1, 1, 1))
+    monkeypatch.setattr(partitions, "MAX_COSETS", 3)
+    assert len(enumerate_cosets((2, 1))) == 3
 
 
-def test_bounded_index_p():
+def test_bounded_index_p(monkeypatch):
     assert bounded_index_p((2, 1, 1)) == index_p((2, 1, 1)) == 12
-    assert bounded_index_p((2, 2), max_cosets=6) == 6
+    monkeypatch.setattr(partitions, "MAX_COSETS", 6)
+    assert bounded_index_p((2, 2)) == 6
+    monkeypatch.setattr(partitions, "MAX_COSETS", 5)
     with pytest.raises(SizeLimitError, match="^6 cosets exceed the bound 5$"):
-        bounded_index_p((2, 2), max_cosets=5)
+        bounded_index_p((2, 2))
 
 
-def test_iter_cosets_lazy_and_capped():
+def test_iter_cosets_lazy_and_capped(monkeypatch):
     cosets = iter_cosets((2, 1, 1))
     assert next(cosets) == identity_coset((2, 1, 1))
     assert isinstance(next(cosets), LabeledSetPartition)
@@ -245,9 +258,11 @@ def test_iter_cosets_lazy_and_capped():
     # the bound is checked at the call, before the first coset is asked for
     with pytest.raises(SizeLimitError):
         iter_cosets((1,) * 13)
+    monkeypatch.setattr(partitions, "MAX_COSETS", 5)
     with pytest.raises(SizeLimitError):
-        iter_cosets((2, 2), max_cosets=5)
-    assert next(iter_cosets((1,) * 13, max_cosets=10**10)) == tuple(range(1, 14))
+        iter_cosets((2, 2))
+    monkeypatch.setattr(partitions, "MAX_COSETS", 10**10)
+    assert next(iter_cosets((1,) * 13)) == tuple(range(1, 14))
 
 
 def test_labeled_set_partition_api():
