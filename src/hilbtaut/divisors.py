@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IntegralityError, ShapeMismatchError
+from .partitions import _is_int
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*([A-Za-z_][A-Za-z0-9_]*)$")
@@ -205,7 +206,9 @@ class DivisorClass:
 
 
 def _check_exponents(nvars: int, expts: Sequence[int]) -> tuple[int, ...]:
-    t = tuple(int(e) for e in expts)
+    t = tuple(expts)
+    if not all(map(_is_int, t)):
+        raise ValueError(f"exponents must be integers, got {t!r}")
     if len(t) != nvars:
         raise ShapeMismatchError(f"exponent tuple {t} does not have arity {nvars}")
     if any(e < 0 for e in t):
@@ -219,7 +222,9 @@ class ClassPolynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Sequence[int], DivisorClass] | None = None):
-        self.nvars = int(nvars)
+        if not _is_int(nvars):
+            raise ValueError(f"nvars must be an integer, got {nvars!r}")
+        self.nvars = nvars
         clean: dict[tuple[int, ...], DivisorClass] = {}
         for expts, cls_val in (terms or {}).items():
             if not isinstance(cls_val, DivisorClass):

@@ -31,7 +31,6 @@ from .errors import (
     ModuliDimensionMismatchError,
     NotApplicableError,
     ShapeMismatchError,
-    SizeLimitError,
 )
 from .partitions import (
     LabeledComposition,
@@ -42,8 +41,6 @@ from .partitions import (
     multinomial_index,
     standard_tensor_multiplicity,
 )
-
-MAX_GROUPING_BLOCKS = 10
 
 
 def _all_of(values, check) -> bool:
@@ -174,16 +171,14 @@ class ConditionReport:
 
 
 def check_conditions(table: HomTable) -> ConditionReport:
-    """Search for an ordered grouping of the blocks under which all maps
-    from later groups to earlier groups vanish in degrees 0 and 1, blocks in
-    one group have no maps between distinct members, and every block is
-    simple.  Returns the first grouping in deterministic order (groups built
-    left to right, candidate subsets by size then lexicographically), or the
-    reasons none exists.
+    """Find an ordered grouping of the blocks under which all maps from
+    later groups to earlier groups vanish in degrees 0 and 1, blocks in one
+    group have no maps between distinct members, and every block is simple.
+    Returns the first grouping in size-then-lex order of each group, or the
+    reasons none exists; decided without search, as a point-algebra network
+    is consistent iff each strongly connected component may share a group.
     """
     k = table.k
-    if k > MAX_GROUPING_BLOCKS:
-        raise SizeLimitError(f"grouping search capped at {MAX_GROUPING_BLOCKS} blocks, got {k}")
     distinct_ok = len(set(table.iso_labels)) == k
     witnesses: list[str] = []
 
@@ -209,27 +204,28 @@ def check_conditions(table: HomTable) -> ConditionReport:
     if witnesses:
         return ConditionReport(distinct_ok, None, tuple(witnesses))
 
-    def search(remaining: tuple[int, ...], earlier: tuple[int, ...], placed):
-        if not remaining:
-            return tuple(placed)
-        for size in range(1, len(remaining) + 1):
-            for subset in combinations(remaining, size):
-                if all(same_ok(a, b) for a, b in combinations(subset, 2)) and all(
-                    before_ok(e, s) for e in earlier for s in subset
-                ):
-                    rest = tuple(x for x in remaining if x not in subset)
-                    found = search(rest, earlier + subset, placed + [subset])
-                    if found:
-                        return found
-        return None
-
-    grouping = search(tuple(range(k)), (), [])
-    if grouping is None:
+    # after[i]: the blocks that may not precede i (i too, as hom[i][i] = 1),
+    # closed transitively; mutual members form a component, one group
+    after = [{j for j in range(k) if not before_ok(j, i)} for i in range(k)]
+    for m in range(k):
+        for i in range(k):
+            if m in after[i]:
+                after[i] |= after[m]
+    components = {tuple(j for j in sorted(after[i]) if i in after[j]) for i in range(k)}
+    if not all(same_ok(a, b) for comp in components for a, b in combinations(comp, 2)):
         return ConditionReport(
             distinct_ok,
             None,
             ("no ordered grouping satisfies the vanishing constraints",),
         )
+    # a valid first group is a predecessor-closed union of components, so
+    # the smallest is a source component; take the lex-first of those
+    left = sorted(components, key=lambda comp: (len(comp), comp))
+    grouping = []
+    while left:
+        group = next(c for c in left if all(c[0] not in after[d[0]] or c == d for d in left))
+        left.remove(group)
+        grouping.append(group)
     one_based = tuple(tuple(i + 1 for i in group) for group in grouping)
     return ConditionReport(distinct_ok, one_based, ())
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import prod
 from typing import NamedTuple, Sequence
 
@@ -36,6 +36,7 @@ from .moduli import (
     HomTable,
     StabilityCertificate,
     VanishingReport,
+    check_conditions,
     offdiagonal_ext1_vanishing,
     stability_certificate,
 )
@@ -363,8 +364,102 @@ def coset_scan_suite(max_n: int = 7) -> SuiteResult:
     return SuiteResult("double-coset scans vs coset enumeration", checks, failures)
 
 
+def grouping_by_search(table: HomTable) -> tuple[tuple[int, ...], ...] | None:
+    """Oracle for check_conditions on tables with a simple diagonal:
+    backtracking over ordered set partitions, groups built left to right and
+    candidate subsets tried by size, then lexicographically.  Returns the
+    first grouping found (1-based) or None; exponential when none exists."""
+
+    def same_ok(i: int, j: int) -> bool:
+        return table.hom[i][j] == 0 and table.hom[j][i] == 0
+
+    def before_ok(i: int, j: int) -> bool:
+        # i in an earlier group than j: maps from j back to i must vanish
+        return table.hom[j][i] == 0 and table.ext1[j][i] == 0
+
+    def search(remaining: tuple[int, ...], earlier: tuple[int, ...], placed):
+        if not remaining:
+            return tuple(placed)
+        for size in range(1, len(remaining) + 1):
+            for subset in combinations(remaining, size):
+                if all(same_ok(a, b) for a, b in combinations(subset, 2)) and all(
+                    before_ok(e, s) for e in earlier for s in subset
+                ):
+                    rest = tuple(x for x in remaining if x not in subset)
+                    found = search(rest, earlier + subset, placed + [subset])
+                    if found:
+                        return found
+        return None
+
+    grouping = search(tuple(range(table.k)), (), [])
+    if grouping is None:
+        return None
+    return tuple(tuple(i + 1 for i in group) for group in grouping)
+
+
+def _grouping_tables(k: int, rng: random.Random, count: int):
+    # identity Hom (any order), a 3-cycle of Homs on the last three blocks
+    # (pairwise fine, no grouping), a chain forcing the reverse order, mutual
+    # Ext^1 pairs that must each share a group, then count random tables
+    # with about k pairwise relations
+    def table(hom, ext1):
+        for i in range(k):
+            hom[i][i] = 1
+        return HomTable(hom, ext1, [f"L{i}" for i in range(k)], [0] * k)
+
+    def zero():
+        return [[0] * k for _ in range(k)]
+
+    yield "identity-hom", table(zero(), zero())
+    if k >= 3:
+        hom = zero()
+        hom[k - 3][k - 2] = hom[k - 2][k - 1] = hom[k - 1][k - 3] = 1
+        yield "3-cycle", table(hom, zero())
+    if k >= 2:
+        hom = zero()
+        for i in range(k - 1):
+            hom[i + 1][i] = 1
+        yield "chain", table(hom, zero())
+    if k >= 4:
+        ext1 = zero()
+        ext1[0][1] = ext1[1][0] = ext1[k - 2][k - 1] = ext1[k - 1][k - 2] = 1
+        yield "mutual pairs", table(zero(), ext1)
+    for _ in range(count):
+        hom, ext1 = zero(), zero()
+        for i, j in combinations(range(k), 2):
+            a, b = rng.sample((i, j), 2)
+            roll = rng.random() * k / 4
+            if roll < 0.4:  # a must come first
+                (hom if roll < 0.2 else ext1)[a][b] = 1
+            elif roll < 0.5:  # one group
+                ext1[a][b] = ext1[b][a] = 1
+            elif roll < 0.505:  # no arrangement
+                hom[a][b] = hom[b][a] = 1
+        yield "random", table(hom, ext1)
+
+
+def grouping_suite(max_k: int = 7) -> SuiteResult:
+    """Strongly-connected-component grouping vs the backtracking search on
+    structured and seeded random tables with k <= max_k blocks, fewer of
+    them where the search costs more (about 1,000 at max_k = 7)."""
+    rng = random.Random(20261018)
+    checks = 0
+    failures: list[str] = []
+    for k in range(max_k + 1):
+        count = min(200, 20 * 3 ** (max_k - k)) if k else 0
+        for kind, table in _grouping_tables(k, rng, count):
+            fast, slow = check_conditions(table).grouping, grouping_by_search(table)
+            checks += 1
+            if fast != slow:
+                failures.append(f"k={k} {kind} {table.hom} {table.ext1}: {fast} vs {slow}")
+    return SuiteResult("grouping components vs backtracking search", checks, failures)
+
+
 def verify_all(max_n: int = 6) -> list[SuiteResult]:
-    """Run every oracle suite with bounds tied to max_n."""
+    """Run every oracle suite with bounds tied to max_n; from max_n = 2 on,
+    each suite makes at least one check."""
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}")
     return [
         coset_count_suite(max_n),
         character_suite(min(max_n, 6)),

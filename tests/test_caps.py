@@ -1,10 +1,13 @@
 """Size caps are module constants read at each check, with no per-call
-override, and the Ext path needs no character tables."""
+override, the README names exactly those caps, and the Ext path needs no
+character tables."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
+import re
 from pathlib import Path
 
 from hilbtaut import characters, chern, moduli, partitions, verify
@@ -44,3 +47,22 @@ def test_caps_have_no_per_call_override():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not [name for name in imported if "characters" in name.split(".")]
+
+
+def test_readme_caps_match_the_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("Sizes are capped"))
+    named = set(re.findall(r"`(\w+)\.(MAX_\w+)`", paragraph))
+    for module_name, constant in named:
+        module = importlib.import_module(f"hilbtaut.{module_name}")
+        assert type(getattr(module, constant, None)) is int, f"{module_name}.{constant}"
+    defined = {
+        (path.stem, name.id)
+        for path in Path(partitions.__file__).parent.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for name in ast.walk(node)
+        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+        and name.id.startswith("MAX_")
+    }
+    assert named == defined

@@ -480,6 +480,17 @@ def test_verify_subcommand():
     assert out.count("ok   ") == 7
 
 
+@pytest.mark.parametrize("max_n", ["0", "1", "-3"])
+def test_verify_refuses_vacuous_bound(max_n):
+    # below 2 some suites would make no check and still print "ok"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = dispatch(["verify", "--max-n", max_n])
+    assert code == EXIT_VALIDATION
+    assert out.getvalue() == ""
+    assert err.getvalue() == f"error: max_n must be at least 2, got {max_n}\n"
+
+
 def test_verify_output_pinned():
     # every suite's check count at the default bound: a dropped or added
     # check changes this output

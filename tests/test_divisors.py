@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hilbtaut.chern import generating_polynomial
 from hilbtaut.divisors import ClassPolynomial, DivisorClass
 from hilbtaut.errors import IntegralityError, ShapeMismatchError
 
@@ -141,6 +142,18 @@ def test_class_polynomial():
         p.coefficient_of((-1, 2))
     with pytest.raises(ValueError):
         ClassPolynomial(1, {(1,): 3})
+
+    # exponents and arity are ints, never coerced: (1.9, 0.2) is not (1, 0)
+    g = generating_polynomial(2, [(1, "a"), (2, "b")])
+    assert not g.coefficient_of((1, 1)).is_zero
+    for expts in ((1.9, 0.2), ("1", "1"), (True, True), (1, 1.0)):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            g.coefficient_of(expts)
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            ClassPolynomial(2, {expts: e1})
+    for nvars in (2.7, True, "2"):
+        with pytest.raises(ValueError, match="nvars must be an integer"):
+            ClassPolynomial(nvars, {})
 
 
 def test_class_polynomial_render():

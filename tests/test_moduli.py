@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -32,7 +33,12 @@ from hilbtaut.moduli import (
     stability_certificate,
 )
 from hilbtaut.partitions import enumerate_cosets, enumerate_partitions
-from hilbtaut.verify import coset_scan_suite, stability_by_enumeration
+from hilbtaut.verify import (
+    coset_scan_suite,
+    grouping_by_search,
+    grouping_suite,
+    stability_by_enumeration,
+)
 
 
 def _table(hom, ext1, labels=None, slopes=None, **kw):
@@ -143,11 +149,86 @@ def test_check_conditions_distinct_flag_and_bound():
     t = _table([[1, 0], [0, 1]], [[0, 0], [0, 0]], ["A", "A"], [0, 0])
     report = check_conditions(t)
     assert report.satisfied and not report.distinct_ok
+    # no block cap: eleven blocks with identity Hom get one group each
     k = 11
     eye = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     zero = [[0] * k for _ in range(k)]
-    with pytest.raises(SizeLimitError):
-        check_conditions(_table(eye, zero))
+    assert check_conditions(_table(eye, zero)).grouping == tuple((i,) for i in range(1, k + 1))
+
+
+def _eye(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def _zero(k):
+    return [[0] * k for _ in range(k)]
+
+
+def _three_cycle(k):
+    # Homs 1-based k-2 -> k-1 -> k -> k-2: every pair has an order, no grouping
+    hom = _eye(k)
+    hom[k - 3][k - 2] = hom[k - 2][k - 1] = hom[k - 1][k - 3] = 1
+    return _table(hom, _zero(k))
+
+
+def _chain(k):
+    # hom[i+1][i] survives, so block i+1 must come before block i
+    hom = _eye(k)
+    for i in range(k - 1):
+        hom[i + 1][i] = 1
+    return _table(hom, _zero(k))
+
+
+def _mutual_pairs(k):
+    # Ext^1 both ways between blocks 1 and 2 and between blocks k-1 and k:
+    # neither pair can be ordered, so each shares a group
+    ext1 = _zero(k)
+    ext1[0][1] = ext1[1][0] = ext1[k - 2][k - 1] = ext1[k - 1][k - 2] = 1
+    return _table(_eye(k), ext1)
+
+
+def test_grouping_matches_backtracking_search():
+    result = grouping_suite(7)
+    assert result.checks > 1000
+    assert result.failures == []
+
+
+@pytest.mark.parametrize(
+    "table, grouping",
+    [
+        (_table(_eye(4), _zero(4)), ((1,), (2,), (3,), (4,))),
+        (_three_cycle(5), None),
+        (_chain(5), ((5,), (4,), (3,), (2,), (1,))),
+        (_mutual_pairs(5), ((3,), (1, 2), (4, 5))),
+        (_table(_zero(0), _zero(0)), ()),
+    ],
+    ids=["identity-hom", "3-cycle", "chain", "mutual-ext1-pairs", "k=0"],
+)
+def test_check_conditions_structured(table, grouping):
+    report = check_conditions(table)
+    assert report.grouping == grouping == grouping_by_search(table)
+    if grouping is None:
+        assert report.witnesses == ("no ordered grouping satisfies the vanishing constraints",)
+
+
+def test_check_conditions_three_cycle_at_ten_blocks_budget():
+    # the backtracking search tried every ordered set partition here
+    started = time.perf_counter()
+    report = check_conditions(_three_cycle(10))
+    assert time.perf_counter() - started < 0.5
+    assert report.grouping is None
+    assert report.witnesses == ("no ordered grouping satisfies the vanishing constraints",)
+
+
+def test_check_conditions_hundred_blocks():
+    k = 100
+    for table, grouping in (
+        (_chain(k), tuple((i,) for i in range(k, 0, -1))),
+        (_table(_eye(k), _zero(k)), tuple((i,) for i in range(1, k + 1))),
+    ):
+        started = time.perf_counter()
+        assert check_conditions(table).grouping == grouping
+        assert time.perf_counter() - started < 1.0
 
 
 def test_vanishing_running_example():
