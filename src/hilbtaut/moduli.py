@@ -204,14 +204,16 @@ def check_conditions(table: HomTable) -> ConditionReport:
     if witnesses:
         return ConditionReport(distinct_ok, None, tuple(witnesses))
 
-    # after[i]: the blocks that may not precede i (i too, as hom[i][i] = 1),
-    # closed transitively; mutual members form a component, one group
-    after = [{j for j in range(k) if not before_ok(j, i)} for i in range(k)]
+    # after[i], ahead[i]: bitmasks of the blocks that may not precede, may
+    # not follow i (i too, as hom[i][i] = 1), closed transitively; the blocks
+    # in both form i's component, which must be one group
+    after = [sum(1 << j for j in range(k) if not before_ok(j, i)) for i in range(k)]
     for m in range(k):
         for i in range(k):
-            if m in after[i]:
+            if after[i] >> m & 1:
                 after[i] |= after[m]
-    components = {tuple(j for j in sorted(after[i]) if i in after[j]) for i in range(k)}
+    ahead = [sum(1 << j for j in range(k) if after[j] >> i & 1) for i in range(k)]
+    components = {tuple(j for j in range(k) if (after[i] & ahead[i]) >> j & 1) for i in range(k)}
     if not all(same_ok(a, b) for comp in components for a, b in combinations(comp, 2)):
         return ConditionReport(
             distinct_ok,
@@ -221,10 +223,11 @@ def check_conditions(table: HomTable) -> ConditionReport:
     # a valid first group is a predecessor-closed union of components, so
     # the smallest is a source component; take the lex-first of those
     left = sorted(components, key=lambda comp: (len(comp), comp))
-    grouping = []
+    grouping, unplaced = [], (1 << k) - 1
     while left:
-        group = next(c for c in left if all(c[0] not in after[d[0]] or c == d for d in left))
+        group = next(c for c in left if not ahead[c[0]] & ~after[c[0]] & unplaced)
         left.remove(group)
+        unplaced ^= sum(1 << j for j in group)
         grouping.append(group)
     one_based = tuple(tuple(i + 1 for i in group) for group in grouping)
     return ConditionReport(distinct_ok, one_based, ())

@@ -34,8 +34,8 @@ from hilbtaut.moduli import (
 )
 from hilbtaut.partitions import enumerate_cosets, enumerate_partitions
 from hilbtaut.verify import (
+    _grouping_tables,
     coset_scan_suite,
-    grouping_by_search,
     grouping_suite,
     stability_by_enumeration,
 )
@@ -145,76 +145,51 @@ def test_check_conditions_non_simple():
     assert any("not simple" in w for w in report.witnesses)
 
 
+def _structured(k):
+    # the structured tables of the grouping suite: identity Hom, a 3-cycle of
+    # Homs on the last three blocks, a chain forcing the reverse order, and
+    # mutual Ext^1 pairs on blocks 1, 2 and k - 1, k
+    return dict(_grouping_tables(k, random.Random(0), 0))
+
+
 def test_check_conditions_distinct_flag_and_bound():
     t = _table([[1, 0], [0, 1]], [[0, 0], [0, 0]], ["A", "A"], [0, 0])
     report = check_conditions(t)
     assert report.satisfied and not report.distinct_ok
     # no block cap: eleven blocks with identity Hom get one group each
-    k = 11
-    eye = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    zero = [[0] * k for _ in range(k)]
-    assert check_conditions(_table(eye, zero)).grouping == tuple((i,) for i in range(1, k + 1))
-
-
-def _eye(k):
-    return [[int(i == j) for j in range(k)] for i in range(k)]
-
-
-def _zero(k):
-    return [[0] * k for _ in range(k)]
-
-
-def _three_cycle(k):
-    # Homs 1-based k-2 -> k-1 -> k -> k-2: every pair has an order, no grouping
-    hom = _eye(k)
-    hom[k - 3][k - 2] = hom[k - 2][k - 1] = hom[k - 1][k - 3] = 1
-    return _table(hom, _zero(k))
-
-
-def _chain(k):
-    # hom[i+1][i] survives, so block i+1 must come before block i
-    hom = _eye(k)
-    for i in range(k - 1):
-        hom[i + 1][i] = 1
-    return _table(hom, _zero(k))
-
-
-def _mutual_pairs(k):
-    # Ext^1 both ways between blocks 1 and 2 and between blocks k-1 and k:
-    # neither pair can be ordered, so each shares a group
-    ext1 = _zero(k)
-    ext1[0][1] = ext1[1][0] = ext1[k - 2][k - 1] = ext1[k - 1][k - 2] = 1
-    return _table(_eye(k), ext1)
+    report = check_conditions(_structured(11)["identity-hom"])
+    assert report.grouping == tuple((i,) for i in range(1, 12))
 
 
 def test_grouping_matches_backtracking_search():
-    result = grouping_suite(7)
+    result = grouping_suite()
     assert result.checks > 1000
     assert result.failures == []
 
 
 @pytest.mark.parametrize(
-    "table, grouping",
+    "k, kind, grouping",
     [
-        (_table(_eye(4), _zero(4)), ((1,), (2,), (3,), (4,))),
-        (_three_cycle(5), None),
-        (_chain(5), ((5,), (4,), (3,), (2,), (1,))),
-        (_mutual_pairs(5), ((3,), (1, 2), (4, 5))),
-        (_table(_zero(0), _zero(0)), ()),
+        (5, "identity-hom", ((1,), (2,), (3,), (4,), (5,))),
+        (5, "3-cycle", None),
+        (5, "chain", ((5,), (4,), (3,), (2,), (1,))),
+        (5, "mutual pairs", ((3,), (1, 2), (4, 5))),
+        (0, "identity-hom", ()),
     ],
     ids=["identity-hom", "3-cycle", "chain", "mutual-ext1-pairs", "k=0"],
 )
-def test_check_conditions_structured(table, grouping):
-    report = check_conditions(table)
-    assert report.grouping == grouping == grouping_by_search(table)
+def test_check_conditions_structured(k, kind, grouping):
+    report = check_conditions(_structured(k)[kind])
+    assert report.grouping == grouping
     if grouping is None:
         assert report.witnesses == ("no ordered grouping satisfies the vanishing constraints",)
 
 
 def test_check_conditions_three_cycle_at_ten_blocks_budget():
     # the backtracking search tried every ordered set partition here
+    table = _structured(10)["3-cycle"]
     started = time.perf_counter()
-    report = check_conditions(_three_cycle(10))
+    report = check_conditions(table)
     assert time.perf_counter() - started < 0.5
     assert report.grouping is None
     assert report.witnesses == ("no ordered grouping satisfies the vanishing constraints",)
@@ -222,12 +197,13 @@ def test_check_conditions_three_cycle_at_ten_blocks_budget():
 
 def test_check_conditions_hundred_blocks():
     k = 100
-    for table, grouping in (
-        (_chain(k), tuple((i,) for i in range(k, 0, -1))),
-        (_table(_eye(k), _zero(k)), tuple((i,) for i in range(1, k + 1))),
+    tables = _structured(k)
+    for kind, grouping in (
+        ("chain", tuple((i,) for i in range(k, 0, -1))),
+        ("identity-hom", tuple((i,) for i in range(1, k + 1))),
     ):
         started = time.perf_counter()
-        assert check_conditions(table).grouping == grouping
+        assert check_conditions(tables[kind]).grouping == grouping
         assert time.perf_counter() - started < 1.0
 
 
