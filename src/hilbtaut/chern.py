@@ -18,19 +18,25 @@ from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .characters import character, restrict_to_transposition, transposition_type
-from .divisors import ClassPolynomial, DivisorClass, _check_exponents, _check_symbol
+from .divisors import (
+    ClassPolynomial,
+    DivisorClass,
+    _as_rational,
+    _check_exponents,
+    _check_symbol,
+)
 from .errors import IntegralityError, SizeLimitError
 from .partitions import (
     LabeledComposition,
     YoungDiagram,
     _is_int,
+    _reduction_indices,
     bounded_index_p,
     dimension,
     enumerate_partitions,
     index_p,
     iter_cosets,
     multinomial_index,
-    p_reduced,
 )
 
 _ZERO_SYMBOLS = ("", "0")
@@ -154,12 +160,13 @@ def b_class(spec: BundleSpec) -> DivisorClass:
     Block i contributes (s / r_i) * w * p_i times its class; r_i divides s
     because block i has at least one position.
     """
-    singles, _ = p_reduced(spec.lam)
+    # p_reduced's memoised singles, read in block order without its copies
+    singles, _ = _reduction_indices(tuple(spec.lam))
     s, w = spec.s, spec.w
     surface: dict[str, int] = {}
-    for i, blk in enumerate(spec.blocks, start=1):
+    for blk, (_, p) in zip(spec.blocks, singles):
         if blk.c1_symbol not in _ZERO_SYMBOLS:
-            coeff = (s // blk.rank) * w * singles[i]
+            coeff = (s // blk.rank) * w * p
             surface[blk.c1_symbol] = surface.get(blk.c1_symbol, 0) + coeff
     # the symbols were checked when the blocks were built
     return DivisorClass._trusted(
@@ -175,10 +182,10 @@ def r_number(spec: BundleSpec) -> int:
     the second exterior and symmetric binomials by the trivial/sign
     multiplicities of the block representation restricted to a 2-cycle.
     """
-    _, pairs = p_reduced(spec.lam)
+    _, pairs = _reduction_indices(tuple(spec.lam))
     sw = spec.s * spec.w
     total = 0
-    for (i, j), p in pairs.items():
+    for (i, j), p in pairs:
         if i != j:
             total += sw * p
         else:
@@ -192,15 +199,23 @@ def r_number(spec: BundleSpec) -> int:
     return total
 
 
+def _minus_delta(b: DivisorClass, coeff: int, context: str) -> DivisorClass:
+    # b - coeff * delta through the trusted constructor: b's symbols and
+    # coefficients were checked when b was built, and an int needs no check
+    if type(coeff) is not int:
+        coeff = _as_rational(coeff)
+    return DivisorClass._trusted(b.surface, b.delta - coeff).require_integral(context)
+
+
 def c1(spec: BundleSpec) -> DivisorClass:
     """First Chern class b_class - r_number * delta."""
-    return (b_class(spec) + DivisorClass.delta_class(-r_number(spec))).require_integral("c1")
+    return _minus_delta(b_class(spec), r_number(spec), "c1")
 
 
 def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
     """Assemble the Chern class from the surface part and the rank of the
     sign-twisted restriction to the pairwise diagonal (the blowup route)."""
-    return (b + DivisorClass.delta_class(-invariant_rank)).require_integral("c1_via_blowup")
+    return _minus_delta(b, invariant_rank, "c1_via_blowup")
 
 
 @lru_cache(maxsize=256)
@@ -281,6 +296,14 @@ def _coefficient(n: int, inputs, expts: tuple[int, ...], sign: int) -> DivisorCl
     return DivisorClass(surface, Fraction(-(x + sign * pairs), 2))
 
 
+def _check_monomial_count(n: int, k: int) -> None:
+    # a full expansion of degree n in k variables has comb(n + k - 1, k - 1)
+    # monomials; past MAX_MONOMIALS it is refused before any work
+    count = comb(n + k - 1, k - 1)
+    if count > MAX_MONOMIALS:
+        raise SizeLimitError(f"{count} monomials exceed the bound {MAX_MONOMIALS}")
+
+
 def generating_polynomial(
     n: int, inputs: Sequence[tuple[int, str]], variant: str = "trivial"
 ) -> ClassPolynomial:
@@ -302,9 +325,7 @@ def generating_polynomial(
     """
     inputs, sign = _generating_inputs(n, inputs, variant)
     k = len(inputs)
-    count = comb(n + k - 1, k - 1)
-    if count > MAX_MONOMIALS:
-        raise SizeLimitError(f"{count} monomials exceed the bound {MAX_MONOMIALS}")
+    _check_monomial_count(n, k)
     return ClassPolynomial(
         k, {a: _coefficient(n, inputs, a, sign) for a in _weak_compositions(n, k)}
     )

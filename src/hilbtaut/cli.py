@@ -339,17 +339,24 @@ def _cmd_generating(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify_all(args.max_n)
-    ok = True
-    for res in results:
-        if res.ok:
-            print(f"ok   {res.name} ({res.checks} checks)")
-        else:
-            ok = False
-            print(f"FAIL {res.name} ({len(res.failures)} of {res.checks} checks)")
-            for line in res.failures[:5]:
-                print(f"     {line}")
+    ok = all(res.ok for res in results)
+    if args.json:
+        suites = [
+            {"name": res.name, "checks": res.checks, "failures": res.failures, "seconds": res.seconds}
+            for res in results
+        ]
+        print(json.dumps({"ok": ok, "suites": suites}, sort_keys=True, indent=2))
+    else:
+        for res in results:
+            if res.ok:
+                print(f"ok   {res.name} ({res.checks} checks)")
+            else:
+                print(f"FAIL {res.name} ({len(res.failures)} of {res.checks} checks)")
+                for line in res.failures[:5]:
+                    print(f"     {line}")
+        if ok:
+            print("all oracles passed")
     if ok:
-        print("all oracles passed")
         return EXIT_OK
     print("oracle disagreement: internal consistency failure", file=sys.stderr)
     return EXIT_INTERNAL
@@ -397,6 +404,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run all oracle cross-check suites")
     p.add_argument("--max-n", type=int, default=6, dest="max_n")
+    p.add_argument("--json", action="store_true", help="emit JSON with per-suite timings")
 
     return parser
 

@@ -8,11 +8,13 @@ runs all of them; the acceptance tests reuse them with pinned bounds.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 from typing import NamedTuple, Sequence
 
+from . import partitions
 from .characters import (
     brute_force_character_table,
     character,
@@ -22,7 +24,9 @@ from .characters import (
     restrict_to_transposition,
 )
 from .chern import (
+    BundleBlock,
     BundleSpec,
+    _check_monomial_count,
     b_class,
     c1,
     c1_via_blowup,
@@ -32,6 +36,7 @@ from .chern import (
     regular_checksum,
     regular_checksum_via_irreps,
 )
+from .errors import SizeLimitError
 from .moduli import (
     HomTable,
     StabilityCertificate,
@@ -43,6 +48,7 @@ from .moduli import (
 from .partitions import (
     LabeledComposition,
     LabeledSetPartition,
+    bounded_index_p,
     dimension,
     enumerate_cosets,
     enumerate_partitions,
@@ -58,6 +64,7 @@ class SuiteResult(NamedTuple):
     name: str
     checks: int
     failures: list[str]
+    seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -176,18 +183,23 @@ def restriction_suite(max_m: int = 10) -> SuiteResult:
 
 
 def _all_specs(n: int, ranks=(1, 2, 3)):
+    # every spec is still built and validated; each (rank, position, rep)
+    # block is built once per call and shared by the specs that carry it
+    blocks: dict[tuple, BundleBlock] = {}
+
+    def block(rank: int, i: int, rep) -> BundleBlock:
+        key = (rank, i, rep)
+        if key not in blocks:
+            blocks[key] = BundleBlock(rank, f"e{i + 1}", rep)
+        return blocks[key]
+
     for lam in enumerate_partitions(n):
+        comp = LabeledComposition(lam)
         k = len(lam)
         rep_choices = [enumerate_partitions(part) for part in lam]
         for reps in product(*rep_choices):
             for rank_tuple in product(ranks, repeat=k):
-                yield BundleSpec.build(
-                    tuple(lam),
-                    [
-                        (rank_tuple[i], f"e{i + 1}", reps[i])
-                        for i in range(k)
-                    ],
-                )
+                yield BundleSpec(comp, tuple(block(rank_tuple[i], i, reps[i]) for i in range(k)))
 
 
 def rank_oracle_suite(max_n: int = 6, ranks=(1, 2, 3)) -> SuiteResult:
@@ -456,16 +468,35 @@ def grouping_suite() -> SuiteResult:
 
 
 def verify_all(max_n: int = 6) -> list[SuiteResult]:
-    """Run every oracle suite with bounds tied to max_n; from max_n = 2 on,
-    each suite makes at least one check."""
+    """Run every oracle suite with bounds tied to max_n, each timed; from
+    max_n = 2 on, each suite makes at least one check.
+
+    The size caps the suites would meet are checked first, before any work:
+    partitions of max_n + 4, max_n! cosets and the full expansion of degree
+    max_n in max_n variables.  The largest accepted bound is max_n = 9.
+    """
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
-    return [
-        coset_count_suite(max_n),
-        character_suite(min(max_n, 6)),
-        rectangularity_suite(max_n + 2),
-        restriction_suite(max_n + 4),
-        rank_oracle_suite(max_n),
-        generating_suite(max_n),
-        regular_suite(max_n),
-    ]
+    if max_n + 4 > partitions.MAX_PARTITION_N:
+        # read first, so that a huge max_n builds nothing
+        raise SizeLimitError(
+            f"max_n = {max_n} needs partitions of {max_n + 4}, "
+            f"past the partition bound {partitions.MAX_PARTITION_N}"
+        )
+    bounded_index_p((1,) * max_n)
+    _check_monomial_count(max_n, max_n)
+    suites = (
+        (coset_count_suite, max_n),
+        (character_suite, min(max_n, 6)),
+        (rectangularity_suite, max_n + 2),
+        (restriction_suite, max_n + 4),
+        (rank_oracle_suite, max_n),
+        (generating_suite, max_n),
+        (regular_suite, max_n),
+    )
+    results = []
+    for suite, bound in suites:
+        started = time.perf_counter()
+        result = suite(bound)
+        results.append(result._replace(seconds=time.perf_counter() - started))
+    return results

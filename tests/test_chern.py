@@ -13,7 +13,7 @@ from math import comb, factorial
 
 import pytest
 
-from hilbtaut import chern
+from hilbtaut import chern, verify
 from hilbtaut.characters import restrict_to_transposition
 from hilbtaut.chern import (
     BundleBlock,
@@ -186,6 +186,52 @@ def _all_specs(n, ranks=(1, 2, 3)):
                     (rank_tuple[i], f"e{i+1}", reps[i]) for i in range(k)
                 ]
                 yield BundleSpec.build(lam, blocks)
+
+
+def test_sweep_yields_the_per_spec_specs():
+    # the sweep shares each block among its specs; it must still yield the
+    # specs one BundleSpec.build per spec gives, in the same order
+    for n in range(2, 7):
+        expected = [
+            BundleSpec.build(
+                tuple(lam), [(rank_tuple[i], f"e{i + 1}", reps[i]) for i in range(len(lam))]
+            )
+            for lam in enumerate_partitions(n)
+            for reps in itertools.product(*[enumerate_partitions(part) for part in lam])
+            for rank_tuple in itertools.product((1, 2, 3), repeat=len(lam))
+        ]
+        assert list(verify._all_specs(n)) == expected, n
+
+
+def test_sweep_builds_each_block_once(monkeypatch):
+    # 279 distinct (rank, position, rep) blocks over n = 2..6, against
+    # 14,538 block constructions when every spec builds its own
+    calls = 0
+    validate = BundleBlock.__post_init__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        validate(self)
+
+    monkeypatch.setattr(BundleBlock, "__post_init__", counted)
+    result = verify.rank_oracle_suite(6)
+    assert result.ok and result.checks == 7116
+    assert calls <= 279
+
+
+def test_trusted_delta_route_equals_the_validating_sum():
+    for n in range(1, 6):
+        for spec in _all_specs(n):
+            full = c1(spec)
+            assert full == b_class(spec) + DivisorClass.delta_class(-r_number(spec)), spec
+            assert type(full.delta) is Fraction
+            assert all(type(coeff) is Fraction for coeff in full.surface.values())
+    b = b_class(RUNNING)
+    assert c1_via_blowup(b, Fraction(5)) == c1(RUNNING)
+    for bad in (5.0, True, "5"):
+        with pytest.raises(ValueError):
+            c1_via_blowup(b, bad)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import hilbtaut
-from hilbtaut import cli, moduli
+from hilbtaut import cli, moduli, verify
 from hilbtaut.chern import BundleSpec, c1, rank_G
 from hilbtaut.cli import (
     EXIT_INTERNAL,
@@ -489,6 +489,48 @@ def test_verify_refuses_vacuous_bound(max_n):
     assert code == EXIT_VALIDATION
     assert out.getvalue() == ""
     assert err.getvalue() == f"error: max_n must be at least 2, got {max_n}\n"
+
+
+@pytest.mark.parametrize(
+    "max_n, message",
+    [
+        ("10", "3628800 cosets exceed the bound 1000000"),
+        ("40", "max_n = 40 needs partitions of 44, past the partition bound 14"),
+    ],
+)
+def test_verify_refuses_past_the_caps_at_once(max_n, message):
+    # the caps are checked before any suite runs; --max-n 9 still answers
+    proc = _run_module("verify", "--max-n", max_n, timeout=5)
+    assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_verify_json_reports_each_suite():
+    code, out = run_cli("verify", "--max-n", "3", "--json")
+    plain_code, plain = run_cli("verify", "--max-n", "3")
+    assert code == plain_code == EXIT_OK
+    doc = json.loads(out)
+    assert set(doc) == {"ok", "suites"} and doc["ok"] is True
+    for suite in doc["suites"]:
+        assert set(suite) == {"name", "checks", "failures", "seconds"}
+        assert suite["failures"] == [] and suite["seconds"] >= 0
+    reported = [f"ok   {s['name']} ({s['checks']} checks)" for s in doc["suites"]]
+    assert "\n".join(reported) + "\nall oracles passed\n" == plain
+
+
+def test_verify_json_keeps_the_failure_exit_code(monkeypatch, capsys):
+    def failing(max_n):
+        return verify.SuiteResult("broken suite", 2, ["first", "second"])
+
+    monkeypatch.setattr(verify, "regular_suite", failing)
+    code, out = run_cli("verify", "--max-n", "2", "--json")
+    assert code == EXIT_INTERNAL
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["suites"][-1]["name"] == "broken suite"
+    assert doc["suites"][-1]["failures"] == ["first", "second"]
+    assert run_cli("verify", "--max-n", "2")[0] == EXIT_INTERNAL
+    assert capsys.readouterr().err.count("oracle disagreement") == 2
 
 
 def test_verify_output_pinned():

@@ -21,6 +21,17 @@ def _random_class(rng: random.Random) -> DivisorClass:
     return DivisorClass(surface, delta)
 
 
+@pytest.mark.parametrize("coeff", [1.5, True, "1"])
+def test_delta_class_still_validates(coeff):
+    with pytest.raises(ValueError):
+        DivisorClass.delta_class(coeff)
+
+
+def test_delta_class_coefficient_is_a_fraction():
+    for coeff in (3, -2, Fraction(1, 2)):
+        assert type(DivisorClass.delta_class(coeff).delta) is Fraction
+
+
 def test_constructor_drops_zeros():
     d = DivisorClass({"e1": 0, "e2": 3}, 0)
     assert d == DivisorClass({"e2": 3})
