@@ -4,13 +4,12 @@ Irreducible characters are computed by the Murnaghan-Nakayama rule on beta
 numbers (memoised, exact integers).  A brute-force oracle builds the same
 table for small degrees from nothing but explicit permutations and tabloid
 counts, so the two routes can be checked against each other.  The value at
-a transposition, which the Chern closed forms need for blocks of any size,
-comes from Frobenius's content formula instead.
+a transposition comes from Frobenius's content formula instead, for blocks
+of any size; the Chern closed forms read the content sum it is built on.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -19,8 +18,10 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import ShapeMismatchError, SizeLimitError
 from .partitions import (
+    MAX_PARTITION_N,
     Partition,
     YoungDiagram,
+    content_sum,
     dimension,
     enumerate_partitions,
     iter_cosets,
@@ -120,25 +121,15 @@ class CharacterTable:
         return self.values[self._row_index[Partition(d)]]
 
 
-_TABLE_CACHE: dict[int, CharacterTable] = {}
-_TABLE_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=MAX_PARTITION_N)
 def character_table(m: int) -> CharacterTable:
-    """Cached character table of degree m; built at most once per degree."""
-    with _TABLE_LOCK:
-        table = _TABLE_CACHE.get(m)
-        if table is None:
-            classes = conjugacy_classes(m)
-            diagrams = enumerate_partitions(m)
-            values = [
-                [character(d, c) for c, _ in classes] for d in diagrams
-            ]
-            table = CharacterTable(
-                m, diagrams, [c for c, _ in classes], [s for _, s in classes], values
-            )
-            _TABLE_CACHE[m] = table
-    return table
+    """Character table of degree m, kept for each degree the partition cap allows."""
+    classes = conjugacy_classes(m)
+    diagrams = enumerate_partitions(m)
+    values = [[character(d, c) for c, _ in classes] for d in diagrams]
+    return CharacterTable(
+        m, diagrams, [c for c, _ in classes], [s for _, s in classes], values
+    )
 
 
 def inner_product(
@@ -188,9 +179,8 @@ def restrict_to_transposition(d: Sequence[int]) -> RestrictionPair:
     if d.n < 2:
         raise ValueError(f"restriction needs degree >= 2, got {d.n}")
     dim = dimension(d)
-    # sum of the contents j - i over the cells; sum_i C(d'_i, 2) = sum_i i * d_i
-    contents = sum(comb(row, 2) - i * row for i, row in enumerate(d))
-    chi, rem = divmod(dim * contents, comb(d.n, 2))
+    # sum_i [C(d_i, 2) - C(d'_i, 2)] is the content sum of the cells
+    chi, rem = divmod(dim * content_sum(d), comb(d.n, 2))
     if rem:
         raise ArithmeticError(f"content formula not integral for {d}")
     if (dim + chi) % 2:

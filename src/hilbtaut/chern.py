@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
 
-from .characters import character, restrict_to_transposition, transposition_type
+from .characters import character, transposition_type
 from .divisors import (
     ClassPolynomial,
     DivisorClass,
@@ -30,8 +30,8 @@ from .partitions import (
     LabeledComposition,
     YoungDiagram,
     _is_int,
-    _reduction_indices,
     bounded_index_p,
+    content_sum,
     dimension,
     enumerate_partitions,
     index_p,
@@ -134,8 +134,8 @@ class BundleSpec:
 
 def _once_per_spec(fn):
     # Keep fn(spec) in the spec's own __dict__: c1 and the oracle sweep ask
-    # again for what r_number and b_class already computed.  Not a field, so
-    # equality, hashing and repr ignore it.
+    # again for what rank_G, r_number and b_class already computed.  Not a
+    # field, so equality, hashing and repr ignore it.
     key = f"_{fn.__name__}"
 
     @wraps(fn)
@@ -148,6 +148,7 @@ def _once_per_spec(fn):
     return memoised
 
 
+@_once_per_spec
 def rank_G(spec: BundleSpec) -> int:
     """Rank of the induced bundle: (number of cosets) * s * w."""
     return index_p(spec.lam) * spec.s * spec.w
@@ -157,16 +158,18 @@ def rank_G(spec: BundleSpec) -> int:
 def b_class(spec: BundleSpec) -> DivisorClass:
     """The surface part of the first Chern class (no delta component).
 
-    Block i contributes (s / r_i) * w * p_i times its class; r_i divides s
-    because block i has at least one position.
+    Block i contributes (R / r_i) * lambda_i / n times its class, with R =
+    rank_G(spec): lambda_i / n of the cosets give position 1 the label i,
+    and r_i divides s, a factor of R, because block i has a position.
     """
-    # p_reduced's memoised singles, read in block order without its copies
-    singles, _ = _reduction_indices(tuple(spec.lam))
-    s, w = spec.s, spec.w
+    n, rank = spec.n, rank_G(spec)
     surface: dict[str, int] = {}
-    for blk, (_, p) in zip(spec.blocks, singles):
+    for i, (size, blk) in enumerate(zip(spec.lam, spec.blocks), start=1):
         if blk.c1_symbol not in _ZERO_SYMBOLS:
-            coeff = (s // blk.rank) * w * p
+            term = rank // blk.rank * size
+            coeff, rem = divmod(term, n)
+            if rem:
+                raise IntegralityError(f"b_class: block {i} term {term}/{n} is not an integer")
             surface[blk.c1_symbol] = surface.get(blk.c1_symbol, 0) + coeff
     # the symbols were checked when the blocks were built
     return DivisorClass._trusted(
@@ -178,24 +181,20 @@ def b_class(spec: BundleSpec) -> DivisorClass:
 def r_number(spec: BundleSpec) -> int:
     """Coefficient of -delta in the first Chern class, by the closed formula.
 
-    Cross-block pairs contribute their coset index; same-block pairs weigh
-    the second exterior and symmetric binomials by the trivial/sign
-    multiplicities of the block representation restricted to a 2-cycle.
+    With R = rank_G(spec) and content(d) the content sum of a diagram,
+    r_number = (R * C(n, 2) - sum_i (R / r_i) * content(rep_i)) / (n (n - 1)),
+    and 0 when n < 2; R / r_i is exact as in b_class.  It is the sum over
+    the labels of positions 1 and 2, collapsed by Frobenius's content
+    formula for the character value at a 2-cycle.
     """
-    _, pairs = _reduction_indices(tuple(spec.lam))
-    sw = spec.s * spec.w
-    total = 0
-    for (i, j), p in pairs:
-        if i != j:
-            total += sw * p
-        else:
-            blk = spec.blocks[i - 1]
-            alpha, beta = restrict_to_transposition(blk.rep)
-            weight = alpha * comb(blk.rank, 2) + beta * comb(blk.rank + 1, 2)
-            num, den = sw * p * weight, blk.rank**2 * blk.rep_dim
-            if num % den:
-                raise IntegralityError(f"r_number: block {i} term {num}/{den} is not an integer")
-            total += num // den
+    n = spec.n
+    if n < 2:
+        return 0
+    rank = rank_G(spec)
+    num = rank * comb(n, 2) - sum(rank // blk.rank * content_sum(blk.rep) for blk in spec.blocks)
+    total, rem = divmod(num, n * (n - 1))
+    if rem:
+        raise IntegralityError(f"r_number: {num}/{n * (n - 1)} is not an integer")
     return total
 
 

@@ -27,7 +27,7 @@ def _frac_to_json(value: Fraction) -> int | str:
 
 
 def _check_symbol(name: str) -> None:
-    if not _SYMBOL_RE.match(name) or name == "delta":
+    if not isinstance(name, str) or not _SYMBOL_RE.match(name) or name == "delta":
         raise ValueError(f"invalid surface symbol {name!r}")
 
 
@@ -40,7 +40,10 @@ def _as_rational(value) -> Fraction:
 def _frac_from_json(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"expected integer or 'p/q' string, got {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 class DivisorClass:
@@ -53,9 +56,10 @@ class DivisorClass:
     __slots__ = ("surface", "delta")
 
     def __init__(self, surface: Mapping[str, Rational] | None = None, delta: Rational = 0):
+        for name in surface or {}:  # before sorting, which needs comparable names
+            _check_symbol(name)
         clean: dict[str, Fraction] = {}
         for name, coeff in sorted((surface or {}).items()):
-            _check_symbol(name)
             coeff = _as_rational(coeff)
             if coeff:
                 clean[name] = coeff
@@ -171,7 +175,7 @@ class DivisorClass:
             m = _TERM_RE.match(tok)
             if not m:
                 raise ValueError(f"malformed term {tok!r}")
-            coeff = sign * Fraction(m.group(1))
+            coeff = sign * _frac_from_json(m.group(1))
             name = m.group(2)
             if name == "delta":
                 delta += coeff

@@ -68,7 +68,7 @@ def _as_slopes(values) -> tuple[Fraction, ...]:
         raise bad
     try:
         return tuple(s if isinstance(s, Fraction) else _frac_from_json(s) for s in values)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise bad from exc
 
 

@@ -36,7 +36,10 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()):
         if type(parts) is cls:
             return parts
-        t = tuple(parts)
+        try:
+            t = tuple(parts)
+        except TypeError:
+            raise ValueError(f"partition must be a sequence of integers, got {parts!r}") from None
         if not all(map(_is_int, t)):
             raise ValueError(f"partition parts must be integers, got {t!r}")
         if t and t[-1] < 1:
@@ -68,7 +71,10 @@ class LabeledComposition(tuple):
     def __new__(cls, parts: Iterable[int]):
         if type(parts) is cls:
             return parts
-        t = tuple(parts)
+        try:
+            t = tuple(parts)
+        except TypeError:
+            raise ValueError(f"composition must be a sequence of integers, got {parts!r}") from None
         if not all(map(_is_int, t)):
             raise ValueError(f"composition parts must be integers, got {t!r}")
         if any(p < 1 for p in t):
@@ -198,6 +204,12 @@ def _hook_dimension(d: Partition) -> int:
     return q
 
 
+def content_sum(d: Sequence[int]) -> int:
+    """Sum of the contents (column - row) over the cells of the diagram."""
+    # row i (0-based) holds the contents -i, 1 - i, ..., d_i - 1 - i
+    return sum(row * (row - 1) // 2 - i * row for i, row in enumerate(Partition(d)))
+
+
 def count_standard_tableaux(d: Sequence[int]) -> int:
     """Count standard tableaux by brute-force growth of the shape.
 
@@ -277,24 +289,17 @@ def p_reduced(lam: Sequence[int]) -> tuple[dict[int, int], dict[tuple[int, int],
     Returns (singles, pairs): singles[i] counts cosets whose position 1 carries
     label i; pairs[(i, j)] (i <= j, with (i, i) present only when block i has
     size >= 2) counts cosets with prescribed labels on positions 1 and 2.
-    Both dicts are fresh copies, so callers may change them.
+    Both dicts are fresh, so callers may change them.
     """
-    singles, pairs = _reduction_indices(tuple(LabeledComposition(lam)))
-    return dict(singles), dict(pairs)
-
-
-@lru_cache(maxsize=256)
-def _reduction_indices(lam: tuple[int, ...]):
-    # p_reduced's (singles, pairs) as item tuples, memoised: b_class and
-    # r_number both ask for them on every spec
-    singles = tuple((i, multinomial_index(reduce_once(lam, i))) for i in range(1, len(lam) + 1))
-    pairs = []
-    for i in range(1, len(lam) + 1):
-        for j in range(i, len(lam) + 1):
-            if i == j and lam[i - 1] < 2:
-                continue
-            pairs.append(((i, j), multinomial_index(reduce_twice(lam, i, j))))
-    return singles, tuple(pairs)
+    lam = LabeledComposition(lam)
+    singles = {i: multinomial_index(reduce_once(lam, i)) for i in range(1, lam.k + 1)}
+    pairs = {
+        (i, j): multinomial_index(reduce_twice(lam, i, j))
+        for i in range(1, lam.k + 1)
+        for j in range(i, lam.k + 1)
+        if i != j or lam[i - 1] >= 2
+    }
+    return singles, pairs
 
 
 def _arrangements(parts: tuple[int, ...]) -> Iterator[LabeledSetPartition]:

@@ -17,7 +17,7 @@ from math import factorial
 
 import pytest
 
-from hilbtaut.characters import _TABLE_CACHE, _mn, character_table
+from hilbtaut.characters import _mn, character_table
 from hilbtaut.chern import (
     BundleSpec,
     b_class,
@@ -313,7 +313,7 @@ def test_criterion_09_integrality():
 
 
 def test_criterion_10_performance():
-    _TABLE_CACHE.clear()
+    character_table.cache_clear()
     _mn.cache_clear()
     started = time.perf_counter()
     table = character_table(12)

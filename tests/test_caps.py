@@ -1,6 +1,6 @@
 """Size caps are module constants read at each check, with no per-call
-override, the README names exactly those caps, and the Ext path needs no
-character tables."""
+override, the README names exactly those caps, the Ext path needs no
+character tables, and the Chern closed forms need no restriction tables."""
 
 from __future__ import annotations
 
@@ -37,16 +37,29 @@ def test_caps_have_no_per_call_override():
         assert not [p for p in params if p.startswith("max_")], fn.__qualname__
     for fn in (characters.character_table, characters.conjugacy_classes):
         assert list(inspect.signature(fn).parameters) == ["m"], fn.__qualname__
-    tree = ast.parse(Path(moduli.__file__).read_text())
-    imported = set()  # dotted names; `from . import characters` gives ".characters"
-    for node in ast.walk(tree):
+    assert not _names_from_characters(moduli)
+
+
+def _names_from_characters(module) -> set[str]:
+    # dotted names; `from . import characters` gives ".characters"
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            imported.add(module)
-            imported.update(f"{module}.{alias.name}" for alias in node.names)
+            name = node.module or ""
+            imported.add(name)
+            imported.update(f"{name}.{alias.name}" for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert not [name for name in imported if "characters" in name.split(".")]
+    return {name for name in imported if "characters" in name.split(".")}
+
+
+def test_chern_closed_forms_need_no_restriction_tables():
+    # only the swap-trace oracle reads characters; b_class and r_number
+    # take the content sum from partitions, with no pair-index table
+    assert _names_from_characters(chern) == {
+        "characters", "characters.character", "characters.transposition_type"
+    }
+    assert not hasattr(partitions, "_reduction_indices")
 
 
 def test_readme_caps_match_the_code():

@@ -7,6 +7,7 @@ recounts invariants directly over the enumerated cosets.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import fields
 from fractions import Fraction
 from math import comb, factorial
@@ -31,7 +32,7 @@ from hilbtaut.chern import (
 )
 from hilbtaut.divisors import DivisorClass
 from hilbtaut.errors import IntegralityError, ShapeMismatchError, SizeLimitError
-from hilbtaut.partitions import dimension, enumerate_partitions
+from hilbtaut.partitions import content_sum, dimension, enumerate_partitions, p_reduced
 
 RUNNING = BundleSpec.build((2, 1), [(2, "e1", (2,)), (1, "e2", (1,))])
 
@@ -81,13 +82,55 @@ def test_r_number_closed_form_runs_once_per_spec(monkeypatch):
 
     def counted(d):
         calls.append(tuple(d))
-        return restrict_to_transposition(d)
+        return content_sum(d)
 
-    monkeypatch.setattr(chern, "restrict_to_transposition", counted)
+    monkeypatch.setattr(chern, "content_sum", counted)
     spec = BundleSpec.build((3, 1), [(2, "e1", (2, 1)), (3, "e2", (1,))])
     r = r_number(spec)
     assert c1(spec) == b_class(spec) + DivisorClass.delta_class(-r)
-    assert calls == [(2, 1)]
+    assert calls == [(2, 1), (1,)]
+
+
+def _pair_index_reference(spec: BundleSpec) -> tuple[DivisorClass, int]:
+    # the pair-index form: position-1 and positions-1,2 coset counts from
+    # p_reduced, same-block pairs weighed by the 2-cycle restriction
+    singles, pairs = p_reduced(spec.lam)
+    s, w = spec.s, spec.w
+    surface: dict[str, int] = {}
+    for i, blk in enumerate(spec.blocks, start=1):
+        if blk.c1_symbol not in ("", "0"):
+            coeff = s // blk.rank * w * singles[i]
+            surface[blk.c1_symbol] = surface.get(blk.c1_symbol, 0) + coeff
+    total = 0
+    for (i, j), p in pairs.items():
+        if i != j:
+            total += s * w * p
+            continue
+        blk = spec.blocks[i - 1]
+        alpha, beta = restrict_to_transposition(blk.rep)
+        weight = alpha * comb(blk.rank, 2) + beta * comb(blk.rank + 1, 2)
+        term, rem = divmod(s * w * p * weight, blk.rank**2 * blk.rep_dim)
+        assert rem == 0
+        total += term
+    return DivisorClass(surface), total
+
+
+def test_closed_forms_match_the_pair_index_form():
+    rng = random.Random(909)
+    specs = []
+    for _ in range(2000):
+        sizes = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
+        symbols = [rng.choice(("a", "b", "c", "0", "")) for _ in sizes]
+        specs.append(BundleSpec.build(sizes, [
+            (rng.randint(1, 7), sym, rng.choice(enumerate_partitions(size)))
+            for size, sym in zip(sizes, symbols)
+        ]))
+    specs.append(BundleSpec.build((3000,), [(2, "a", (3000,))]))
+    specs.append(BundleSpec.build((2999, 1), [(3, "a", (1,) * 2999), (2, "a", (1,))]))
+    row50 = tuple(range(50, 0, -1))
+    specs.append(BundleSpec.build((sum(row50), 2), [(4, "a", row50), (5, "b", (1, 1))]))
+    for spec in specs:
+        assert (b_class(spec), r_number(spec)) == _pair_index_reference(spec), spec
 
 
 def test_transposition_closed_form_any_block_size():

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from hilbtaut.chern import generating_polynomial
+from hilbtaut.chern import BundleBlock, generating_polynomial
 from hilbtaut.divisors import ClassPolynomial, DivisorClass
 from hilbtaut.errors import IntegralityError, ShapeMismatchError
+from hilbtaut.partitions import LabeledComposition, Partition, index_p
 
 
 def _random_class(rng: random.Random) -> DivisorClass:
@@ -25,6 +26,29 @@ def _random_class(rng: random.Random) -> DivisorClass:
 def test_delta_class_still_validates(coeff):
     with pytest.raises(ValueError):
         DivisorClass.delta_class(coeff)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: BundleBlock(1, 5, (1,)),
+        lambda: DivisorClass({5: 1}),
+        lambda: DivisorClass({"a": 1, 5: 1}),
+        lambda: generating_polynomial(3, [(1, 5)]),
+        lambda: Partition(5),
+        lambda: LabeledComposition(5),
+        lambda: index_p(5),
+        lambda: DivisorClass.parse_text("1/0*a"),
+        lambda: DivisorClass.from_json_dict({"delta": "1/0"}),
+    ],
+    ids=[
+        "block-symbol", "class-symbol", "mixed-symbols", "generating-symbol",
+        "partition", "composition", "index", "parse-1/0", "json-1/0",
+    ],
+)
+def test_wrong_types_and_zero_denominators_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_delta_class_coefficient_is_a_fraction():
