@@ -2,7 +2,8 @@
 
 Everything is integer or rational arithmetic: partition and coset
 combinatorics, symmetric-group characters, divisor-class bookkeeping, the
-rank/Chern pipeline with its brute-force oracles, and Hom/Ext certificates.
+rank/Chern pipeline, Hom/Ext certificates, and the brute-force oracles that
+check every closed form.
 """
 
 from .errors import (
@@ -19,7 +20,6 @@ from .partitions import (
     Partition,
     YoungDiagram,
     conjugate,
-    count_standard_tableaux,
     dimension,
     enumerate_cosets,
     enumerate_partitions,
@@ -37,13 +37,10 @@ from .characters import (
     CharacterTable,
     CycleType,
     RestrictionPair,
-    brute_force_character_table,
     character,
     character_table,
     class_size,
     conjugacy_classes,
-    inner_product,
-    permutation_character,
     regular_character_value,
     restrict_to_transposition,
     sign_character,
@@ -55,13 +52,10 @@ from .chern import (
     BundleSpec,
     b_class,
     c1,
-    c1_via_blowup,
     generating_polynomial,
-    invariant_restriction_rank,
     r_number,
     rank_G,
     regular_checksum,
-    regular_checksum_via_irreps,
 )
 from .moduli import (
     ConditionReport,
@@ -78,6 +72,17 @@ from .moduli import (
     stability_certificate,
 )
 from .cli import SpecDocument, dispatch, parse_spec
-from .verify import verify_all
+from .verify import (
+    brute_force_character_table,
+    c1_via_blowup,
+    canonical_permutation,
+    count_standard_tableaux,
+    cycle_type_of,
+    inner_product,
+    invariant_restriction_rank,
+    permutation_character,
+    regular_checksum_via_irreps,
+    verify_all,
+)
 
 __version__ = "0.1.0"

@@ -1,36 +1,32 @@
 """Exact character theory of symmetric groups.
 
 Irreducible characters are computed by the Murnaghan-Nakayama rule on beta
-numbers (memoised, exact integers).  A brute-force oracle builds the same
-table for small degrees from nothing but explicit permutations and tabloid
-counts, so the two routes can be checked against each other.  The value at
-a transposition comes from Frobenius's content formula instead, for blocks
-of any size; the Chern closed forms read the content sum it is built on.
+numbers (memoised, exact integers).  Its oracle, a table built for small
+degrees from nothing but explicit permutations and tabloid counts, lives in
+verify.py.  The value at a transposition comes from Frobenius's content
+formula instead, for blocks of any size; the Chern closed forms read the
+content sum it is built on.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import comb, factorial, prod
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import ShapeMismatchError, SizeLimitError
+from .errors import ShapeMismatchError
 from .partitions import (
     MAX_PARTITION_N,
     Partition,
     YoungDiagram,
+    _is_int,
     content_sum,
     dimension,
     enumerate_partitions,
-    iter_cosets,
 )
 
 # A cycle type is a partition of m listing cycle lengths.
 CycleType = Partition
-
-_BRUTE_FORCE_MAX = 7
 
 
 def class_size(c: Sequence[int]) -> int:
@@ -53,8 +49,8 @@ def identity_type(m: int) -> CycleType:
 
 
 def transposition_type(m: int) -> CycleType:
-    if m < 2:
-        raise ValueError(f"no transposition in degree {m}")
+    if not _is_int(m) or m < 2:
+        raise ValueError(f"no transposition in degree {m!r}")
     return CycleType((2,) + (1,) * (m - 2))
 
 
@@ -132,23 +128,6 @@ def character_table(m: int) -> CharacterTable:
     )
 
 
-def inner_product(
-    f: Callable[[CycleType], int | Fraction],
-    g: Callable[[CycleType], int | Fraction],
-    m: int,
-) -> Fraction:
-    """Class-function inner product (1/m!) sum over classes of size*f*g."""
-    total = sum(
-        Fraction(size) * f(c) * g(c) for c, size in conjugacy_classes(m)
-    )
-    return Fraction(total, factorial(m))
-
-
-def permutation_character(c: Sequence[int]) -> int:
-    """Character of the natural permutation module: fixed points."""
-    return sum(1 for length in CycleType(c) if length == 1)
-
-
 def sign_character(c: Sequence[int]) -> int:
     c = CycleType(c)
     return -1 if (c.n - len(c)) % 2 else 1
@@ -186,89 +165,3 @@ def restrict_to_transposition(d: Sequence[int]) -> RestrictionPair:
     if (dim + chi) % 2:
         raise ArithmeticError(f"parity failure for {d}: dim {dim}, trace {chi}")
     return RestrictionPair((dim + chi) // 2, (dim - chi) // 2)
-
-
-def cycle_type_of(perm: Sequence[int]) -> CycleType:
-    """Cycle type of a permutation given as a 0-based image tuple."""
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            p = perm[p]
-            length += 1
-        lengths.append(length)
-    return CycleType(sorted(lengths, reverse=True))
-
-
-def canonical_permutation(c: Sequence[int]) -> tuple[int, ...]:
-    """A 0-based permutation with the given cycle type (consecutive cycles)."""
-    image = []
-    start = 0
-    for length in CycleType(c):
-        image.extend(list(range(start + 1, start + length)) + [start])
-        start += length
-    return tuple(image)
-
-
-@lru_cache(maxsize=None)
-def brute_force_character_table(m: int) -> CharacterTable:
-    """Character table built without the Murnaghan-Nakayama rule.
-
-    Class sizes come from enumerating all m! permutations, permutation-module
-    characters from counting tabloids fixed by an explicit permutation, and
-    irreducible characters from Gram-Schmidt in descending lexicographic
-    order (which refines dominance, so each step strips off exactly the
-    previously extracted constituents), with inner products weighted by
-    those counted class sizes.  Exact and slow; degree <= 7.
-    """
-    if m > _BRUTE_FORCE_MAX:
-        raise SizeLimitError(f"brute-force table capped at degree {_BRUTE_FORCE_MAX}")
-    diagrams = enumerate_partitions(m)
-    sizes: dict[CycleType, int] = {}
-    for g in permutations(range(m)):
-        t = cycle_type_of(g)
-        sizes[t] = sizes.get(t, 0) + 1
-    cycle_types = diagrams  # same enumeration order
-    reps = {c: canonical_permutation(c) for c in cycle_types}
-
-    def fixed_tabloids(tabloids: tuple, g: tuple[int, ...]) -> int:
-        total = 0
-        for labels in tabloids:
-            if all(labels[g[p]] == labels[p] for p in range(m)):
-                total += 1
-        return total
-
-    def dot(f_vals: dict, g_vals: dict) -> Fraction:
-        # the sum over all m! permutations, grouped by cycle type
-        total = sum(sizes[t] * f_vals[t] * g_vals[t] for t in cycle_types)
-        return Fraction(total, factorial(m))
-
-    irreducibles: list[dict[CycleType, Fraction]] = []
-    for mu in diagrams:
-        tabloids = tuple(iter_cosets(mu))
-        vals: dict[CycleType, Fraction] = {
-            c: Fraction(fixed_tabloids(tabloids, reps[c])) for c in cycle_types
-        }
-        for prev in irreducibles:
-            mult = dot(vals, prev)
-            if mult:
-                vals = {c: vals[c] - mult * prev[c] for c in cycle_types}
-        irreducibles.append(vals)
-
-    values = []
-    for vals in irreducibles:
-        row = []
-        for c in cycle_types:
-            v = vals[c]
-            if v.denominator != 1:
-                raise ArithmeticError(f"non-integral character value {v}")
-            row.append(int(v))
-        values.append(row)
-    return CharacterTable(
-        m, diagrams, cycle_types, [sizes[c] for c in cycle_types], values
-    )

@@ -5,19 +5,19 @@ one input bundle per block (rank and a first-Chern symbol on the surface)
 and one irreducible representation of the symmetric group of each block
 size.  The induced object on the Hilbert scheme of n points has an integer
 rank and a first Chern class of the form B - R*delta; both are computed by
-closed formulas and, independently, by enumerating cosets and taking traces.
+closed formulas, with no coset enumerated.  The oracles that recount them
+coset by coset (the swap trace) live in verify.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from itertools import combinations
 from math import comb, factorial, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .characters import character, transposition_type
 from .divisors import (
     ClassPolynomial,
     DivisorClass,
@@ -29,13 +29,11 @@ from .errors import IntegralityError, SizeLimitError
 from .partitions import (
     LabeledComposition,
     YoungDiagram,
+    _all_of,
     _is_int,
-    bounded_index_p,
     content_sum,
     dimension,
-    enumerate_partitions,
     index_p,
-    iter_cosets,
     multinomial_index,
 )
 
@@ -59,6 +57,10 @@ def _check_c1_symbol(symbol: str) -> None:
 def _check_rank(rank: int) -> None:
     if not _is_int(rank) or rank < 1:
         raise ValueError(f"rank must be a positive integer, got {rank!r}")
+
+
+def _tuples_of(k: int):
+    return lambda item: isinstance(item, (tuple, list)) and len(item) == k
 
 
 @dataclass(frozen=True)
@@ -99,12 +101,16 @@ class BundleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", LabeledComposition(self.lam))
+        if not isinstance(self.blocks, (tuple, list)):
+            raise ValueError(f"blocks must be a list or tuple, got {self.blocks!r}")
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if len(self.blocks) != self.lam.k:
             raise ValueError(
                 f"{len(self.blocks)} blocks for a composition with {self.lam.k} parts"
             )
         for idx, (size, blk) in enumerate(zip(self.lam, self.blocks), start=1):
+            if not isinstance(blk, BundleBlock):
+                raise ValueError(f"block {idx}: {blk!r} is not a BundleBlock")
             if blk.rep.n != size:
                 raise ValueError(
                     f"block {idx}: rep {tuple(blk.rep)} is not a partition of {size}"
@@ -116,8 +122,10 @@ class BundleSpec:
 
     @classmethod
     def build(
-        cls, sizes: Sequence[int], blocks: Iterable[tuple[int, str, Sequence[int]]]
+        cls, sizes: Sequence[int], blocks: Sequence[tuple[int, str, Sequence[int]]]
     ) -> BundleSpec:
+        if not _all_of(blocks, _tuples_of(3)):
+            raise ValueError(f"blocks must be a list or tuple of triples, got {blocks!r}")
         return cls(
             LabeledComposition(sizes),
             tuple(BundleBlock(rank, symbol, YoungDiagram(rep)) for rank, symbol, rep in blocks),
@@ -211,51 +219,6 @@ def c1(spec: BundleSpec) -> DivisorClass:
     return _minus_delta(b_class(spec), r_number(spec), "c1")
 
 
-def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
-    """Assemble the Chern class from the surface part and the rank of the
-    sign-twisted restriction to the pairwise diagonal (the blowup route)."""
-    return _minus_delta(b, invariant_rank, "c1_via_blowup")
-
-
-@lru_cache(maxsize=256)
-def _same_label_pair_counts(parts: tuple[int, ...]) -> dict[int, int]:
-    # Brute-force census: how many cosets give positions 1 and 2 the same
-    # label i.  Counted by scanning the enumeration, never by formula.
-    counts: dict[int, int] = {}
-    for labels in iter_cosets(parts):
-        if labels[0] == labels[1]:
-            counts[labels[0]] = counts.get(labels[0], 0) + 1
-    return counts
-
-
-def invariant_restriction_rank(spec: BundleSpec) -> int:
-    """Rank of the invariants of the sign-twisted restriction to the
-    pairwise diagonal, via the trace of the swap.
-
-    Independent oracle for r_number: rank = (dim - trace)/2 where dim is the
-    full fibre dimension and the trace gets a contribution only from cosets
-    fixed by swapping positions 1 and 2 (both positions carrying one label i),
-    each worth r_i * (s / r_i^2) * chi_i(transposition) * (w / w_i).
-    Returns 0 when n < 2 (there is no pairwise diagonal).
-    """
-    n = spec.n
-    if n < 2:
-        return 0
-    bounded_index_p(spec.lam)
-    counts = _same_label_pair_counts(tuple(spec.lam))
-    s, w = spec.s, spec.w
-    trace = 0
-    for i, cnt in counts.items():
-        blk = spec.blocks[i - 1]
-        # a fixed coset forces at least two copies of label i, so r_i^2 | s
-        chi = character(blk.rep, transposition_type(spec.lam[i - 1]))
-        trace += cnt * blk.rank * (s // blk.rank**2) * chi * (w // blk.rep_dim)
-    dim = rank_G(spec)
-    if (dim - trace) % 2:
-        raise IntegralityError(f"odd swap trace defect: dim {dim}, trace {trace}")
-    return (dim - trace) // 2
-
-
 def _weak_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     # stars and bars: k - 1 bars among n + k - 1 slots
     for bars in combinations(range(n + k - 1), k - 1):
@@ -267,8 +230,10 @@ def _generating_inputs(n: int, inputs, variant: str) -> tuple[list[tuple[int, st
     # the validated inputs, and the sign of sum r_i t_i^2 in the pair rank
     if variant not in ("trivial", "sign"):
         raise ValueError(f"variant must be 'trivial' or 'sign', got {variant!r}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    if not _is_int(n) or n < 2:
+        raise ValueError(f"n must be >= 2, got {n!r}")
+    if not _all_of(inputs, _tuples_of(2)):
+        raise ValueError(f"inputs must be a list or tuple of pairs, got {inputs!r}")
     inputs = list(inputs)
     if not inputs:
         raise ValueError("at least one input bundle required")
@@ -342,18 +307,9 @@ def regular_checksum(n: int, rank: int, symbol: str) -> DivisorClass:
     Equals n! * rank^(n-1) * c1 - (n!/2) * rank^n * delta, which the
     dimension-weighted sum of c1 over all irreducibles must reproduce.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    if not _is_int(n) or n < 2:
+        raise ValueError(f"n must be >= 2, got {n!r}")
     _check_rank(rank)
     base = _symbol_class(symbol) * (factorial(n) * rank ** (n - 1))
     delta_part = DivisorClass.delta_class(-(factorial(n) // 2) * rank**n)
     return (base + delta_part).require_integral("regular_checksum")
-
-
-def regular_checksum_via_irreps(n: int, rank: int, symbol: str) -> DivisorClass:
-    """The same total, assembled irreducible by irreducible (the slow route)."""
-    total = DivisorClass.zero()
-    for d in enumerate_partitions(n):
-        spec = BundleSpec.build((n,), [(rank, symbol, d)])
-        total = total + c1(spec) * dimension(d)
-    return total

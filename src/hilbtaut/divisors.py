@@ -10,11 +10,11 @@ only read.  All arithmetic is exact.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import IntegralityError, ShapeMismatchError
-from .partitions import _is_int
+from .partitions import _all_of, _is_int
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*([A-Za-z_][A-Za-z0-9_]*)$")
@@ -56,6 +56,8 @@ class DivisorClass:
     __slots__ = ("surface", "delta")
 
     def __init__(self, surface: Mapping[str, Rational] | None = None, delta: Rational = 0):
+        if not isinstance(surface, (Mapping, type(None))):
+            raise ValueError(f"surface must be a mapping, got {surface!r}")
         for name in surface or {}:  # before sorting, which needs comparable names
             _check_symbol(name)
         clean: dict[str, Fraction] = {}
@@ -153,6 +155,8 @@ class DivisorClass:
     @classmethod
     def parse_text(cls, text: str) -> DivisorClass:
         """Inverse of render_text (whitespace-insensitive between terms)."""
+        if not isinstance(text, str):
+            raise ValueError(f"expected a string, got {text!r}")
         tokens = text.split()
         if tokens == ["0"]:
             return cls.zero()
@@ -210,9 +214,9 @@ class DivisorClass:
 
 
 def _check_exponents(nvars: int, expts: Sequence[int]) -> tuple[int, ...]:
+    if not _all_of(expts, _is_int):
+        raise ValueError(f"exponents must be integers, got {expts!r}")
     t = tuple(expts)
-    if not all(map(_is_int, t)):
-        raise ValueError(f"exponents must be integers, got {t!r}")
     if len(t) != nvars:
         raise ShapeMismatchError(f"exponent tuple {t} does not have arity {nvars}")
     if any(e < 0 for e in t):

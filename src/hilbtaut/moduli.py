@@ -35,17 +35,13 @@ from .errors import (
 from .partitions import (
     LabeledComposition,
     LabeledSetPartition,
+    _all_of,
     _is_int,
     bounded_index_p,
     iter_cosets,
     multinomial_index,
     standard_tensor_multiplicity,
 )
-
-
-def _all_of(values, check) -> bool:
-    # a list or tuple (never a string) whose every entry passes check
-    return isinstance(values, (list, tuple)) and all(check(v) for v in values)
 
 
 def _as_matrix(rows, k: int, what: str, allow_none: bool = False):
@@ -247,61 +243,45 @@ def _require_block_match(lam: LabeledComposition, table: HomTable) -> None:
 def _first_failing_table(
     lam: LabeledComposition, hom, ext1
 ) -> tuple[list[list[int]], int] | None:
-    # Depth-first over the k x k tables with row and column sums lambda, row
-    # by row, each cell's count tried from its largest feasible value down:
-    # complete tables come in descending row-major order.  Along the way
-    # (p, d) carry prod hom^T and sum T*ext1*hom^(T-1)*prod(other cells) over
-    # the cells placed so far; once both are 0 no completion can fail, so the
-    # subtree is skipped.  Only columns with capacity left are visited, and
-    # the last row is forced.  `cells` always holds the current path.
+    # Depth-first over the k x k tables with row and column sums lambda, cell
+    # by cell in row-major order, each count tried from its largest feasible
+    # value down: complete tables come in descending row-major order.  A
+    # count leaves the columns to its right room for the rest of its row, so
+    # each row's last cell and the whole last row are forced, and cells of a
+    # filled row or column are skipped.  Along the way (p, d) carry prod
+    # hom^T and sum T*ext1*hom^(T-1)*prod(other cells) over the cells placed
+    # so far; once both are 0 no completion can fail, so the subtree is
+    # skipped.  `cells` holds the current path and 0 elsewhere.
     k = len(lam)
     cells = [[0] * k for _ in range(k)]
-    col_left = list(lam)
+    rows, cols = list(lam), list(lam)
 
-    def next_row(a: int, p: int, d: int, moved: bool) -> int:
-        if a == k - 1:
-            for b in range(k):
-                t = col_left[b]
-                if t:
-                    h = hom[a][b]
-                    ht = h**t
-                    p, d = p * ht, d * ht + p * t * ext1[a][b] * h ** (t - 1)
-                    moved = moved or b != a
-            if not (moved and d):
-                return 0
-            cells[a][:] = col_left
-            return d
-        open_cols = [b for b in range(k) if col_left[b]]
-        room = [0] * (len(open_cols) + 1)  # capacity of open_cols[i:]
-        for i in range(len(open_cols) - 1, -1, -1):
-            room[i] = room[i + 1] + col_left[open_cols[i]]
-
-        def fill(i: int, row_left: int, p: int, d: int, moved: bool) -> int:
-            if not row_left:
-                return next_row(a + 1, p, d, moved)
-            b = open_cols[i]
-            h, e = hom[a][b], ext1[a][b]
-            for t in range(min(row_left, col_left[b]), max(0, row_left - room[i + 1]) - 1, -1):
-                if t:
-                    ht = h**t
-                    p_next, d_next = p * ht, d * ht + p * t * e * h ** (t - 1)
-                else:
-                    p_next, d_next = p, d
+    def place(c: int, p: int, d: int, moved: bool) -> int:
+        while c < k * k and not (rows[c // k] and cols[c % k]):
+            c += 1
+        if c == k * k:
+            return d if moved else 0
+        a, b = divmod(c, k)
+        h, e = hom[a][b], ext1[a][b]
+        for t in range(min(rows[a], cols[b]), max(0, rows[a] - sum(cols[b + 1 :])) - 1, -1):
+            p_next, d_next = p, d
+            if t:
+                ht = h**t
+                p_next, d_next = p * ht, d * ht + p * t * e * h ** (t - 1)
                 if not (p_next or d_next):
                     continue
-                cells[a][b] = t
-                col_left[b] -= t
-                found = fill(i + 1, row_left - t, p_next, d_next, moved or (t > 0 and a != b))
-                col_left[b] += t
-                cells[a][b] = 0
-                if found:
-                    cells[a][b] = t
-                    return found
-            return 0
+            cells[a][b] = t
+            rows[a] -= t
+            cols[b] -= t
+            found = place(c + 1, p_next, d_next, moved or (t > 0 and a != b))
+            rows[a] += t
+            cols[b] += t
+            if found:
+                return found
+        cells[a][b] = 0
+        return 0
 
-        return fill(0, lam[a], p, d, moved)
-
-    deg1 = next_row(0, 1, 0, False)
+    deg1 = place(0, 1, 0, False)
     return (cells, deg1) if deg1 else None
 
 

@@ -23,6 +23,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _all_of(values, check) -> bool:
+    # a list or tuple (never a string) whose every entry passes check
+    return isinstance(values, (list, tuple)) and all(check(v) for v in values)
+
+
 class Partition(tuple):
     """A partition: non-increasing tuple of positive integers.
 
@@ -133,7 +138,8 @@ class LabeledSetPartition(tuple):
         return out
 
 
-@lru_cache(maxsize=None)
+# one key per (n, largest) the partition cap allows
+@lru_cache(maxsize=(MAX_PARTITION_N + 1) ** 2)
 def _partitions_desc(n: int, largest: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ((),)
@@ -150,8 +156,8 @@ def enumerate_partitions(n: int) -> list[Partition]:
     The first entry is (n), the last is (1,)*n.  The order is the canonical
     enumeration order used throughout the package.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
     if n > MAX_PARTITION_N:
         raise SizeLimitError(f"n = {n} exceeds the partition bound {MAX_PARTITION_N}")
     return [Partition(p) for p in _partitions_desc(n, n)]
@@ -208,30 +214,6 @@ def content_sum(d: Sequence[int]) -> int:
     """Sum of the contents (column - row) over the cells of the diagram."""
     # row i (0-based) holds the contents -i, 1 - i, ..., d_i - 1 - i
     return sum(row * (row - 1) // 2 - i * row for i, row in enumerate(Partition(d)))
-
-
-def count_standard_tableaux(d: Sequence[int]) -> int:
-    """Count standard tableaux by brute-force growth of the shape.
-
-    Independent of the hook-length formula: cells are added one at a time,
-    keeping row lengths weakly decreasing, and complete growth paths are
-    counted.  Meant for small shapes (the call count equals the answer).
-    """
-    d = Partition(d)
-    rows = [0] * len(d)
-
-    def grow(placed: int) -> int:
-        if placed == d.n:
-            return 1
-        total = 0
-        for i in range(len(d)):
-            if rows[i] < d[i] and (i == 0 or rows[i] < rows[i - 1]):
-                rows[i] += 1
-                total += grow(placed + 1)
-                rows[i] -= 1
-        return total
-
-    return grow(0)
 
 
 def multinomial_index(parts: Sequence[int]) -> int:

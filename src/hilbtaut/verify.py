@@ -1,8 +1,10 @@
 """Cross-checks pitting every closed formula against its brute-force oracle.
 
-Each suite returns the number of comparisons made and a list of failure
-descriptions (empty when the routes agree).  The CLI `verify` subcommand
-runs all of them; the acceptance tests reuse them with pinned bounds.
+Every oracle lives here, beside the suite that runs it; the other modules
+hold only closed forms and searches.  Each suite returns the number of
+comparisons made and a list of failure descriptions (empty when the routes
+agree).  The CLI `verify` subcommand runs all of them; the acceptance tests
+reuse them with pinned bounds.
 """
 
 from __future__ import annotations
@@ -10,33 +12,35 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, product
-from math import prod
-from typing import NamedTuple, Sequence
+from functools import lru_cache
+from itertools import combinations, permutations, product
+from math import factorial, prod
+from typing import Callable, NamedTuple, Sequence
 
 from . import partitions
 from .characters import (
-    brute_force_character_table,
+    CharacterTable,
+    CycleType,
     character,
     character_table,
-    inner_product,
-    permutation_character,
+    conjugacy_classes,
     restrict_to_transposition,
+    transposition_type,
 )
 from .chern import (
     BundleBlock,
     BundleSpec,
     _check_monomial_count,
+    _minus_delta,
     b_class,
     c1,
-    c1_via_blowup,
     generating_polynomial,
-    invariant_restriction_rank,
     r_number,
+    rank_G,
     regular_checksum,
-    regular_checksum_via_irreps,
 )
-from .errors import SizeLimitError
+from .divisors import DivisorClass
+from .errors import IntegralityError, SizeLimitError
 from .moduli import (
     HomTable,
     StabilityCertificate,
@@ -48,6 +52,7 @@ from .moduli import (
 from .partitions import (
     LabeledComposition,
     LabeledSetPartition,
+    Partition,
     bounded_index_p,
     dimension,
     enumerate_cosets,
@@ -80,6 +85,30 @@ def _sweep_compositions(max_n: int):
             rev = tuple(reversed(part))
             if rev != tuple(part):
                 yield rev
+
+
+def count_standard_tableaux(d: Sequence[int]) -> int:
+    """Count standard tableaux by brute-force growth of the shape.
+
+    Independent of the hook-length formula: cells are added one at a time,
+    keeping row lengths weakly decreasing, and complete growth paths are
+    counted.  Meant for small shapes (the call count equals the answer).
+    """
+    d = Partition(d)
+    rows = [0] * len(d)
+
+    def grow(placed: int) -> int:
+        if placed == d.n:
+            return 1
+        total = 0
+        for i in range(len(d)):
+            if rows[i] < d[i] and (i == 0 or rows[i] < rows[i - 1]):
+                rows[i] += 1
+                total += grow(placed + 1)
+                rows[i] -= 1
+        return total
+
+    return grow(0)
 
 
 def coset_count_suite(max_n: int = 6) -> SuiteResult:
@@ -127,6 +156,77 @@ def coset_count_suite(max_n: int = 6) -> SuiteResult:
     return SuiteResult("coset counts vs index numbers", checks, failures)
 
 
+_BRUTE_FORCE_MAX = 7
+
+
+def cycle_type_of(perm: Sequence[int]) -> CycleType:
+    """Cycle type of a permutation given as a 0-based image tuple."""
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            p = perm[p]
+            length += 1
+        lengths.append(length)
+    return CycleType(sorted(lengths, reverse=True))
+
+
+def canonical_permutation(c: Sequence[int]) -> tuple[int, ...]:
+    """A 0-based permutation with the given cycle type (consecutive cycles)."""
+    image = []
+    start = 0
+    for length in CycleType(c):
+        image.extend(list(range(start + 1, start + length)) + [start])
+        start += length
+    return tuple(image)
+
+
+@lru_cache(maxsize=_BRUTE_FORCE_MAX)
+def brute_force_character_table(m: int) -> CharacterTable:
+    """Character table built without the Murnaghan-Nakayama rule.
+
+    Class sizes come from enumerating all m! permutations, permutation-module
+    characters from counting tabloids fixed by an explicit permutation, and
+    irreducible characters from Gram-Schmidt in descending lexicographic
+    order (which refines dominance, so each step strips off exactly the
+    previously extracted constituents), with inner products weighted by
+    those counted class sizes.  Exact and slow; degree <= 7.
+    """
+    if m > _BRUTE_FORCE_MAX:
+        raise SizeLimitError(f"brute-force table capped at degree {_BRUTE_FORCE_MAX}")
+    diagrams = enumerate_partitions(m)
+    sizes: dict[CycleType, int] = {}
+    for g in permutations(range(m)):
+        t = cycle_type_of(g)
+        sizes[t] = sizes.get(t, 0) + 1
+    cycle_types = diagrams  # same enumeration order
+    reps = {c: canonical_permutation(c) for c in cycle_types}
+    irreducibles: list[dict[CycleType, Fraction]] = []
+    for mu in diagrams:
+        tabloids = tuple(iter_cosets(mu))
+        vals = {
+            c: Fraction(sum(all(lab[g[p]] == lab[p] for p in range(m)) for lab in tabloids))
+            for c, g in reps.items()
+        }
+        for prev in irreducibles:
+            # the sum over all m! permutations, grouped by cycle type
+            mult = Fraction(sum(sizes[c] * vals[c] * prev[c] for c in cycle_types), factorial(m))
+            if mult:
+                vals = {c: vals[c] - mult * prev[c] for c in cycle_types}
+        irreducibles.append(vals)
+    if any(v.denominator != 1 for vals in irreducibles for v in vals.values()):
+        raise ArithmeticError(f"non-integral character value in degree {m}")
+    values = [[int(vals[c]) for c in cycle_types] for vals in irreducibles]
+    return CharacterTable(
+        m, diagrams, cycle_types, [sizes[c] for c in cycle_types], values
+    )
+
+
 def character_suite(max_m: int = 6) -> SuiteResult:
     """Recursive character values vs the tabloid/Gram-Schmidt oracle."""
     checks = 0
@@ -142,6 +242,23 @@ def character_suite(max_m: int = 6) -> SuiteResult:
         if fast.class_sizes != slow.class_sizes:
             failures.append(f"m={m}: class sizes {fast.class_sizes} vs {slow.class_sizes}")
     return SuiteResult("characters vs permutation brute force", checks, failures)
+
+
+def inner_product(
+    f: Callable[[CycleType], int | Fraction],
+    g: Callable[[CycleType], int | Fraction],
+    m: int,
+) -> Fraction:
+    """Class-function inner product (1/m!) sum over classes of size*f*g."""
+    total = sum(
+        Fraction(size) * f(c) * g(c) for c, size in conjugacy_classes(m)
+    )
+    return Fraction(total, factorial(m))
+
+
+def permutation_character(c: Sequence[int]) -> int:
+    """Character of the natural permutation module: fixed points."""
+    return sum(1 for length in CycleType(c) if length == 1)
 
 
 def _tensor_multiplicity_by_characters(d: Sequence[int]) -> Fraction:
@@ -202,6 +319,51 @@ def _all_specs(n: int, ranks=(1, 2, 3)):
                 yield BundleSpec(comp, tuple(block(rank_tuple[i], i, reps[i]) for i in range(k)))
 
 
+def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
+    """Assemble the Chern class from the surface part and the rank of the
+    sign-twisted restriction to the pairwise diagonal (the blowup route)."""
+    return _minus_delta(b, invariant_rank, "c1_via_blowup")
+
+
+@lru_cache(maxsize=256)
+def _same_label_pair_counts(parts: tuple[int, ...]) -> dict[int, int]:
+    # Brute-force census: how many cosets give positions 1 and 2 the same
+    # label i.  Counted by scanning the enumeration, never by formula.
+    counts: dict[int, int] = {}
+    for labels in iter_cosets(parts):
+        if labels[0] == labels[1]:
+            counts[labels[0]] = counts.get(labels[0], 0) + 1
+    return counts
+
+
+def invariant_restriction_rank(spec: BundleSpec) -> int:
+    """Rank of the invariants of the sign-twisted restriction to the
+    pairwise diagonal, via the trace of the swap.
+
+    Independent oracle for r_number: rank = (dim - trace)/2 where dim is the
+    full fibre dimension and the trace gets a contribution only from cosets
+    fixed by swapping positions 1 and 2 (both positions carrying one label i),
+    each worth r_i * (s / r_i^2) * chi_i(transposition) * (w / w_i).
+    Returns 0 when n < 2 (there is no pairwise diagonal).
+    """
+    n = spec.n
+    if n < 2:
+        return 0
+    bounded_index_p(spec.lam)
+    counts = _same_label_pair_counts(tuple(spec.lam))
+    s, w = spec.s, spec.w
+    trace = 0
+    for i, cnt in counts.items():
+        blk = spec.blocks[i - 1]
+        # a fixed coset forces at least two copies of label i, so r_i^2 | s
+        chi = character(blk.rep, transposition_type(spec.lam[i - 1]))
+        trace += cnt * blk.rank * (s // blk.rank**2) * chi * (w // blk.rep_dim)
+    dim = rank_G(spec)
+    if (dim - trace) % 2:
+        raise IntegralityError(f"odd swap trace defect: dim {dim}, trace {trace}")
+    return (dim - trace) // 2
+
+
 def rank_oracle_suite(max_n: int = 6, ranks=(1, 2, 3)) -> SuiteResult:
     """Closed-form delta coefficient vs the swap-trace oracle, full sweep."""
     checks = 0
@@ -250,6 +412,16 @@ def generating_suite(max_n: int = 6) -> SuiteResult:
                         f"n={n} {variant} lam={tuple(lam)}: coefficient mismatch"
                     )
     return SuiteResult("generating polynomial coefficients", checks, failures)
+
+
+def regular_checksum_via_irreps(n: int, rank: int, symbol: str) -> DivisorClass:
+    """Oracle for regular_checksum: the same total, assembled irreducible
+    by irreducible as the dimension-weighted sum of c1 (the slow route)."""
+    total = DivisorClass.zero()
+    for d in enumerate_partitions(n):
+        spec = BundleSpec.build((n,), [(rank, symbol, d)])
+        total = total + c1(spec) * dimension(d)
+    return total
 
 
 def regular_suite(max_n: int = 6, max_rank: int = 3) -> SuiteResult:
@@ -475,8 +647,8 @@ def verify_all(max_n: int = 6) -> list[SuiteResult]:
     partitions of max_n + 4, max_n! cosets and the full expansion of degree
     max_n in max_n variables.  The largest accepted bound is max_n = 9.
     """
-    if max_n < 2:
-        raise ValueError(f"max_n must be at least 2, got {max_n}")
+    if not partitions._is_int(max_n) or max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n!r}")
     if max_n + 4 > partitions.MAX_PARTITION_N:
         # read first, so that a huge max_n builds nothing
         raise SizeLimitError(

@@ -23,7 +23,6 @@ from hilbtaut.chern import (
     b_class,
     c1,
     generating_polynomial,
-    invariant_restriction_rank,
     r_number,
 )
 from hilbtaut.cli import EXIT_OK, dispatch

@@ -1,6 +1,8 @@
 """Size caps are module constants read at each check, with no per-call
 override, the README names exactly those caps, the Ext path needs no
-character tables, and the Chern closed forms need no restriction tables."""
+character tables, the Chern closed forms need no characters at all, only
+verify.py enumerates for its own sake, and every module-level cache is
+bounded."""
 
 from __future__ import annotations
 
@@ -10,15 +12,13 @@ import inspect
 import re
 from pathlib import Path
 
-from hilbtaut import characters, chern, moduli, partitions, verify
+from hilbtaut import characters, chern, cli, divisors, moduli, partitions, verify
 
 _NO_CAP_PARAMETER = [
     partitions.enumerate_partitions,
     partitions.bounded_index_p,
     partitions.iter_cosets,
     partitions.enumerate_cosets,
-    chern.invariant_restriction_rank,
-    chern._same_label_pair_counts,
     moduli.check_conditions,
     moduli.offdiagonal_ext1_vanishing,
     moduli._ext_dims,
@@ -26,6 +26,8 @@ _NO_CAP_PARAMETER = [
     moduli.moduli_component_dim,
     moduli.stability_certificate,
     moduli._Witnesses.__init__,
+    verify.invariant_restriction_rank,
+    verify._same_label_pair_counts,
     verify.vanishing_by_enumeration,
     verify.stability_by_enumeration,
 ]
@@ -40,7 +42,7 @@ def test_caps_have_no_per_call_override():
     assert not _names_from_characters(moduli)
 
 
-def _names_from_characters(module) -> set[str]:
+def _imported_names(module) -> set[str]:
     # dotted names; `from . import characters` gives ".characters"
     imported = set()
     for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
@@ -50,16 +52,31 @@ def _names_from_characters(module) -> set[str]:
             imported.update(f"{name}.{alias.name}" for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    return {name for name in imported if "characters" in name.split(".")}
+    return imported
+
+
+def _names_from_characters(module) -> set[str]:
+    return {name for name in _imported_names(module) if "characters" in name.split(".")}
 
 
 def test_chern_closed_forms_need_no_restriction_tables():
-    # only the swap-trace oracle reads characters; b_class and r_number
-    # take the content sum from partitions, with no pair-index table
-    assert _names_from_characters(chern) == {
-        "characters", "characters.character", "characters.transposition_type"
-    }
+    # b_class and r_number take the content sum from partitions, with no
+    # pair-index table; the swap-trace oracle that reads characters is in
+    # verify.  Of the product modules only moduli (its lazy witnesses)
+    # walks cosets or permutations; the oracles that do live in verify.
+    assert not _names_from_characters(chern)
     assert not hasattr(partitions, "_reduction_indices")
+    enumerators = {"iter_cosets", "enumerate_cosets", "permutations"}
+    for module in (partitions, characters, divisors, chern, cli):
+        found = {name for name in _imported_names(module) if name.split(".")[-1] in enumerators}
+        assert not found, (module.__name__, found)
+
+
+def test_module_caches_are_bounded():
+    for module in (partitions, characters, divisors, chern, moduli, cli, verify):
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info"):
+                assert obj.cache_info().maxsize is not None, f"{module.__name__}.{name}"
 
 
 def test_readme_caps_match_the_code():

@@ -12,18 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from hilbtaut import characters
+from hilbtaut import characters, verify
 from hilbtaut.characters import (
-    brute_force_character_table,
-    canonical_permutation,
     character,
     character_table,
     class_size,
     conjugacy_classes,
-    cycle_type_of,
     identity_type,
-    inner_product,
-    permutation_character,
     regular_character_value,
     restrict_to_transposition,
     sign_character,
@@ -36,7 +31,14 @@ from hilbtaut.partitions import (
     is_rectangular,
     standard_tensor_multiplicity,
 )
-from hilbtaut.verify import _tensor_multiplicity_by_characters
+from hilbtaut.verify import (
+    _tensor_multiplicity_by_characters,
+    brute_force_character_table,
+    canonical_permutation,
+    cycle_type_of,
+    inner_product,
+    permutation_character,
+)
 
 
 def _class_types(m):
@@ -114,6 +116,7 @@ def test_brute_force_never_uses_murnaghan_nakayama(monkeypatch):
 
     monkeypatch.setattr(characters, "_mn", refuse)
     monkeypatch.setattr(characters, "character", refuse)
+    monkeypatch.setattr(verify, "character", refuse)
     brute_force_character_table.cache_clear()
     for m, table in expected.items():
         brute = brute_force_character_table(m)

@@ -22,17 +22,19 @@ from hilbtaut.chern import (
     _generating_coefficient,
     b_class,
     c1,
-    c1_via_blowup,
     generating_polynomial,
-    invariant_restriction_rank,
     r_number,
     rank_G,
     regular_checksum,
-    regular_checksum_via_irreps,
 )
 from hilbtaut.divisors import DivisorClass
 from hilbtaut.errors import IntegralityError, ShapeMismatchError, SizeLimitError
 from hilbtaut.partitions import content_sum, dimension, enumerate_partitions, p_reduced
+from hilbtaut.verify import (
+    c1_via_blowup,
+    invariant_restriction_rank,
+    regular_checksum_via_irreps,
+)
 
 RUNNING = BundleSpec.build((2, 1), [(2, "e1", (2,)), (1, "e2", (1,))])
 

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from hilbtaut.chern import BundleBlock, generating_polynomial
+from hilbtaut.characters import character_table, transposition_type
+from hilbtaut.chern import BundleBlock, BundleSpec, generating_polynomial, regular_checksum
 from hilbtaut.divisors import ClassPolynomial, DivisorClass
 from hilbtaut.errors import IntegralityError, ShapeMismatchError
-from hilbtaut.partitions import LabeledComposition, Partition, index_p
+from hilbtaut.partitions import LabeledComposition, Partition, enumerate_partitions, index_p
+from hilbtaut.verify import verify_all
 
 
 def _random_class(rng: random.Random) -> DivisorClass:
@@ -47,6 +49,37 @@ def test_delta_class_still_validates(coeff):
     ],
 )
 def test_wrong_types_and_zero_denominators_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: DivisorClass.parse_text(5),
+        lambda: DivisorClass(5),
+        lambda: ClassPolynomial(2, {5: DivisorClass.symbol("a")}),
+        lambda: enumerate_partitions(2.5),
+        lambda: character_table("3"),
+        lambda: character_table(2.5),
+        lambda: transposition_type("3"),
+        lambda: regular_checksum(2.5, 1, "a"),
+        lambda: generating_polynomial(2.5, [(1, "a")]),
+        lambda: generating_polynomial(3, [5]),
+        lambda: verify_all(2.5),
+        lambda: verify_all("3"),
+        lambda: BundleSpec((1,), 5),
+        lambda: BundleSpec((1,), [5]),
+        lambda: BundleSpec.build((1,), [5]),
+    ],
+    ids=[
+        "parse-int", "class-int", "monomial-int", "partitions-float", "table-str",
+        "table-float", "transposition-str", "checksum-float", "generating-float",
+        "generating-input", "verify-float", "verify-str", "spec-int", "spec-block",
+        "build-block",
+    ],
+)
+def test_library_entry_points_reject_wrong_types_with_value_error(call):
     with pytest.raises(ValueError):
         call()
 

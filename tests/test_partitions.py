@@ -17,7 +17,6 @@ from hilbtaut.partitions import (
     Partition,
     bounded_index_p,
     conjugate,
-    count_standard_tableaux,
     dimension,
     enumerate_cosets,
     enumerate_partitions,
@@ -30,6 +29,7 @@ from hilbtaut.partitions import (
     reduce_once,
     reduce_twice,
 )
+from hilbtaut.verify import count_standard_tableaux
 
 
 def _partition_count(n: int) -> int:
