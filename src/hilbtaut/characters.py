@@ -45,6 +45,8 @@ def conjugacy_classes(m: int) -> list[tuple[CycleType, int]]:
 
 
 def identity_type(m: int) -> CycleType:
+    if not _is_int(m) or m < 0:
+        raise ValueError(f"degree must be a non-negative integer, got {m!r}")
     return CycleType((1,) * m)
 
 

@@ -21,7 +21,6 @@ from typing import Iterator, Sequence
 from .divisors import (
     ClassPolynomial,
     DivisorClass,
-    _as_rational,
     _check_exponents,
     _check_symbol,
 )
@@ -67,8 +66,9 @@ def _tuples_of(k: int):
 class BundleBlock:
     """One input bundle with the representation attached to its block.
 
-    `rep_dim`, the dimension of `rep`, is computed at construction; it is
-    not a field, so equality, hashing and repr ignore it.
+    `rep_dim` and `rep_content`, the dimension and the content sum of `rep`,
+    are computed at construction; they are not fields, so equality, hashing
+    and repr ignore them.
     """
 
     rank: int
@@ -80,6 +80,7 @@ class BundleBlock:
         object.__setattr__(self, "rep", YoungDiagram(self.rep))
         _check_c1_symbol(self.c1_symbol)
         object.__setattr__(self, "rep_dim", dimension(self.rep))
+        object.__setattr__(self, "rep_content", content_sum(self.rep))
 
     @property
     def c1_class(self) -> DivisorClass:
@@ -180,9 +181,7 @@ def b_class(spec: BundleSpec) -> DivisorClass:
                 raise IntegralityError(f"b_class: block {i} term {term}/{n} is not an integer")
             surface[blk.c1_symbol] = surface.get(blk.c1_symbol, 0) + coeff
     # the symbols were checked when the blocks were built
-    return DivisorClass._trusted(
-        {name: Fraction(coeff) for name, coeff in surface.items()}, Fraction(0)
-    )
+    return DivisorClass._trusted(surface, 0)
 
 
 @_once_per_spec
@@ -199,7 +198,7 @@ def r_number(spec: BundleSpec) -> int:
     if n < 2:
         return 0
     rank = rank_G(spec)
-    num = rank * comb(n, 2) - sum(rank // blk.rank * content_sum(blk.rep) for blk in spec.blocks)
+    num = rank * comb(n, 2) - sum(rank // blk.rank * blk.rep_content for blk in spec.blocks)
     total, rem = divmod(num, n * (n - 1))
     if rem:
         raise IntegralityError(f"r_number: {num}/{n * (n - 1)} is not an integer")
@@ -207,11 +206,8 @@ def r_number(spec: BundleSpec) -> int:
 
 
 def _minus_delta(b: DivisorClass, coeff: int, context: str) -> DivisorClass:
-    # b - coeff * delta through the trusted constructor: b's symbols and
-    # coefficients were checked when b was built, and an int needs no check
-    if type(coeff) is not int:
-        coeff = _as_rational(coeff)
-    return DivisorClass._trusted(b.surface, b.delta - coeff).require_integral(context)
+    # b - coeff * delta, without re-checking b's surface
+    return b._minus_delta(coeff).require_integral(context)
 
 
 def c1(spec: BundleSpec) -> DivisorClass:
@@ -257,7 +253,8 @@ def _coefficient(n: int, inputs, expts: tuple[int, ...], sign: int) -> DivisorCl
         if e and symbol not in _ZERO_SYMBOLS:
             surface[symbol] = surface.get(symbol, 0) + x * e // (n * rank)
         pairs += x * e * (e - 1) // (n * (n - 1) * rank)
-    return DivisorClass(surface, Fraction(-(x + sign * pairs), 2))
+    # the symbols were checked by _generating_inputs
+    return DivisorClass._trusted(surface, Fraction(-(x + sign * pairs), 2))
 
 
 def _check_monomial_count(n: int, k: int) -> None:

@@ -29,7 +29,7 @@ from .errors import (
     SpecValidationError,
 )
 from .moduli import HomTable, _ext_dims, check_conditions, stability_certificate
-from .partitions import LabeledComposition, Partition, YoungDiagram, _is_int
+from .partitions import LabeledComposition, Partition, YoungDiagram, _all_of, _is_int
 from .verify import verify_all
 
 EXIT_OK = 0
@@ -95,6 +95,8 @@ def _load_json(source: str | Path) -> object:
 
 def parse_spec(source: str | Path) -> SpecDocument:
     """Parse and validate a spec document (a path, or raw JSON text)."""
+    if not isinstance(source, (str, Path)):
+        raise SpecValidationError(f"spec must be a path or JSON text, got {source!r}")
     data = _load_json(source)
     if not isinstance(data, dict):
         raise SpecValidationError("spec must be a JSON object")
@@ -423,6 +425,8 @@ _COMMANDS = {
 
 def dispatch(argv: Sequence[str]) -> int:
     """Run one CLI invocation and return its exit code."""
+    if not _all_of(argv, lambda arg: isinstance(arg, str)):
+        raise ValueError(f"argv must be a list or tuple of strings, got {argv!r}")
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))

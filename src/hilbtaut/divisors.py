@@ -4,7 +4,9 @@ A DivisorClass is a rational combination of named surface classes plus a
 multiple of the exceptional half-diagonal class `delta`.  A ClassPolynomial
 maps exponent tuples to DivisorClass coefficients; it is built whole (the
 generating polynomial computes each coefficient in closed form) and then
-only read.  All arithmetic is exact.
+only read.  All arithmetic is exact: a coefficient is stored as an int
+when it is integral and as a Fraction only when its denominator exceeds 1,
+so every value has one stored form.
 """
 
 from __future__ import annotations
@@ -22,8 +24,13 @@ _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*([A-Za-z_][A-Za-z0-9_]*)$")
 Rational = int | Fraction
 
 
-def _frac_to_json(value: Fraction) -> int | str:
+def _frac_to_json(value: Rational) -> int | str:
     return int(value) if value.denominator == 1 else str(value)
+
+
+def _canonical(value: Rational) -> Rational:
+    # the stored form: an int when integral, else the Fraction itself
+    return value.numerator if value.denominator == 1 else value
 
 
 def _check_symbol(name: str) -> None:
@@ -31,10 +38,12 @@ def _check_symbol(name: str) -> None:
         raise ValueError(f"invalid surface symbol {name!r}")
 
 
-def _as_rational(value) -> Fraction:
+def _as_rational(value) -> Rational:
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ValueError(f"coefficients must be int or Fraction, got {value!r}")
-    return Fraction(value)
+    return int(value) if isinstance(value, int) else _canonical(Fraction(value))
 
 
 def _frac_from_json(value) -> Fraction:
@@ -49,7 +58,8 @@ def _frac_from_json(value) -> Fraction:
 class DivisorClass:
     """Formal class sum(coeff_s * s for surface symbols s) + coeff * delta.
 
-    Immutable by convention: do not mutate `surface` after construction.
+    Immutable by convention: do not mutate `surface` after construction;
+    every constructor leaves it sorted by symbol.
     Symbol names must be identifiers and must not be named 'delta'.
     """
 
@@ -60,7 +70,7 @@ class DivisorClass:
             raise ValueError(f"surface must be a mapping, got {surface!r}")
         for name in surface or {}:  # before sorting, which needs comparable names
             _check_symbol(name)
-        clean: dict[str, Fraction] = {}
+        clean: dict[str, Rational] = {}
         for name, coeff in sorted((surface or {}).items()):
             coeff = _as_rational(coeff)
             if coeff:
@@ -69,12 +79,22 @@ class DivisorClass:
         self.delta = _as_rational(delta)
 
     @classmethod
-    def _trusted(cls, surface: Mapping[str, Fraction], delta: Fraction) -> DivisorClass:
+    def _trusted(cls, surface: Mapping[str, Rational], delta: Rational) -> DivisorClass:
         # Results of arithmetic on valid classes: the symbols were checked
-        # and the coefficients made Fractions when the operands were built.
+        # and the coefficients made exact when the operands were built.
         obj = cls.__new__(cls)
-        obj.surface = {name: coeff for name, coeff in sorted(surface.items()) if coeff}
-        obj.delta = delta
+        obj.surface = {
+            name: _canonical(coeff) for name, coeff in sorted(surface.items()) if coeff
+        }
+        obj.delta = _canonical(delta)
+        return obj
+
+    def _minus_delta(self, coeff: Rational) -> DivisorClass:
+        # self - coeff * delta: the surface is already checked, sorted and
+        # canonical, so only the new delta is validated and made canonical
+        obj = DivisorClass.__new__(DivisorClass)
+        obj.surface = dict(self.surface)
+        obj.delta = _canonical(self.delta - _as_rational(coeff))
         return obj
 
     @classmethod
@@ -119,7 +139,7 @@ class DivisorClass:
         return self.surface == other.surface and self.delta == other.delta
 
     def __hash__(self) -> int:
-        return hash((tuple(sorted(self.surface.items())), self.delta))
+        return hash((tuple(self.surface.items()), self.delta))
 
     def __repr__(self) -> str:
         return f"DivisorClass({self.render_text()!r})"
@@ -130,9 +150,8 @@ class DivisorClass:
 
     @property
     def is_integral(self) -> bool:
-        return self.delta.denominator == 1 and all(
-            c.denominator == 1 for c in self.surface.values()
-        )
+        # in the stored form only a non-integral coefficient is a Fraction
+        return Fraction not in map(type, (self.delta, *self.surface.values()))
 
     def require_integral(self, context: str = "divisor class") -> DivisorClass:
         if not self.is_integral:
@@ -141,7 +160,7 @@ class DivisorClass:
 
     def render_text(self) -> str:
         """Deterministic text form, e.g. '4*e1 + 4*e2 - 5*delta'."""
-        items = sorted(self.surface.items())
+        items = list(self.surface.items())
         if self.delta:
             items.append(("delta", self.delta))
         if not items:
@@ -193,7 +212,7 @@ class DivisorClass:
 
     def to_json_dict(self) -> dict:
         return {
-            "surface": {name: _frac_to_json(c) for name, c in sorted(self.surface.items())},
+            "surface": {name: _frac_to_json(c) for name, c in self.surface.items()},
             "delta": _frac_to_json(self.delta),
         }
 
@@ -232,6 +251,8 @@ class ClassPolynomial:
     def __init__(self, nvars: int, terms: Mapping[Sequence[int], DivisorClass] | None = None):
         if not _is_int(nvars):
             raise ValueError(f"nvars must be an integer, got {nvars!r}")
+        if not isinstance(terms, (Mapping, type(None))):
+            raise ValueError(f"terms must be a mapping, got {terms!r}")
         self.nvars = nvars
         clean: dict[tuple[int, ...], DivisorClass] = {}
         for expts, cls_val in (terms or {}).items():

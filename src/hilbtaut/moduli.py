@@ -174,6 +174,7 @@ def check_conditions(table: HomTable) -> ConditionReport:
     reasons none exists; decided without search, as a point-algebra network
     is consistent iff each strongly connected component may share a group.
     """
+    _require_table(table)
     k = table.k
     distinct_ok = len(set(table.iso_labels)) == k
     witnesses: list[str] = []
@@ -235,7 +236,13 @@ class VanishingReport(NamedTuple):
     degree1_dim: int
 
 
+def _require_table(table: HomTable) -> None:
+    if not isinstance(table, HomTable):
+        raise ValueError(f"expected a HomTable, got {table!r}")
+
+
 def _require_block_match(lam: LabeledComposition, table: HomTable) -> None:
+    _require_table(table)
     if lam.k != table.k:
         raise ShapeMismatchError(f"{lam.k} blocks but the table has {table.k}")
 

@@ -15,15 +15,12 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from math import factorial
 
-import pytest
-
 from hilbtaut.characters import _mn, character_table
 from hilbtaut.chern import (
     BundleSpec,
     b_class,
     c1,
     generating_polynomial,
-    r_number,
 )
 from hilbtaut.cli import EXIT_OK, dispatch
 from hilbtaut.divisors import DivisorClass

@@ -1,8 +1,8 @@
 """Size caps are module constants read at each check, with no per-call
 override, the README names exactly those caps, the Ext path needs no
 character tables, the Chern closed forms need no characters at all, only
-verify.py enumerates for its own sake, and every module-level cache is
-bounded."""
+verify.py enumerates for its own sake, every module-level cache is
+bounded, and every module reads each name it imports."""
 
 from __future__ import annotations
 
@@ -96,3 +96,30 @@ def test_readme_caps_match_the_code():
         and name.id.startswith("MAX_")
     }
     assert named == defined
+
+
+def _unread_imports(path: Path) -> set[str]:
+    # names an import binds that the module never loads; `from __future__`
+    # binds nothing the code reads
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return bound - read
+
+
+def test_every_import_is_read():
+    # hilbtaut/__init__.py is exempt: its imports are the package's re-exports
+    src = Path(partitions.__file__).parent
+    paths = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    paths += Path(__file__).parent.glob("*.py")
+    unread = {p.relative_to(src.parents[1]).as_posix(): _unread_imports(p) for p in paths}
+    assert {path: names for path, names in unread.items() if names} == {}

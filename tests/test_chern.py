@@ -28,7 +28,7 @@ from hilbtaut.chern import (
     regular_checksum,
 )
 from hilbtaut.divisors import DivisorClass
-from hilbtaut.errors import IntegralityError, ShapeMismatchError, SizeLimitError
+from hilbtaut.errors import ShapeMismatchError, SizeLimitError
 from hilbtaut.partitions import content_sum, dimension, enumerate_partitions, p_reduced
 from hilbtaut.verify import (
     c1_via_blowup,
@@ -270,8 +270,9 @@ def test_trusted_delta_route_equals_the_validating_sum():
         for spec in _all_specs(n):
             full = c1(spec)
             assert full == b_class(spec) + DivisorClass.delta_class(-r_number(spec)), spec
-            assert type(full.delta) is Fraction
-            assert all(type(coeff) is Fraction for coeff in full.surface.values())
+            # c1 is integral, so every stored coefficient is an int
+            assert type(full.delta) is int
+            assert all(type(coeff) is int for coeff in full.surface.values())
     b = b_class(RUNNING)
     assert c1_via_blowup(b, Fraction(5)) == c1(RUNNING)
     for bad in (5.0, True, "5"):

@@ -110,6 +110,8 @@ def test_unreadable_spec_path_and_bracket_text(tmp_path):
         parse_spec(str(tmp_path / "missing.json"))
     with pytest.raises(SpecValidationError, match="^malformed JSON"):
         parse_spec("[1,2")
+    with pytest.raises(SpecValidationError, match="^spec must be a path or JSON text, got 5$"):
+        parse_spec(5)
 
 
 def test_chern_text(spec_file):

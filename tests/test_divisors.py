@@ -7,8 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from hilbtaut.characters import character_table, transposition_type
-from hilbtaut.chern import BundleBlock, BundleSpec, generating_polynomial, regular_checksum
+from hilbtaut import cli, moduli
+from hilbtaut.characters import character_table, identity_type, transposition_type
+from hilbtaut.chern import (
+    BundleBlock,
+    BundleSpec,
+    b_class,
+    c1,
+    generating_polynomial,
+    regular_checksum,
+)
 from hilbtaut.divisors import ClassPolynomial, DivisorClass
 from hilbtaut.errors import IntegralityError, ShapeMismatchError
 from hilbtaut.partitions import LabeledComposition, Partition, enumerate_partitions, index_p
@@ -71,12 +79,19 @@ def test_wrong_types_and_zero_denominators_raise_value_error(call):
         lambda: BundleSpec((1,), 5),
         lambda: BundleSpec((1,), [5]),
         lambda: BundleSpec.build((1,), [5]),
+        lambda: ClassPolynomial(2, 5),
+        lambda: cli.parse_spec(5),
+        lambda: cli.dispatch(5),
+        lambda: moduli.check_conditions(5),
+        lambda: moduli.stability_certificate((1, 1), 5),
+        lambda: identity_type(2.5),
     ],
     ids=[
         "parse-int", "class-int", "monomial-int", "partitions-float", "table-str",
         "table-float", "transposition-str", "checksum-float", "generating-float",
         "generating-input", "verify-float", "verify-str", "spec-int", "spec-block",
-        "build-block",
+        "build-block", "polynomial-terms-int", "spec-document-int", "dispatch-int",
+        "conditions-int", "stability-table-int", "identity-type-float",
     ],
 )
 def test_library_entry_points_reject_wrong_types_with_value_error(call):
@@ -84,9 +99,52 @@ def test_library_entry_points_reject_wrong_types_with_value_error(call):
         call()
 
 
-def test_delta_class_coefficient_is_a_fraction():
-    for coeff in (3, -2, Fraction(1, 2)):
-        assert type(DivisorClass.delta_class(coeff).delta) is Fraction
+def _assert_canonical(d: DivisorClass) -> None:
+    # one stored form per value: an int, or a Fraction that is not integral
+    for coeff in (d.delta, *d.surface.values()):
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1), d
+
+
+def test_stored_coefficients_are_canonical():
+    for coeff in (3, -2, 0, Fraction(6, 2), Fraction(1, 2)):
+        _assert_canonical(DivisorClass.delta_class(coeff))
+        _assert_canonical(DivisorClass.symbol("e", coeff))
+    assert type(DivisorClass.delta_class(Fraction(6, 2)).delta) is int
+    assert type(DivisorClass.delta_class(Fraction(1, 2)).delta) is Fraction
+    half = DivisorClass({"a": Fraction(1, 2), "b": 3}, Fraction(-1, 2))
+    rng = random.Random(413)
+    classes = [half, half + half, half - half, half * 2, 2 * half, half * Fraction(2, 3), -half]
+    classes += [_random_class(rng) for _ in range(200)]
+    for d in list(classes):
+        classes += [
+            d + d,
+            d - half,
+            d * Fraction(4),
+            DivisorClass.parse_text(d.render_text()),
+            DivisorClass.from_json_dict(d.to_json_dict()),
+        ]
+    for n in range(1, 5):
+        for lam in enumerate_partitions(n):
+            spec = BundleSpec.build(lam, [(2, f"e{i}", (part,)) for i, part in enumerate(lam)])
+            classes += [c1(spec), b_class(spec)]
+    for variant in ("trivial", "sign"):
+        classes += generating_polynomial(4, [(1, "a"), (2, "b")], variant).terms.values()
+    for d in classes:
+        _assert_canonical(d)
+
+
+def test_fraction_and_int_built_classes_agree():
+    rng = random.Random(414)
+    for _ in range(200):
+        ints = {s: rng.randrange(-9, 10) for s in rng.sample(["e1", "e2", "h"], rng.randrange(4))}
+        delta = rng.randrange(-9, 10)
+        from_ints = DivisorClass(ints, delta)
+        from_fractions = DivisorClass({s: Fraction(c) for s, c in ints.items()}, Fraction(delta))
+        assert from_ints == from_fractions
+        assert hash(from_ints) == hash(from_fractions)
+        assert from_ints.surface == from_fractions.surface
+        assert all(type(c) is int for c in from_fractions.surface.values())
+        assert type(from_fractions.delta) is int
 
 
 def test_constructor_drops_zeros():
@@ -135,10 +193,11 @@ def test_arithmetic_results_are_normalised():
     assert total == DivisorClass({"e1": Fraction(1, 2), "f": 3}, 1)
     assert list(total.surface) == ["e1", "f"]
     assert list((b + a).surface) == ["e1", "f"]
-    assert all(type(c) is Fraction for c in total.surface.values())
-    assert type(total.delta) is Fraction
+    assert type(total.surface["e1"]) is Fraction and type(total.surface["f"]) is int
+    assert type(total.delta) is int
+    assert type((a + a).surface["e1"]) is int  # 1/2 + 1/2 is stored as 1
     scaled = a * 0
-    assert scaled.is_zero and scaled.surface == {} and type(scaled.delta) is Fraction
+    assert scaled.is_zero and scaled.surface == {} and type(scaled.delta) is int
     assert hash(2 * a) == hash(DivisorClass({"e1": 1, "e2": 2}, 2))
 
 
