@@ -149,6 +149,8 @@ def _once_per_spec(fn):
 
     @wraps(fn)
     def memoised(spec: BundleSpec):
+        if not isinstance(spec, BundleSpec):
+            raise ValueError(f"expected a BundleSpec, got {spec!r}")
         memo = spec.__dict__
         if key not in memo:
             memo[key] = fn(spec)

@@ -11,9 +11,8 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .characters import character_table
 from .chern import (
     BundleBlock,
     BundleSpec,
@@ -28,9 +27,12 @@ from .errors import (
     ModuliDimensionMismatchError,
     SpecValidationError,
 )
-from .moduli import HomTable, _ext_dims, check_conditions, stability_certificate
 from .partitions import LabeledComposition, Partition, YoungDiagram, _all_of, _is_int
-from .verify import verify_all
+
+# characters, moduli and verify are imported by the commands that use them,
+# so a chern, rank or generating call never loads them
+if TYPE_CHECKING:
+    from .moduli import HomTable
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -151,6 +153,8 @@ def parse_spec(source: str | Path) -> SpecDocument:
 
     table = None
     if "hom_table" in data:
+        from .moduli import HomTable
+
         try:
             table = HomTable.from_json_dict(data["hom_table"])
         except ValueError as exc:
@@ -195,6 +199,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_ext(args) -> int:
+    from .moduli import _ext_dims
+
     doc = parse_spec(args.spec)
     table = _require_table(doc, "ext")
     dims, moduli = _ext_dims(doc.spec, table)
@@ -240,6 +246,8 @@ def _cmd_ext(args) -> int:
 
 
 def _cmd_conditions(args) -> int:
+    from .moduli import check_conditions
+
     doc = parse_spec(args.spec)
     table = _require_table(doc, "conditions")
     report = check_conditions(table)
@@ -255,6 +263,8 @@ def _cmd_conditions(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from .moduli import stability_certificate
+
     doc = parse_spec(args.spec)
     table = _require_table(doc, "stability")
     cert = stability_certificate(doc.spec.lam, table)
@@ -275,6 +285,8 @@ def _ptext(p: Sequence[int]) -> str:
 
 
 def _cmd_char(args) -> int:
+    from .characters import character_table
+
     table = character_table(args.n)
     rows = table.diagrams
     if args.diagram is not None:
@@ -340,6 +352,8 @@ def _cmd_generating(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verify_all
+
     results = verify_all(args.max_n)
     ok = all(res.ok for res in results)
     if args.json:

@@ -346,6 +346,8 @@ def _ext_dims(spec: BundleSpec, table: HomTable) -> tuple[EndDims, int | ValueEr
     # equivariant_end_dims and moduli_component_dim from one coset scan; the
     # second entry is the component dimension or the error explaining why
     # there is none
+    if not isinstance(spec, BundleSpec):
+        raise ValueError(f"expected a BundleSpec, got {spec!r}")
     _require_block_match(spec.lam, table)
     _require_simple_diagonal(table)
     tangent_dim = sum(

@@ -120,6 +120,17 @@ class LabeledSetPartition(tuple):
 
     __slots__ = ()
 
+    def __new__(cls, labels: Iterable[int] = ()):
+        if type(labels) is cls:
+            return labels
+        try:
+            t = tuple.__new__(cls, labels)
+        except TypeError:
+            raise ValueError(f"labels must be a sequence of integers, got {labels!r}") from None
+        if not all(_is_int(lab) and lab >= 1 for lab in t):
+            raise ValueError(f"labels must be positive integers, got {t!r}")
+        return t
+
     @property
     def is_identity(self) -> bool:
         """True for the coset of the subgroup itself (labels non-decreasing)."""
@@ -238,11 +249,17 @@ def bounded_index_p(lam: Sequence[int]) -> int:
     return count
 
 
+def _check_block_index(i: int, k: int) -> None:
+    if not _is_int(i):
+        raise ValueError(f"block index must be an integer, got {i!r}")
+    if not 1 <= i <= k:
+        raise IndexError(f"block index {i} out of range 1..{k}")
+
+
 def reduce_once(lam: Sequence[int], i: int) -> Partition:
     """Decrement block i (1-based), drop zero parts, re-sort canonically."""
     lam = LabeledComposition(lam)
-    if not 1 <= i <= lam.k:
-        raise IndexError(f"block index {i} out of range 1..{lam.k}")
+    _check_block_index(i, lam.k)
     parts = list(lam)
     parts[i - 1] -= 1
     return Partition(sorted((p for p in parts if p), reverse=True))
@@ -251,9 +268,8 @@ def reduce_once(lam: Sequence[int], i: int) -> Partition:
 def reduce_twice(lam: Sequence[int], i: int, j: int) -> Partition:
     """Decrement blocks i and j (i == j takes 2 from one block; needs size >= 2)."""
     lam = LabeledComposition(lam)
-    for idx in (i, j):
-        if not 1 <= idx <= lam.k:
-            raise IndexError(f"block index {idx} out of range 1..{lam.k}")
+    _check_block_index(i, lam.k)
+    _check_block_index(j, lam.k)
     parts = list(lam)
     if i == j:
         if parts[i - 1] < 2:
@@ -290,8 +306,9 @@ def _arrangements(parts: tuple[int, ...]) -> Iterator[LabeledSetPartition]:
     # labeling comes first.
     seq = [j + 1 for j, p in enumerate(parts) for _ in range(p)]
     n = len(seq)
+    new = tuple.__new__  # the labels are valid by construction
     while True:
-        yield LabeledSetPartition(seq)
+        yield new(LabeledSetPartition, seq)
         i = n - 2
         while i >= 0 and seq[i] >= seq[i + 1]:
             i -= 1

@@ -1,8 +1,10 @@
 """Size caps are module constants read at each check, with no per-call
 override, the README names exactly those caps, the Ext path needs no
 character tables, the Chern closed forms need no characters at all, only
-verify.py enumerates for its own sake, every module-level cache is
-bounded, and every module reads each name it imports."""
+verify.py enumerates for its own sake, cli imports the characters, moduli
+and verify layers only inside the commands that use them, every
+module-level cache is bounded, and every module reads each name it
+imports."""
 
 from __future__ import annotations
 
@@ -42,10 +44,13 @@ def test_caps_have_no_per_call_override():
     assert not _names_from_characters(moduli)
 
 
-def _imported_names(module) -> set[str]:
-    # dotted names; `from . import characters` gives ".characters"
+def _imported_names(module, top_level: bool = False) -> set[str]:
+    # dotted names; `from . import characters` gives ".characters".  With
+    # top_level, only the statements of the module body itself count: the
+    # imports that run when the module is imported.
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
-    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+    for node in tree.body if top_level else ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             name = node.module or ""
             imported.add(name)
@@ -70,6 +75,14 @@ def test_chern_closed_forms_need_no_restriction_tables():
     for module in (partitions, characters, divisors, chern, cli):
         found = {name for name in _imported_names(module) if name.split(".")[-1] in enumerators}
         assert not found, (module.__name__, found)
+
+
+def test_cli_imports_command_layers_per_command():
+    # chern, rank and generating never load characters, moduli or verify
+    deferred = {"characters", "moduli", "verify"}
+    found = {name for name in _imported_names(cli, top_level=True) if deferred & set(name.split("."))}
+    assert not found
+    assert deferred <= {name.split(".")[-1] for name in _imported_names(cli)}
 
 
 def test_module_caches_are_bounded():
@@ -117,9 +130,7 @@ def _unread_imports(path: Path) -> set[str]:
 
 
 def test_every_import_is_read():
-    # hilbtaut/__init__.py is exempt: its imports are the package's re-exports
     src = Path(partitions.__file__).parent
-    paths = [p for p in src.glob("*.py") if p.name != "__init__.py"]
-    paths += Path(__file__).parent.glob("*.py")
+    paths = [*src.glob("*.py"), *Path(__file__).parent.glob("*.py")]
     unread = {p.relative_to(src.parents[1]).as_posix(): _unread_imports(p) for p in paths}
     assert {path: names for path, names in unread.items() if names} == {}

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbtaut import cli, moduli
+from hilbtaut import cli, moduli, partitions
 from hilbtaut.characters import character_table, identity_type, transposition_type
 from hilbtaut.chern import (
     BundleBlock,
@@ -15,6 +15,8 @@ from hilbtaut.chern import (
     b_class,
     c1,
     generating_polynomial,
+    r_number,
+    rank_G,
     regular_checksum,
 )
 from hilbtaut.divisors import ClassPolynomial, DivisorClass
@@ -61,6 +63,9 @@ def test_wrong_types_and_zero_denominators_raise_value_error(call):
         call()
 
 
+ONE_BLOCK_TABLE = moduli.HomTable(((1,),), ((0,),), ("A",), (Fraction(0),))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -85,13 +90,25 @@ def test_wrong_types_and_zero_denominators_raise_value_error(call):
         lambda: moduli.check_conditions(5),
         lambda: moduli.stability_certificate((1, 1), 5),
         lambda: identity_type(2.5),
+        lambda: rank_G(5),
+        lambda: b_class(5),
+        lambda: r_number(5),
+        lambda: c1(5),
+        lambda: moduli.equivariant_end_dims(5, ONE_BLOCK_TABLE),
+        lambda: moduli.moduli_component_dim(ONE_BLOCK_TABLE, 5),
+        lambda: partitions.reduce_once((2, 1), "1"),
+        lambda: partitions.reduce_twice((2, 1), 1, "1"),
+        lambda: partitions.LabeledSetPartition(5),
     ],
     ids=[
         "parse-int", "class-int", "monomial-int", "partitions-float", "table-str",
         "table-float", "transposition-str", "checksum-float", "generating-float",
         "generating-input", "verify-float", "verify-str", "spec-int", "spec-block",
         "build-block", "polynomial-terms-int", "spec-document-int", "dispatch-int",
-        "conditions-int", "stability-table-int", "identity-type-float",
+        "conditions-int", "stability-table-int", "identity-type-float", "rank-int",
+        "b-class-int", "r-number-int", "c1-int", "end-dims-spec-int",
+        "component-dim-spec-int", "reduce-once-str", "reduce-twice-str",
+        "labels-int",
     ],
 )
 def test_library_entry_points_reject_wrong_types_with_value_error(call):

@@ -276,3 +276,6 @@ def test_labeled_set_partition_api():
     assert coset.counts() == {1: 2, 2: 1}
     assert not coset.is_identity
     assert LabeledSetPartition((1, 1, 2)).is_identity
+    with pytest.raises(ValueError, match="^labels must be positive integers"):
+        LabeledSetPartition((1, 0))
+    assert LabeledSetPartition(coset) is coset
