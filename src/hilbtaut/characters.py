@@ -19,6 +19,7 @@ from .partitions import (
     MAX_PARTITION_N,
     Partition,
     YoungDiagram,
+    _all_of,
     _is_int,
     content_sum,
     dimension,
@@ -104,6 +105,16 @@ class CharacterTable:
     """
 
     def __init__(self, degree: int, diagrams, cycle_types, class_sizes, values):
+        def is_sequence(x) -> bool:
+            return isinstance(x, (list, tuple))
+
+        if not _is_int(degree) or not (
+            _all_of((diagrams, cycle_types, class_sizes), is_sequence) and _all_of(values, is_sequence)
+        ):
+            raise ValueError(
+                "a character table needs an integer degree and lists or tuples of "
+                "diagrams, cycle types, class sizes and value rows"
+            )
         self.degree = degree
         self.diagrams = tuple(diagrams)
         self.cycle_types = tuple(cycle_types)

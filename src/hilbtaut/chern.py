@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .divisors import (
@@ -30,10 +30,10 @@ from .partitions import (
     YoungDiagram,
     _all_of,
     _is_int,
+    _multinomial,
     content_sum,
     dimension,
     index_p,
-    multinomial_index,
 )
 
 _ZERO_SYMBOLS = ("", "0")
@@ -66,9 +66,9 @@ def _tuples_of(k: int):
 class BundleBlock:
     """One input bundle with the representation attached to its block.
 
-    `rep_dim` and `rep_content`, the dimension and the content sum of `rep`,
-    are computed at construction; they are not fields, so equality, hashing
-    and repr ignore them.
+    `size`, `rep_dim` and `rep_content`, the size, the dimension and the
+    content sum of `rep`, are computed at construction; they are not fields,
+    so equality, hashing and repr ignore them.
     """
 
     rank: int
@@ -77,49 +77,56 @@ class BundleBlock:
 
     def __post_init__(self):
         _check_rank(self.rank)
-        object.__setattr__(self, "rep", YoungDiagram(self.rep))
+        rep = YoungDiagram(self.rep)
         _check_c1_symbol(self.c1_symbol)
-        object.__setattr__(self, "rep_dim", dimension(self.rep))
-        object.__setattr__(self, "rep_content", content_sum(self.rep))
+        # frozen: the validated rep and the invariants go straight into
+        # the instance dict
+        vars(self).update(
+            rep=rep, size=rep.n, rep_dim=dimension(rep), rep_content=content_sum(rep)
+        )
 
     @property
     def c1_class(self) -> DivisorClass:
         return _symbol_class(self.c1_symbol)
 
 
+def _raise_for_block(lam: LabeledComposition, blocks: tuple) -> None:
+    # the first block that is not a BundleBlock of its part's size
+    for idx, (size, blk) in enumerate(zip(lam, blocks), start=1):
+        if not isinstance(blk, BundleBlock):
+            raise ValueError(f"block {idx}: {blk!r} is not a BundleBlock")
+        if blk.size != size:
+            raise ValueError(f"block {idx}: rep {tuple(blk.rep)} is not a partition of {size}")
+
+
 @dataclass(frozen=True)
 class BundleSpec:
     """Composition of n together with one BundleBlock per part.
 
-    Computed at construction and not fields (equality, hashing and repr
-    ignore them): `s`, the product of rank_i ** lambda_i (the fibre
-    dimension of one summand), and `w`, the product of the representation
-    dimensions.
+    Computed at construction, in one pass over the blocks, and not fields
+    (equality, hashing and repr ignore them): `n`, the number of points;
+    `s`, the product of rank_i ** lambda_i (the fibre dimension of one
+    summand); and `w`, the product of the representation dimensions.
     """
 
     lam: LabeledComposition
     blocks: tuple[BundleBlock, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", LabeledComposition(self.lam))
-        if not isinstance(self.blocks, (tuple, list)):
-            raise ValueError(f"blocks must be a list or tuple, got {self.blocks!r}")
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        if len(self.blocks) != self.lam.k:
-            raise ValueError(
-                f"{len(self.blocks)} blocks for a composition with {self.lam.k} parts"
-            )
-        for idx, (size, blk) in enumerate(zip(self.lam, self.blocks), start=1):
-            if not isinstance(blk, BundleBlock):
-                raise ValueError(f"block {idx}: {blk!r} is not a BundleBlock")
-            if blk.rep.n != size:
-                raise ValueError(
-                    f"block {idx}: rep {tuple(blk.rep)} is not a partition of {size}"
-                )
-        object.__setattr__(
-            self, "s", prod(blk.rank**size for size, blk in zip(self.lam, self.blocks))
-        )
-        object.__setattr__(self, "w", prod(blk.rep_dim for blk in self.blocks))
+        lam, blocks = LabeledComposition(self.lam), self.blocks
+        if not isinstance(blocks, (tuple, list)):
+            raise ValueError(f"blocks must be a list or tuple, got {blocks!r}")
+        blocks = tuple(blocks)
+        if len(blocks) != len(lam):
+            raise ValueError(f"{len(blocks)} blocks for a composition with {lam.k} parts")
+        n, s, w = 0, 1, 1
+        for size, blk in zip(lam, blocks):
+            if not isinstance(blk, BundleBlock) or blk.size != size:
+                _raise_for_block(lam, blocks)
+            n += size
+            s *= blk.rank**size
+            w *= blk.rep_dim
+        vars(self).update(lam=lam, blocks=blocks, n=n, s=s, w=w)
 
     @classmethod
     def build(
@@ -131,10 +138,6 @@ class BundleSpec:
             LabeledComposition(sizes),
             tuple(BundleBlock(rank, symbol, YoungDiagram(rep)) for rank, symbol, rep in blocks),
         )
-
-    @property
-    def n(self) -> int:
-        return self.lam.n
 
     @property
     def k(self) -> int:
@@ -175,15 +178,16 @@ def b_class(spec: BundleSpec) -> DivisorClass:
     """
     n, rank = spec.n, rank_G(spec)
     surface: dict[str, int] = {}
-    for i, (size, blk) in enumerate(zip(spec.lam, spec.blocks), start=1):
-        if blk.c1_symbol not in _ZERO_SYMBOLS:
-            term = rank // blk.rank * size
+    for i, blk in enumerate(spec.blocks, start=1):
+        symbol = blk.c1_symbol
+        if symbol not in _ZERO_SYMBOLS:
+            term = rank // blk.rank * blk.size
             coeff, rem = divmod(term, n)
             if rem:
                 raise IntegralityError(f"b_class: block {i} term {term}/{n} is not an integer")
-            surface[blk.c1_symbol] = surface.get(blk.c1_symbol, 0) + coeff
+            surface[symbol] = surface.get(symbol, 0) + coeff
     # the symbols were checked when the blocks were built
-    return DivisorClass._trusted(surface, 0)
+    return DivisorClass._surface_of(surface)
 
 
 @_once_per_spec
@@ -246,7 +250,7 @@ def _coefficient(n: int, inputs, expts: tuple[int, ...], sign: int) -> DivisorCl
     # r_i M(n-2; a-2e_i) r^{a-2e_i} = X a_i (a_i-1) / (n (n-1) r_i), exactly
     if sum(expts) != n:
         return DivisorClass.zero()
-    x = multinomial_index(expts)
+    x = _multinomial(expts)
     for (rank, _), e in zip(inputs, expts):
         x *= rank**e
     surface: dict[str, int] = {}
@@ -255,8 +259,11 @@ def _coefficient(n: int, inputs, expts: tuple[int, ...], sign: int) -> DivisorCl
         if e and symbol not in _ZERO_SYMBOLS:
             surface[symbol] = surface.get(symbol, 0) + x * e // (n * rank)
         pairs += x * e * (e - 1) // (n * (n - 1) * rank)
-    # the symbols were checked by _generating_inputs
-    return DivisorClass._trusted(surface, Fraction(-(x + sign * pairs), 2))
+    # a Fraction only when the delta coefficient is a half-integer; the
+    # symbols were checked by _generating_inputs
+    twice_delta = -(x + sign * pairs)
+    delta = Fraction(twice_delta, 2) if twice_delta % 2 else twice_delta // 2
+    return DivisorClass._trusted(surface, delta)
 
 
 def _check_monomial_count(n: int, k: int) -> None:
@@ -289,7 +296,7 @@ def generating_polynomial(
     inputs, sign = _generating_inputs(n, inputs, variant)
     k = len(inputs)
     _check_monomial_count(n, k)
-    return ClassPolynomial(
+    return ClassPolynomial._trusted(
         k, {a: _coefficient(n, inputs, a, sign) for a in _weak_compositions(n, k)}
     )
 

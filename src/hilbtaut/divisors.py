@@ -89,6 +89,15 @@ class DivisorClass:
         obj.delta = _canonical(delta)
         return obj
 
+    @classmethod
+    def _surface_of(cls, surface: Mapping[str, int]) -> DivisorClass:
+        # A class with no delta part, from checked symbols and non-zero int
+        # coefficients (the stored form already): only the sort is left.
+        obj = cls.__new__(cls)
+        obj.surface = dict(sorted(surface.items()))
+        obj.delta = 0
+        return obj
+
     def _minus_delta(self, coeff: Rational) -> DivisorClass:
         # self - coeff * delta: the surface is already checked, sorted and
         # canonical, so only the new delta is validated and made canonical
@@ -261,6 +270,15 @@ class ClassPolynomial:
             if not cls_val.is_zero:
                 clean[_check_exponents(self.nvars, expts)] = cls_val
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: Mapping[tuple[int, ...], DivisorClass]) -> ClassPolynomial:
+        # Terms built from checked inputs: exponent tuples of arity nvars and
+        # DivisorClass values; only the zero coefficients are dropped.
+        obj = cls.__new__(cls)
+        obj.nvars = nvars
+        obj.terms = {expts: val for expts, val in terms.items() if not val.is_zero}
+        return obj
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassPolynomial):

@@ -37,9 +37,9 @@ from .partitions import (
     LabeledSetPartition,
     _all_of,
     _is_int,
+    _multinomial,
     bounded_index_p,
     iter_cosets,
-    multinomial_index,
     standard_tensor_multiplicity,
 )
 
@@ -501,7 +501,7 @@ def _lex_rank(labels: Sequence[int], counts: Sequence[int]) -> int:
     # multiset (counts[j] copies of label j + 1) in lexicographic order
     counts = list(counts)
     left = len(labels)
-    arrangements = multinomial_index(counts)
+    arrangements = _multinomial(counts)
     rank = 0
     for lab in labels:
         for v in range(lab - 1):

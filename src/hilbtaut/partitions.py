@@ -134,7 +134,7 @@ class LabeledSetPartition(tuple):
     @property
     def is_identity(self) -> bool:
         """True for the coset of the subgroup itself (labels non-decreasing)."""
-        return all(a <= b for a, b in zip(self, self[1:]))
+        return list(self) == sorted(self)
 
     def label_of(self, position: int) -> int:
         """Label of a 1-based position."""
@@ -217,7 +217,8 @@ def _hook_dimension(d: Partition) -> int:
         (row - j) + (conj[j] - i) - 1 for i, row in enumerate(d) for j in range(row)
     )
     q, rem = divmod(factorial(d.n), hooks)
-    assert rem == 0, f"hook product {hooks} does not divide {d.n}!"
+    if rem:
+        raise ArithmeticError(f"hook product {hooks} does not divide {d.n}!")
     return q
 
 
@@ -229,12 +230,25 @@ def content_sum(d: Sequence[int]) -> int:
 
 def multinomial_index(parts: Sequence[int]) -> int:
     """(sum parts)! / prod(parts!); the index of a Young subgroup."""
+    if not _all_of(parts, lambda p: _is_int(p) and p >= 0):
+        raise ValueError(f"parts must be a list or tuple of non-negative integers, got {parts!r}")
+    return _multinomial(parts)
+
+
+def _multinomial(parts: Sequence[int]) -> int:
+    # multinomial_index on parts the caller has already checked
     return factorial(sum(parts)) // prod(factorial(p) for p in parts)
 
 
 def index_p(lam: Sequence[int]) -> int:
     """Number of right cosets of the Young subgroup of a composition."""
-    return multinomial_index(LabeledComposition(lam))
+    return _index(LabeledComposition(lam))
+
+
+@lru_cache(maxsize=1024)
+def _index(lam: LabeledComposition) -> int:
+    # memoised: a sweep builds thousands of specs on a few compositions
+    return _multinomial(lam)
 
 
 def bounded_index_p(lam: Sequence[int]) -> int:
@@ -290,9 +304,9 @@ def p_reduced(lam: Sequence[int]) -> tuple[dict[int, int], dict[tuple[int, int],
     Both dicts are fresh, so callers may change them.
     """
     lam = LabeledComposition(lam)
-    singles = {i: multinomial_index(reduce_once(lam, i)) for i in range(1, lam.k + 1)}
+    singles = {i: _multinomial(reduce_once(lam, i)) for i in range(1, lam.k + 1)}
     pairs = {
-        (i, j): multinomial_index(reduce_twice(lam, i, j))
+        (i, j): _multinomial(reduce_twice(lam, i, j))
         for i in range(1, lam.k + 1)
         for j in range(i, lam.k + 1)
         if i != j or lam[i - 1] >= 2

@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
-from typing import Callable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import partitions
 from .characters import (
@@ -41,18 +42,11 @@ from .chern import (
 )
 from .divisors import DivisorClass
 from .errors import IntegralityError, SizeLimitError
-from .moduli import (
-    HomTable,
-    StabilityCertificate,
-    VanishingReport,
-    check_conditions,
-    offdiagonal_ext1_vanishing,
-    stability_certificate,
-)
 from .partitions import (
     LabeledComposition,
     LabeledSetPartition,
     Partition,
+    YoungDiagram,
     bounded_index_p,
     dimension,
     enumerate_cosets,
@@ -63,6 +57,11 @@ from .partitions import (
     p_reduced,
     standard_tensor_multiplicity,
 )
+
+# moduli is imported by the suites that scan cosets, so that verify_all,
+# which runs none of them, never loads it
+if TYPE_CHECKING:
+    from .moduli import HomTable, StabilityCertificate, VanishingReport
 
 
 class SuiteResult(NamedTuple):
@@ -161,6 +160,13 @@ _BRUTE_FORCE_MAX = 7
 
 def cycle_type_of(perm: Sequence[int]) -> CycleType:
     """Cycle type of a permutation given as a 0-based image tuple."""
+    if not partitions._all_of(perm, partitions._is_int) or sorted(perm) != list(range(len(perm))):
+        raise ValueError(f"expected a 0-based permutation as a list or tuple, got {perm!r}")
+    return CycleType(_cycle_lengths(perm))
+
+
+def _cycle_lengths(perm: Sequence[int]) -> tuple[int, ...]:
+    # the cycle type of a permutation the caller built, as a plain tuple
     seen = [False] * len(perm)
     lengths = []
     for start in range(len(perm)):
@@ -173,7 +179,7 @@ def cycle_type_of(perm: Sequence[int]) -> CycleType:
             p = perm[p]
             length += 1
         lengths.append(length)
-    return CycleType(sorted(lengths, reverse=True))
+    return tuple(sorted(lengths, reverse=True))
 
 
 def canonical_permutation(c: Sequence[int]) -> tuple[int, ...]:
@@ -197,31 +203,41 @@ def brute_force_character_table(m: int) -> CharacterTable:
     previously extracted constituents), with inner products weighted by
     those counted class sizes.  Exact and slow; degree <= 7.
     """
+    if not partitions._is_int(m) or m < 1:
+        raise ValueError(f"degree must be a positive integer, got {m!r}")
     if m > _BRUTE_FORCE_MAX:
         raise SizeLimitError(f"brute-force table capped at degree {_BRUTE_FORCE_MAX}")
     diagrams = enumerate_partitions(m)
-    sizes: dict[CycleType, int] = {}
+    sizes: dict[tuple[int, ...], int] = {}
     for g in permutations(range(m)):
-        t = cycle_type_of(g)
+        t = _cycle_lengths(g)
         sizes[t] = sizes.get(t, 0) + 1
     cycle_types = diagrams  # same enumeration order
-    reps = {c: canonical_permutation(c) for c in cycle_types}
-    irreducibles: list[dict[CycleType, Fraction]] = []
+    # a class representative g fixes a tabloid when the positions g moves
+    # carry the labels of their images; only those positions are read (the
+    # identity moves none, so it reads position 0 twice and fixes them all)
+    readers = {}
+    for c in cycle_types:
+        g = canonical_permutation(c)
+        moved = [p for p in range(m) if g[p] != p] or [0]
+        readers[c] = itemgetter(*moved), itemgetter(*(g[p] for p in moved))
+    irreducibles: list[dict[CycleType, int]] = []
     for mu in diagrams:
         tabloids = tuple(iter_cosets(mu))
         vals = {
-            c: Fraction(sum(all(lab[g[p]] == lab[p] for p in range(m)) for lab in tabloids))
-            for c, g in reps.items()
+            c: sum(1 for lab in tabloids if at(lab) == image(lab))
+            for c, (at, image) in readers.items()
         }
         for prev in irreducibles:
-            # the sum over all m! permutations, grouped by cycle type
-            mult = Fraction(sum(sizes[c] * vals[c] * prev[c] for c in cycle_types), factorial(m))
+            # the sum over all m! permutations, grouped by cycle type; a
+            # multiplicity is an integer, so the values stay integers
+            mult, rem = divmod(sum(sizes[c] * vals[c] * prev[c] for c in cycle_types), factorial(m))
+            if rem:
+                raise ArithmeticError(f"non-integral multiplicity in degree {m}")
             if mult:
                 vals = {c: vals[c] - mult * prev[c] for c in cycle_types}
         irreducibles.append(vals)
-    if any(v.denominator != 1 for vals in irreducibles for v in vals.values()):
-        raise ArithmeticError(f"non-integral character value in degree {m}")
-    values = [[int(vals[c]) for c in cycle_types] for vals in irreducibles]
+    values = [[vals[c] for c in cycle_types] for vals in irreducibles]
     return CharacterTable(
         m, diagrams, cycle_types, [sizes[c] for c in cycle_types], values
     )
@@ -250,9 +266,10 @@ def inner_product(
     m: int,
 ) -> Fraction:
     """Class-function inner product (1/m!) sum over classes of size*f*g."""
-    total = sum(
-        Fraction(size) * f(c) * g(c) for c, size in conjugacy_classes(m)
-    )
+    if not (callable(f) and callable(g)):
+        raise ValueError(f"f and g must be class functions, got {f!r} and {g!r}")
+    # exact in int while f and g give ints; one division at the end
+    total = sum(size * f(c) * g(c) for c, size in conjugacy_classes(m))
     return Fraction(total, factorial(m))
 
 
@@ -264,11 +281,9 @@ def permutation_character(c: Sequence[int]) -> int:
 def _tensor_multiplicity_by_characters(d: Sequence[int]) -> Fraction:
     """Oracle for standard_tensor_multiplicity: the class-function inner
     product of (permutation character) * chi_d with chi_d."""
-    return inner_product(
-        lambda c: permutation_character(c) * character(d, c),
-        lambda c: character(d, c),
-        sum(d),
-    )
+    m = sum(d)
+    chi = {c: character(d, c) for c in enumerate_partitions(m)}  # once per class
+    return inner_product(lambda c: permutation_character(c) * chi[c], chi.__getitem__, m)
 
 
 def rectangularity_suite(max_m: int = 8) -> SuiteResult:
@@ -300,28 +315,30 @@ def restriction_suite(max_m: int = 10) -> SuiteResult:
 
 
 def _all_specs(n: int, ranks=(1, 2, 3)):
-    # every spec is still built and validated; each (rank, position, rep)
-    # block is built once per call and shared by the specs that carry it
-    blocks: dict[tuple, BundleBlock] = {}
+    # every spec is still built and validated; the blocks of one position
+    # and rep, one per rank, are built once per call and shared by the specs
+    # that carry them
+    blocks: dict[tuple, tuple[BundleBlock, ...]] = {}
 
-    def block(rank: int, i: int, rep) -> BundleBlock:
-        key = (rank, i, rep)
+    def position_blocks(i: int, rep) -> tuple[BundleBlock, ...]:
+        key = (i, rep)
         if key not in blocks:
-            blocks[key] = BundleBlock(rank, f"e{i + 1}", rep)
+            blocks[key] = tuple(BundleBlock(rank, f"e{i + 1}", rep) for rank in ranks)
         return blocks[key]
 
     for lam in enumerate_partitions(n):
         comp = LabeledComposition(lam)
-        k = len(lam)
-        rep_choices = [enumerate_partitions(part) for part in lam]
-        for reps in product(*rep_choices):
-            for rank_tuple in product(ranks, repeat=k):
-                yield BundleSpec(comp, tuple(block(rank_tuple[i], i, reps[i]) for i in range(k)))
+        for reps in product(*(enumerate_partitions(part) for part in lam)):
+            # in rank-tuple order, as product(ranks, repeat=k)
+            for chosen in product(*(position_blocks(i, rep) for i, rep in enumerate(reps))):
+                yield BundleSpec(comp, chosen)
 
 
 def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
     """Assemble the Chern class from the surface part and the rank of the
     sign-twisted restriction to the pairwise diagonal (the blowup route)."""
+    if not isinstance(b, DivisorClass):
+        raise ValueError(f"expected a DivisorClass, got {b!r}")
     return _minus_delta(b, invariant_rank, "c1_via_blowup")
 
 
@@ -336,6 +353,13 @@ def _same_label_pair_counts(parts: tuple[int, ...]) -> dict[int, int]:
     return counts
 
 
+@lru_cache(maxsize=1024)
+def _transposition_character(rep: YoungDiagram) -> int:
+    # the Murnaghan-Nakayama value at a 2-cycle, from character() and never
+    # from the content formula that r_number is built on; once per diagram
+    return character(rep, transposition_type(rep.n))
+
+
 def invariant_restriction_rank(spec: BundleSpec) -> int:
     """Rank of the invariants of the sign-twisted restriction to the
     pairwise diagonal, via the trace of the swap.
@@ -346,17 +370,22 @@ def invariant_restriction_rank(spec: BundleSpec) -> int:
     each worth r_i * (s / r_i^2) * chi_i(transposition) * (w / w_i).
     Returns 0 when n < 2 (there is no pairwise diagonal).
     """
-    n = spec.n
-    if n < 2:
+    if not isinstance(spec, BundleSpec):
+        raise ValueError(f"expected a BundleSpec, got {spec!r}")
+    return _swap_trace_rank(spec)
+
+
+def _swap_trace_rank(spec: BundleSpec) -> int:
+    # invariant_restriction_rank on a spec the caller built
+    if spec.n < 2:
         return 0
     bounded_index_p(spec.lam)
-    counts = _same_label_pair_counts(tuple(spec.lam))
     s, w = spec.s, spec.w
     trace = 0
-    for i, cnt in counts.items():
+    for i, cnt in _same_label_pair_counts(spec.lam).items():
         blk = spec.blocks[i - 1]
         # a fixed coset forces at least two copies of label i, so r_i^2 | s
-        chi = character(blk.rep, transposition_type(spec.lam[i - 1]))
+        chi = _transposition_character(blk.rep)
         trace += cnt * blk.rank * (s // blk.rank**2) * chi * (w // blk.rep_dim)
     dim = rank_G(spec)
     if (dim - trace) % 2:
@@ -365,23 +394,25 @@ def invariant_restriction_rank(spec: BundleSpec) -> int:
 
 
 def rank_oracle_suite(max_n: int = 6, ranks=(1, 2, 3)) -> SuiteResult:
-    """Closed-form delta coefficient vs the swap-trace oracle, full sweep."""
+    """Closed-form delta coefficient vs the swap-trace oracle, full sweep.
+
+    Two checks per spec, whatever the first one finds: the delta
+    coefficients, then c1 against the class assembled from the oracle.
+    """
     checks = 0
     failures: list[str] = []
     for n in range(2, max_n + 1):
         for spec in _all_specs(n, ranks):
             closed = r_number(spec)
-            oracle = invariant_restriction_rank(spec)
-            checks += 1
+            oracle = _swap_trace_rank(spec)
+            checks += 2
             if closed != oracle:
                 failures.append(
                     f"lam={tuple(spec.lam)} ranks={[b.rank for b in spec.blocks]} "
                     f"reps={[tuple(b.rep) for b in spec.blocks]}: {closed} vs {oracle}"
                 )
-                continue
             full = c1(spec)
-            assembled = c1_via_blowup(b_class(spec), oracle)
-            checks += 1
+            assembled = _minus_delta(b_class(spec), oracle, "c1_via_blowup")
             if full != assembled or not full.is_integral:
                 failures.append(f"lam={tuple(spec.lam)}: c1 routes disagree")
     return SuiteResult("chern delta coefficient vs swap-trace oracle", checks, failures)
@@ -439,6 +470,8 @@ def regular_suite(max_n: int = 6, max_rank: int = 3) -> SuiteResult:
 def vanishing_by_enumeration(lam: Sequence[int], table: HomTable) -> VanishingReport:
     """Oracle for offdiagonal_ext1_vanishing: the degree-1 dimension of
     every nontrivial coset in coset order, stopping at the first nonzero."""
+    from .moduli import VanishingReport
+
     lam = LabeledComposition(lam)
     ident = lam.identity_labels()
     n = lam.n
@@ -465,6 +498,8 @@ def vanishing_by_enumeration(lam: Sequence[int], table: HomTable) -> VanishingRe
 def stability_by_enumeration(lam: Sequence[int], table: HomTable) -> StabilityCertificate:
     """Oracle for stability_certificate: a slope witness searched on every
     nontrivial coset in coset order, stopping at the first without one."""
+    from .moduli import StabilityCertificate
+
     lam = LabeledComposition(lam)
     ident = lam.identity_labels()
     labels_of = table.iso_labels
@@ -501,6 +536,8 @@ def _coset_scan_tables(k: int, rng: random.Random):
     # identity Hom (every coset scanned), all-nonzero Hom/Ext^1 (first coset
     # fails), random entries and labels, then one adjacent and one
     # non-adjacent repeated label; Hom diagonals are 1, as ext requires
+    from .moduli import HomTable
+
     def matrix(low: int, high: int):
         return [[rng.randint(low, high) for _ in range(k)] for _ in range(k)]
 
@@ -527,6 +564,8 @@ def _coset_scan_tables(k: int, rng: random.Random):
 def coset_scan_suite(max_n: int = 7) -> SuiteResult:
     """Double-coset vanishing and closed-form stability vs coset enumeration
     on every composition of n <= max_n, under seeded tables."""
+    from .moduli import offdiagonal_ext1_vanishing, stability_certificate
+
     rng = random.Random(20261017)
     checks = 0
     failures: list[str] = []
@@ -586,6 +625,8 @@ def _grouping_tables(k: int, rng: random.Random, count: int):
     # (pairwise fine, no grouping), a chain forcing the reverse order, mutual
     # Ext^1 pairs that must each share a group, then count random tables
     # with about k pairwise relations
+    from .moduli import HomTable
+
     def table(hom, ext1):
         for i in range(k):
             hom[i][i] = 1
@@ -626,6 +667,8 @@ def grouping_suite() -> SuiteResult:
     """Strongly-connected-component grouping vs the backtracking search on
     structured and seeded random tables with k <= 7 blocks, fewer of them
     where the search costs more (1,083 tables in all)."""
+    from .moduli import check_conditions
+
     rng = random.Random(20261018)
     checks = 0
     failures: list[str] = []

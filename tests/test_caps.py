@@ -3,8 +3,8 @@ override, the README names exactly those caps, the Ext path needs no
 character tables, the Chern closed forms need no characters at all, only
 verify.py enumerates for its own sake, cli imports the characters, moduli
 and verify layers only inside the commands that use them, every
-module-level cache is bounded, and every module reads each name it
-imports."""
+module-level cache is bounded, no check is an assert statement, and every
+module reads each name it imports."""
 
 from __future__ import annotations
 
@@ -109,6 +109,19 @@ def test_readme_caps_match_the_code():
         and name.id.startswith("MAX_")
     }
     assert named == defined
+
+
+def test_no_assert_in_the_package():
+    # `python -O` strips assert statements; every check in the package
+    # raises instead
+    src = Path(partitions.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def _unread_imports(path: Path) -> set[str]:

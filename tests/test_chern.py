@@ -93,6 +93,41 @@ def test_r_number_closed_form_runs_once_per_spec(monkeypatch):
     assert calls == [(2, 1), (1,)]
 
 
+def test_swap_trace_suite_reports_one_wrong_closed_form(monkeypatch):
+    # every spec still reaches the product path: a closed form that is off
+    # by one on a single spec is that spec's one failure, and no check is
+    # skipped
+    clean = verify.rank_oracle_suite(4)
+    target = list(verify._all_specs(4))[40]
+    closed_form = verify.r_number
+    monkeypatch.setattr(
+        verify, "r_number", lambda spec: closed_form(spec) + (spec == target)
+    )
+    result = verify.rank_oracle_suite(4)
+    r = r_number(target)
+    assert result.failures == [
+        f"lam={tuple(target.lam)} ranks={[b.rank for b in target.blocks]} "
+        f"reps={[tuple(b.rep) for b in target.blocks]}: {r + 1} vs {r}"
+    ]
+    assert (clean.failures, result.checks) == ([], clean.checks)
+
+
+def test_swap_trace_suite_reports_a_wrong_character_value(monkeypatch):
+    # the oracle's 2-cycle value of (2, 1) is 0; moved by 2, the swap trace
+    # keeps its parity and every spec with a (2, 1) block on a repeated
+    # label must disagree with the closed form
+    clean = verify.rank_oracle_suite(4)
+    value = verify._transposition_character
+    monkeypatch.setattr(
+        verify, "_transposition_character", lambda rep: value(rep) + 2 * (rep == (2, 1))
+    )
+    result = verify.rank_oracle_suite(4)
+    delta_failures = [f for f in result.failures if " vs " in f]
+    assert delta_failures and all("(2, 1)" in f.split("reps=")[1] for f in delta_failures)
+    assert len(result.failures) == 2 * len(delta_failures)
+    assert result.checks == clean.checks
+
+
 def _pair_index_reference(spec: BundleSpec) -> tuple[DivisorClass, int]:
     # the pair-index form: position-1 and positions-1,2 coset counts from
     # p_reduced, same-block pairs weighed by the 2-cycle restriction

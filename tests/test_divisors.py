@@ -7,8 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from hilbtaut import cli, moduli, partitions
-from hilbtaut.characters import character_table, identity_type, transposition_type
+from hilbtaut import cli, moduli, partitions, verify
+from hilbtaut.characters import (
+    CharacterTable,
+    character_table,
+    identity_type,
+    transposition_type,
+)
 from hilbtaut.chern import (
     BundleBlock,
     BundleSpec,
@@ -99,6 +104,14 @@ ONE_BLOCK_TABLE = moduli.HomTable(((1,),), ((0,),), ("A",), (Fraction(0),))
         lambda: partitions.reduce_once((2, 1), "1"),
         lambda: partitions.reduce_twice((2, 1), 1, "1"),
         lambda: partitions.LabeledSetPartition(5),
+        lambda: partitions.multinomial_index(5),
+        lambda: CharacterTable(5, 5, 5, 5, 5),
+        lambda: verify.c1_via_blowup(5, 5),
+        lambda: verify.cycle_type_of(5),
+        lambda: verify.cycle_type_of((0, 0)),
+        lambda: verify.inner_product(5, 5, 5),
+        lambda: verify.invariant_restriction_rank(5),
+        lambda: verify.brute_force_character_table("3"),
     ],
     ids=[
         "parse-int", "class-int", "monomial-int", "partitions-float", "table-str",
@@ -108,7 +121,8 @@ ONE_BLOCK_TABLE = moduli.HomTable(((1,),), ((0,),), ("A",), (Fraction(0),))
         "conditions-int", "stability-table-int", "identity-type-float", "rank-int",
         "b-class-int", "r-number-int", "c1-int", "end-dims-spec-int",
         "component-dim-spec-int", "reduce-once-str", "reduce-twice-str",
-        "labels-int",
+        "labels-int", "multinomial-int", "table-ints", "blowup-int", "cycle-type-int",
+        "cycle-type-repeat", "inner-product-int", "swap-trace-int", "brute-table-str",
     ],
 )
 def test_library_entry_points_reject_wrong_types_with_value_error(call):

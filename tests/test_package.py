@@ -120,8 +120,9 @@ def test_import_runs_no_submodule():
         (["generating", "--n", "3", "--ranks", "2,1", "--symbols", "a,b"], []),
         (["char", "--n", "3"], ["characters"]),
         (["conditions", "--spec", json.dumps({**SPEC, "hom_table": TABLE})], ["moduli"]),
+        (["verify", "--max-n", "2"], ["characters", "verify"]),
     ],
-    ids=["chern", "rank", "generating", "char", "conditions"],
+    ids=["chern", "rank", "generating", "char", "conditions", "verify"],
 )
 def test_each_command_runs_only_its_layers(argv, extra):
     out = _probe(

@@ -141,6 +141,19 @@ def test_dimension_vs_backtracking_oracle():
             assert dimension(d) == count_standard_tableaux(d), d
 
 
+def test_hook_product_remainder_raises_without_assert(monkeypatch):
+    # a hook product that does not divide n! raises ArithmeticError, which
+    # `python -O` keeps; 3! + 1 is not a multiple of the hook product 3
+    real = partitions.factorial
+    monkeypatch.setattr(partitions, "factorial", lambda m: real(m) + (m == 3))
+    partitions._hook_dimension.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="^hook product 3 does not divide 3!$"):
+            dimension((2, 1))
+    finally:
+        partitions._hook_dimension.cache_clear()
+
+
 def test_multinomial_index():
     assert multinomial_index(()) == 1
     assert multinomial_index((3,)) == 1
