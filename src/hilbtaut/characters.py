@@ -124,10 +124,18 @@ class CharacterTable:
         self._col_index = {c: i for i, c in enumerate(self.cycle_types)}
 
     def value(self, d: Sequence[int], c: Sequence[int]) -> int:
-        return self.values[self._row_index[Partition(d)]][self._col_index[Partition(c)]]
+        return self.row(d)[self._lookup(self._col_index, c, "cycle type")]
 
     def row(self, d: Sequence[int]) -> tuple[int, ...]:
-        return self.values[self._row_index[Partition(d)]]
+        return self.values[self._lookup(self._row_index, d, "diagram")]
+
+    def _lookup(self, index: dict, p: Sequence[int], kind: str) -> int:
+        p = Partition(p)
+        if p not in index:
+            raise ShapeMismatchError(
+                f"{kind} {tuple(p)} of {p.n} is not in the table of degree {self.degree}"
+            )
+        return index[p]
 
 
 @lru_cache(maxsize=MAX_PARTITION_N)

@@ -288,41 +288,33 @@ def _cmd_char(args) -> int:
     from .characters import character_table
 
     table = character_table(args.n)
-    rows = table.diagrams
+    labels, rows = table.diagrams, table.values
     if args.diagram is not None:
         wanted = Partition(args.diagram)
         if wanted.n != args.n:
             raise SpecValidationError(
                 f"--diagram {tuple(wanted)} is not a partition of {args.n}"
             )
-        rows = (wanted,)
+        labels, rows = (wanted,), (table.row(wanted),)
+    # each cell is rendered once; the widths are read off those strings
+    cells = [[str(v) for v in row] for row in rows]
     headers = [_ptext(c) for c in table.cycle_types]
-    widths = [
-        max(len(h), *(len(str(table.value(d, c))) for d in rows))
-        for h, c in zip(headers, table.cycle_types)
-    ]
-    label_width = max(len(_ptext(d)) for d in rows)
-    label_width = max(label_width, len("sizes"))
-    print(f"character table of degree {args.n}")
-    print(
-        " ".join([" " * label_width] + [h.rjust(w) for h, w in zip(headers, widths)])
-    )
-    print(
+    widths = [max(len(h), *map(len, column)) for h, column in zip(headers, zip(*cells))]
+    labels = [_ptext(d) for d in labels]
+    label_width = max(len("sizes"), *map(len, labels))
+    lines = [
+        f"character table of degree {args.n}",
+        " ".join([" " * label_width] + [h.rjust(w) for h, w in zip(headers, widths)]),
         " ".join(
             ["sizes".ljust(label_width)]
             + [str(s).rjust(w) for s, w in zip(table.class_sizes, widths)]
+        ),
+    ]
+    for label, row in zip(labels, cells):
+        lines.append(
+            " ".join([label.ljust(label_width)] + [c.rjust(w) for c, w in zip(row, widths)])
         )
-    )
-    for d in rows:
-        print(
-            " ".join(
-                [_ptext(d).ljust(label_width)]
-                + [
-                    str(table.value(d, c)).rjust(w)
-                    for c, w in zip(table.cycle_types, widths)
-                ]
-            )
-        )
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -49,7 +49,6 @@ from .partitions import (
     YoungDiagram,
     bounded_index_p,
     dimension,
-    enumerate_cosets,
     enumerate_partitions,
     index_p,
     is_rectangular,
@@ -115,23 +114,29 @@ def coset_count_suite(max_n: int = 6) -> SuiteResult:
     checks = 0
     failures: list[str] = []
     for lam in _sweep_compositions(max_n):
-        cosets = enumerate_cosets(lam)
         singles, pairs = p_reduced(lam)
         checks += 1
-        if len(cosets) != index_p(lam):
-            failures.append(f"lam={lam}: {len(cosets)} cosets vs index {index_p(lam)}")
-            continue
-        if not cosets[0].is_identity or any(c.is_identity for c in cosets[1:]):
-            failures.append(f"lam={lam}: identity coset not unique or not first")
-        if sum(singles.values()) != index_p(lam):
-            failures.append(f"lam={lam}: single reductions do not sum to the index")
+        # one pass over the cosets, keeping only counts: the identity must
+        # come first and nowhere else
+        count = 0
+        identity_first = True
         first_counts: dict[int, int] = {}
         pair_counts: dict[tuple[int, int], int] = {}
-        for coset in cosets:
+        for coset in iter_cosets(lam):
+            if coset.is_identity != (count == 0):
+                identity_first = False
+            count += 1
             first_counts[coset[0]] = first_counts.get(coset[0], 0) + 1
             if len(coset) >= 2:
                 key = (coset[0], coset[1])
                 pair_counts[key] = pair_counts.get(key, 0) + 1
+        if count != index_p(lam):
+            failures.append(f"lam={lam}: {count} cosets vs index {index_p(lam)}")
+            continue
+        if not identity_first:
+            failures.append(f"lam={lam}: identity coset not unique or not first")
+        if sum(singles.values()) != index_p(lam):
+            failures.append(f"lam={lam}: single reductions do not sum to the index")
         for i, expected in singles.items():
             checks += 1
             if first_counts.get(i, 0) != expected:

@@ -98,6 +98,21 @@ def test_character_shape_mismatch():
         character((2, 1), (2, 2))
 
 
+def test_table_lookup_of_another_degree_is_a_shape_mismatch():
+    table = character_table(3)
+    assert table.value((2, 1), (1, 1, 1)) == 2
+    assert table.row((2, 1)) == (-1, 0, 2)
+    for call in (
+        lambda: table.value((5,), (1, 1, 1)),
+        lambda: table.value((2, 1), (2, 2)),
+        lambda: table.row((2, 2)),
+    ):
+        with pytest.raises(ShapeMismatchError):
+            call()
+    with pytest.raises(ValueError):
+        table.row((1, 2))
+
+
 @pytest.mark.parametrize("m", range(1, 8))
 def test_table_vs_brute_force(m):
     table = character_table(m)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import hilbtaut
-from hilbtaut import cli, moduli, verify
+from hilbtaut import cli, moduli, partitions, verify
+from hilbtaut.characters import character_table
 from hilbtaut.chern import BundleSpec, c1, rank_G
 from hilbtaut.cli import (
     EXIT_INTERNAL,
@@ -309,6 +311,57 @@ def test_char_single_diagram():
     assert code == EXIT_VALIDATION
     code, _ = run_cli("char", "--n", "3", "--diagram", "1,2")
     assert code == EXIT_VALIDATION
+
+
+# sha256 of `char` stdout as the per-cell renderer printed it before `char`
+# read the value rows: the whole table of every degree the partition cap
+# allows, and two single rows
+CHAR_DIGESTS = {
+    ("--n", "1"): "9e9c3278b7bcafe8dff40917680ef10683f96d59c5d2820633778af88604b748",
+    ("--n", "2"): "d0cbea69c5a370892c2cc0493e8556d46ac6e19860f7a1d195ea9a0f6fb661c6",
+    ("--n", "3"): "87dd417dfaf213495332a1cb3a8c4814ef2be5c35ebe0575224f055fbfe61972",
+    ("--n", "4"): "4fc10afd8c6cbc8400d457eff6c00807cf527ff440e796b65d672555bbd64926",
+    ("--n", "5"): "d77b8e546151511d42b4064e305c9fe08fa0485d1f958376bf591603994ebaf3",
+    ("--n", "6"): "7dbde5b50c7192c2e4fbadd67ce1da0762bd207b947268230b94f79f07b78a0d",
+    ("--n", "7"): "76a6e75a3845f129cc1fb07831d46d098c979785aef2d1e8b62bbd0ece7ace46",
+    ("--n", "8"): "d5eaeaa7186f558c77c5b268d152e72a717c1207a01d8b0bfaa259b129681e31",
+    ("--n", "9"): "0c997392d5d515dc999636cbed557baea02017db5cb68d04dd611fd4c44dc60f",
+    ("--n", "10"): "7d91c8b002cb869c643c0bf1cc77348e5dc80252a447b0a1be253c23dfa997b7",
+    ("--n", "11"): "780ed3ff854f9d22d4b2dc05a1cc4ac4c73396c284a2692a744823177031f635",
+    ("--n", "12"): "7feb39bbb6bfed0681f74a510a700bebee70c9965266d1bfa812c291c197b17e",
+    ("--n", "13"): "0820d135fb3858625d0d88322916d2c7cbc2c628ca513e0b6f1464c81fdf0358",
+    ("--n", "14"): "33e67addb726946ff44c85c03758a4c6f77f24f9292ad5d86796656574f10e5c",
+    ("--n", "12", "--diagram", "5,4,2,1"):
+        "095592a1bda843992e798fb5cdddee25d7b4494287035d12bb6efbaa21f7ce3a",
+    ("--n", "14", "--diagram", ",".join(["1"] * 14)):
+        "51ca3db3bd4ff74094c62f71a82d6ef84483f4d2c39023610fd7d1c4c05a7929",
+}
+
+
+@pytest.mark.parametrize("argv", CHAR_DIGESTS, ids=" ".join)
+def test_char_output_pinned(argv):
+    code, out = run_cli("char", *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == CHAR_DIGESTS[argv]
+
+
+def test_char_validates_no_partition_per_cell(monkeypatch):
+    # a warm degree-12 table has 77 x 77 cells; rendering it must not
+    # build a Partition for each of them
+    character_table(12)
+    made = []
+    new = partitions.Partition.__new__
+
+    def counting(cls, *args):
+        made.append(None)
+        return new(cls, *args)
+
+    monkeypatch.setattr(partitions.Partition, "__new__", counting)
+    assert partitions.Partition((2, 1)) == (2, 1) and len(made) == 1
+    made.clear()
+    code, _ = run_cli("char", "--n", "12")
+    assert code == EXIT_OK
+    assert len(made) < 100
 
 
 def test_generating_outputs():
