@@ -1,11 +1,12 @@
 """Exact character theory of symmetric groups.
 
 Irreducible characters are computed by the Murnaghan-Nakayama rule on beta
-numbers (memoised, exact integers).  Its oracle, a table built for small
-degrees from nothing but explicit permutations and tabloid counts, lives in
-verify.py.  The value at a transposition comes from Frobenius's content
-formula instead, for blocks of any size; the Chern closed forms read the
-content sum it is built on.
+numbers, in exact integers: each table from the cached tables of lower
+degree, a single value by a recursion memoised within the one call.  Its
+oracle, a table built for small degrees from nothing but explicit
+permutations and tabloid counts, lives in verify.py.  The value at a
+transposition comes from Frobenius's content formula instead, for blocks of
+any size; the Chern closed forms read the content sum it is built on.
 """
 
 from __future__ import annotations
@@ -64,28 +65,36 @@ def _beta_to_parts(beta: list[int]) -> tuple[int, ...]:
     return tuple(p for p in parts if p)
 
 
-# bounded; a cold degree-14 table needs about 22,300 entries
-@lru_cache(maxsize=32768)
-def _mn(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    # Murnaghan-Nakayama on first-column beta numbers: removing a border
-    # strip of length l moves one beta number down by l, with sign given by
-    # the number of beta numbers jumped over.
-    if not cycles:
-        return 1
-    length, rest = cycles[0], cycles[1:]
+def _border_strips(parts: tuple[int, ...], length: int) -> list[tuple[int, tuple[int, ...]]]:
+    # (sign, what is left) for each border strip of the given length, on
+    # first-column beta numbers: removing a strip of length l moves one beta
+    # number down by l, with sign given by the number of beta numbers jumped
+    # over.
     r = len(parts)
     beta = sorted(parts[i] + r - 1 - i for i in range(r))
     bset = set(beta)
-    total = 0
+    strips = []
     for b in beta:
         nb = b - length
         if nb < 0 or nb in bset:
             continue
         height = sum(1 for x in beta if nb < x < b)
-        sub = sorted(bset - {b} | {nb})
-        term = _mn(_beta_to_parts(sub), rest)
-        total += -term if height % 2 else term
-    return total
+        strips.append((-1 if height % 2 else 1, _beta_to_parts(sorted(bset - {b} | {nb}))))
+    return strips
+
+
+def _mn(parts: tuple[int, ...], cycles: tuple[int, ...], memo: dict) -> int:
+    # Murnaghan-Nakayama: strip the first cycle and recurse on the rest; the
+    # rest is always a suffix of the caller's cycles, so its length keys it.
+    if not cycles:
+        return 1
+    key = (parts, len(cycles))
+    if key not in memo:
+        rest = cycles[1:]
+        memo[key] = sum(
+            sign * _mn(sub, rest, memo) for sign, sub in _border_strips(parts, cycles[0])
+        )
+    return memo[key]
 
 
 def character(d: Sequence[int], c: Sequence[int]) -> int:
@@ -94,7 +103,8 @@ def character(d: Sequence[int], c: Sequence[int]) -> int:
     c = CycleType(c)
     if d.n != c.n:
         raise ShapeMismatchError(f"diagram of {d.n} evaluated at a type of {c.n}")
-    return _mn(tuple(d), tuple(sorted(c, reverse=True)))
+    # the memo lives for this call only
+    return _mn(tuple(d), tuple(c), {})
 
 
 class CharacterTable:
@@ -116,12 +126,32 @@ class CharacterTable:
                 "diagrams, cycle types, class sizes and value rows"
             )
         self.degree = degree
-        self.diagrams = tuple(diagrams)
-        self.cycle_types = tuple(cycle_types)
+        self.diagrams = tuple(self._of_degree(d, "diagram") for d in diagrams)
+        self.cycle_types = tuple(self._of_degree(c, "cycle type") for c in cycle_types)
         self.class_sizes = tuple(class_sizes)
         self.values = tuple(tuple(row) for row in values)
+        width = len(self.cycle_types)
+        if len(self.values) != len(self.diagrams):
+            raise ShapeMismatchError(
+                f"{len(self.values)} value rows for {len(self.diagrams)} diagrams"
+            )
+        if len(self.class_sizes) != width or not all(map(_is_int, self.class_sizes)):
+            raise ShapeMismatchError(
+                f"the table needs one integer class size for each of {width} cycle types"
+            )
+        for d, row in zip(self.diagrams, self.values):
+            if len(row) != width or not all(map(_is_int, row)):
+                raise ShapeMismatchError(
+                    f"the row of {tuple(d)} needs one integer for each of {width} cycle types"
+                )
         self._row_index = {d: i for i, d in enumerate(self.diagrams)}
         self._col_index = {c: i for i, c in enumerate(self.cycle_types)}
+
+    def _of_degree(self, p: Sequence[int], kind: str) -> Partition:
+        p = Partition(p)
+        if p.n != self.degree:
+            raise ShapeMismatchError(f"{kind} {tuple(p)} is not a partition of {self.degree}")
+        return p
 
     def value(self, d: Sequence[int], c: Sequence[int]) -> int:
         return self.row(d)[self._lookup(self._col_index, c, "cycle type")]
@@ -140,10 +170,32 @@ class CharacterTable:
 
 @lru_cache(maxsize=MAX_PARTITION_N)
 def character_table(m: int) -> CharacterTable:
-    """Character table of degree m, kept for each degree the partition cap allows."""
+    """Character table of degree m, kept for each degree the partition cap allows.
+
+    Built from the cached tables of lower degree by the Murnaghan-Nakayama
+    rule: removing the longest cycle l of a type c leaves c[1:], a type of
+    m - l, so chi_d(c) is the signed sum of chi_mu(c[1:]) over the border
+    strips of length l of d, each leaving a diagram mu of m - l.
+    """
     classes = conjugacy_classes(m)
     diagrams = enumerate_partitions(m)
-    values = [[character(d, c) for c, _ in classes] for d in diagrams]
+    lengths = sorted({c[0] for c, _ in classes})
+    lower = {length: character_table(m - length) for length in lengths if length < m}
+    values = []
+    for d in diagrams:
+        strips = {length: _border_strips(d, length) for length in lengths}
+        row = []
+        for c, _ in classes:
+            if c[0] == m:
+                # the empty partition is left, whose only value is 1
+                row.append(sum(sign for sign, _ in strips[m]))
+                continue
+            table = lower[c[0]]
+            col = table._col_index[c[1:]]
+            row.append(
+                sum(sign * table.values[table._row_index[mu]][col] for sign, mu in strips[c[0]])
+            )
+        values.append(row)
     return CharacterTable(
         m, diagrams, [c for c, _ in classes], [s for _, s in classes], values
     )

@@ -287,7 +287,8 @@ def _tensor_multiplicity_by_characters(d: Sequence[int]) -> Fraction:
     """Oracle for standard_tensor_multiplicity: the class-function inner
     product of (permutation character) * chi_d with chi_d."""
     m = sum(d)
-    chi = {c: character(d, c) for c in enumerate_partitions(m)}  # once per class
+    table = character_table(m)
+    chi = dict(zip(table.cycle_types, table.row(d)))
     return inner_product(lambda c: permutation_character(c) * chi[c], chi.__getitem__, m)
 
 

@@ -15,7 +15,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from math import factorial
 
-from hilbtaut.characters import _mn, character_table
+from hilbtaut.characters import character_table
 from hilbtaut.chern import (
     BundleSpec,
     b_class,
@@ -310,7 +310,6 @@ def test_criterion_09_integrality():
 
 def test_criterion_10_performance():
     character_table.cache_clear()
-    _mn.cache_clear()
     started = time.perf_counter()
     table = character_table(12)
     table_elapsed = time.perf_counter() - started

@@ -8,12 +8,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hilbtaut import characters, verify
 from hilbtaut.characters import (
+    CharacterTable,
     character,
     character_table,
     class_size,
@@ -113,6 +119,81 @@ def test_table_lookup_of_another_degree_is_a_shape_mismatch():
         table.row((1, 2))
 
 
+_D3 = [(3,), (2, 1), (1, 1, 1)]
+_S3 = [2, 3, 1]
+_V3 = [[1, 1, 1], [-1, 0, 2], [1, -1, 1]]
+
+
+def test_character_table_of_the_right_shape_is_built():
+    table = CharacterTable(3, _D3, _D3, _S3, _V3)
+    assert table.row((1, 1, 1)) == (1, -1, 1)
+    assert table.values == character_table(3).values
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (3, [(3,), (2, 1), (2, 2)], _D3, _S3, _V3),
+        (3, [(3,), (1, 2), (1, 1, 1)], _D3, _S3, _V3),
+        (3, _D3, [(3,), (2, 1), (1, 1)], _S3, _V3),
+        (3, _D3, _D3, [1, 3, 2], [[1]]),
+        (3, _D3, _D3, _S3, _V3[:2]),
+        (3, _D3, _D3, _S3, [[1, 1], [-1, 0], [1, -1]]),
+        (3, _D3, _D3, _S3, [[1, 1, 1, 1], [-1, 0, 2, 0], [1, -1, 1, 0]]),
+        (3, _D3, _D3, _S3, [[1, 1, "a"], [-1, 0, 2], [1, -1, 1]]),
+        (3, _D3, _D3, _S3, [[1, 1, 1.0], [-1, 0, 2], [1, -1, 1]]),
+        (3, _D3, _D3, [2, 3], _V3),
+        (3, _D3, _D3, [2, 3, "1"], _V3),
+    ],
+    ids=[
+        "diagram-of-4", "diagram-not-a-partition", "type-of-2", "one-row-one-value",
+        "missing-row", "short-rows", "long-rows", "str-value", "float-value",
+        "missing-size", "str-size",
+    ],
+)
+def test_character_table_checks_its_shape(args):
+    with pytest.raises(ValueError):
+        CharacterTable(*args)
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_table_agrees_with_single_values(m):
+    # the table is built from lower-degree tables, character() by its own
+    # recursion; each checks the other, every cell up to degree 10
+    table = character_table(m)
+    cells = [(d, c) for d in table.diagrams for c in table.cycle_types]
+    if m > 10:
+        cells = random.Random(m).sample(cells, 200)
+    for d, c in cells:
+        assert table.value(d, c) == character(d, c), (d, c)
+
+
+_MEMORY_PROBE = """
+import tracemalloc
+from hilbtaut.characters import character_table
+tracemalloc.start()
+character_table(14)
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_character_tables_retain_little_memory():
+    # a fresh process with every table cold, so that no memo an earlier
+    # test warmed hides what building them keeps
+    src = str(Path(characters.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEMORY_PROBE],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    retained = int(proc.stdout)
+    assert retained < 3_000_000, f"{retained} bytes retained after character_table(14)"
+
+
 @pytest.mark.parametrize("m", range(1, 8))
 def test_table_vs_brute_force(m):
     table = character_table(m)
@@ -130,6 +211,7 @@ def test_brute_force_never_uses_murnaghan_nakayama(monkeypatch):
         raise AssertionError("the oracle must not evaluate characters")
 
     monkeypatch.setattr(characters, "_mn", refuse)
+    monkeypatch.setattr(characters, "_border_strips", refuse)
     monkeypatch.setattr(characters, "character", refuse)
     monkeypatch.setattr(verify, "character", refuse)
     brute_force_character_table.cache_clear()
