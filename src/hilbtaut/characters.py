@@ -2,8 +2,8 @@
 
 Irreducible characters are computed by the Murnaghan-Nakayama rule on beta
 numbers, in exact integers: each table from the cached tables of lower
-degree, a single value by a recursion memoised within the one call.  Its
-oracle, a table built for small degrees from nothing but explicit
+degree, a single value by folding its cycles over the diagrams they leave.
+Its oracle, a table built for small degrees from nothing but explicit
 permutations and tabloid counts, lives in verify.py.  The value at a
 transposition comes from Frobenius's content formula instead, for blocks of
 any size; the Chern closed forms read the content sum it is built on.
@@ -83,28 +83,23 @@ def _border_strips(parts: tuple[int, ...], length: int) -> list[tuple[int, tuple
     return strips
 
 
-def _mn(parts: tuple[int, ...], cycles: tuple[int, ...], memo: dict) -> int:
-    # Murnaghan-Nakayama: strip the first cycle and recurse on the rest; the
-    # rest is always a suffix of the caller's cycles, so its length keys it.
-    if not cycles:
-        return 1
-    key = (parts, len(cycles))
-    if key not in memo:
-        rest = cycles[1:]
-        memo[key] = sum(
-            sign * _mn(sub, rest, memo) for sign, sub in _border_strips(parts, cycles[0])
-        )
-    return memo[key]
-
-
 def character(d: Sequence[int], c: Sequence[int]) -> int:
     """Irreducible character of the diagram d at the cycle type c."""
     d = YoungDiagram(d)
     c = CycleType(c)
     if d.n != c.n:
         raise ShapeMismatchError(f"diagram of {d.n} evaluated at a type of {c.n}")
-    # the memo lives for this call only
-    return _mn(tuple(d), tuple(c), {})
+    # Murnaghan-Nakayama, one cycle at a time, longest first: each diagram
+    # left after the cycles so far maps to its signed coefficient, so the
+    # work follows the number of diagrams reached, never a recursion depth
+    layer = {tuple(d): 1}
+    for length in c:
+        nxt: dict[tuple[int, ...], int] = {}
+        for parts, coeff in layer.items():
+            for sign, rest in _border_strips(parts, length):
+                nxt[rest] = nxt.get(rest, 0) + sign * coeff
+        layer = {parts: coeff for parts, coeff in nxt.items() if coeff}
+    return layer.get((), 0)
 
 
 class CharacterTable:

@@ -29,11 +29,11 @@ from .partitions import (
     LabeledComposition,
     YoungDiagram,
     _all_of,
+    _index,
     _is_int,
     _multinomial,
     content_sum,
     dimension,
-    index_p,
 )
 
 _ZERO_SYMBOLS = ("", "0")
@@ -144,16 +144,20 @@ class BundleSpec:
         return self.lam.k
 
 
+def _not_a_spec(value) -> ValueError:
+    return ValueError(f"expected a BundleSpec, got {value!r}")
+
+
 def _once_per_spec(fn):
     # Keep fn(spec) in the spec's own __dict__: c1 and the oracle sweep ask
-    # again for what rank_G, r_number and b_class already computed.  Not a
-    # field, so equality, hashing and repr ignore it.
+    # again for what r_number and b_class already computed.  Not a field, so
+    # equality, hashing and repr ignore it.
     key = f"_{fn.__name__}"
 
     @wraps(fn)
     def memoised(spec: BundleSpec):
         if not isinstance(spec, BundleSpec):
-            raise ValueError(f"expected a BundleSpec, got {spec!r}")
+            raise _not_a_spec(spec)
         memo = spec.__dict__
         if key not in memo:
             memo[key] = fn(spec)
@@ -162,10 +166,17 @@ def _once_per_spec(fn):
     return memoised
 
 
-@_once_per_spec
 def rank_G(spec: BundleSpec) -> int:
     """Rank of the induced bundle: (number of cosets) * s * w."""
-    return index_p(spec.lam) * spec.s * spec.w
+    if not isinstance(spec, BundleSpec):
+        raise _not_a_spec(spec)
+    return _rank(spec)
+
+
+def _rank(spec: BundleSpec) -> int:
+    # rank_G on a spec the caller built: the coset index is memoised per
+    # composition, so this is one lookup and two products
+    return _index(spec.lam) * spec.s * spec.w
 
 
 @_once_per_spec
@@ -176,7 +187,7 @@ def b_class(spec: BundleSpec) -> DivisorClass:
     rank_G(spec): lambda_i / n of the cosets give position 1 the label i,
     and r_i divides s, a factor of R, because block i has a position.
     """
-    n, rank = spec.n, rank_G(spec)
+    n, rank = spec.n, _rank(spec)
     surface: dict[str, int] = {}
     for i, blk in enumerate(spec.blocks, start=1):
         symbol = blk.c1_symbol
@@ -203,22 +214,23 @@ def r_number(spec: BundleSpec) -> int:
     n = spec.n
     if n < 2:
         return 0
-    rank = rank_G(spec)
-    num = rank * comb(n, 2) - sum(rank // blk.rank * blk.rep_content for blk in spec.blocks)
+    rank = _rank(spec)
+    num = rank * comb(n, 2)
+    for blk in spec.blocks:
+        num -= rank // blk.rank * blk.rep_content
     total, rem = divmod(num, n * (n - 1))
     if rem:
         raise IntegralityError(f"r_number: {num}/{n * (n - 1)} is not an integer")
     return total
 
 
-def _minus_delta(b: DivisorClass, coeff: int, context: str) -> DivisorClass:
-    # b - coeff * delta, without re-checking b's surface
-    return b._minus_delta(coeff).require_integral(context)
-
-
 def c1(spec: BundleSpec) -> DivisorClass:
-    """First Chern class b_class - r_number * delta."""
-    return _minus_delta(b_class(spec), r_number(spec), "c1")
+    """First Chern class b_class - r_number * delta.
+
+    Integral by construction: b_class has int coefficients and r_number is
+    an int, or each raises IntegralityError.
+    """
+    return b_class(spec)._minus_delta(r_number(spec))
 
 
 def _weak_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -266,14 +278,6 @@ def _coefficient(n: int, inputs, expts: tuple[int, ...], sign: int) -> DivisorCl
     return DivisorClass._trusted(surface, delta)
 
 
-def _check_monomial_count(n: int, k: int) -> None:
-    # a full expansion of degree n in k variables has comb(n + k - 1, k - 1)
-    # monomials; past MAX_MONOMIALS it is refused before any work
-    count = comb(n + k - 1, k - 1)
-    if count > MAX_MONOMIALS:
-        raise SizeLimitError(f"{count} monomials exceed the bound {MAX_MONOMIALS}")
-
-
 def generating_polynomial(
     n: int, inputs: Sequence[tuple[int, str]], variant: str = "trivial"
 ) -> ClassPolynomial:
@@ -295,7 +299,10 @@ def generating_polynomial(
     """
     inputs, sign = _generating_inputs(n, inputs, variant)
     k = len(inputs)
-    _check_monomial_count(n, k)
+    # comb(n + k - 1, k - 1) monomials, refused before any work past the cap
+    count = comb(n + k - 1, k - 1)
+    if count > MAX_MONOMIALS:
+        raise SizeLimitError(f"{count} monomials exceed the bound {MAX_MONOMIALS}")
     return ClassPolynomial._trusted(
         k, {a: _coefficient(n, inputs, a, sign) for a in _weak_compositions(n, k)}
     )

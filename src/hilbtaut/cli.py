@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error, 2 internal consistency failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,8 @@ from .errors import (
 from .partitions import LabeledComposition, Partition, YoungDiagram, _all_of, _is_int
 
 # characters, moduli and verify are imported by the commands that use them,
-# so a chern, rank or generating call never loads them
+# so a chern, rank or generating call never loads them; json likewise, by
+# the functions that read or print it, so a plain verify never loads it
 if TYPE_CHECKING:
     from .moduli import HomTable
 
@@ -73,6 +73,8 @@ class SpecDocument:
 
 
 def _load_json(source: str | Path) -> object:
+    import json
+
     if isinstance(source, Path) or not source.lstrip().startswith(("{", "[")):
         try:
             text = Path(source).read_text()
@@ -173,6 +175,8 @@ def _require_table(doc: SpecDocument, command: str) -> HomTable:
 
 
 def _print_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
@@ -353,7 +357,7 @@ def _cmd_verify(args) -> int:
             {"name": res.name, "checks": res.checks, "failures": res.failures, "seconds": res.seconds}
             for res in results
         ]
-        print(json.dumps({"ok": ok, "suites": suites}, sort_keys=True, indent=2))
+        _print_json({"ok": ok, "suites": suites})
     else:
         for res in results:
             if res.ok:

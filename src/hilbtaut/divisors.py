@@ -90,11 +90,14 @@ class DivisorClass:
         return obj
 
     @classmethod
-    def _surface_of(cls, surface: Mapping[str, int]) -> DivisorClass:
+    def _surface_of(cls, surface: dict[str, int]) -> DivisorClass:
         # A class with no delta part, from checked symbols and non-zero int
-        # coefficients (the stored form already): only the sort is left.
+        # coefficients (the stored form already), in a dict the caller hands
+        # over: only the sort is left, and only when the symbols are out of
+        # order.
         obj = cls.__new__(cls)
-        obj.surface = dict(sorted(surface.items()))
+        names = list(surface)
+        obj.surface = surface if names == sorted(names) else dict(sorted(surface.items()))
         obj.delta = 0
         return obj
 
@@ -160,7 +163,9 @@ class DivisorClass:
     @property
     def is_integral(self) -> bool:
         # in the stored form only a non-integral coefficient is a Fraction
-        return Fraction not in map(type, (self.delta, *self.surface.values()))
+        if type(self.delta) is Fraction:
+            return False
+        return Fraction not in map(type, self.surface.values())
 
     def require_integral(self, context: str = "divisor class") -> DivisorClass:
         if not self.is_integral:

@@ -149,16 +149,18 @@ class LabeledSetPartition(tuple):
         return out
 
 
-# one key per (n, largest) the partition cap allows
+# one key per (n, largest) the partition cap allows; the entries are
+# Partitions, valid by construction, so they are built once and shared
 @lru_cache(maxsize=(MAX_PARTITION_N + 1) ** 2)
-def _partitions_desc(n: int, largest: int) -> tuple[tuple[int, ...], ...]:
+def _partitions_desc(n: int, largest: int) -> tuple[Partition, ...]:
     if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions_desc(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+        return (Partition(),)
+    new = tuple.__new__
+    return tuple(
+        new(Partition, (first, *rest))
+        for first in range(min(n, largest), 0, -1)
+        for rest in _partitions_desc(n - first, first)
+    )
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -171,7 +173,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
         raise ValueError(f"n must be >= 1, got {n!r}")
     if n > MAX_PARTITION_N:
         raise SizeLimitError(f"n = {n} exceeds the partition bound {MAX_PARTITION_N}")
-    return [Partition(p) for p in _partitions_desc(n, n)]
+    return list(_partitions_desc(n, n))
 
 
 def conjugate(d: Sequence[int]) -> Partition:

@@ -158,14 +158,22 @@ def test_character_table_checks_its_shape(args):
 
 @pytest.mark.parametrize("m", range(1, 15))
 def test_table_agrees_with_single_values(m):
-    # the table is built from lower-degree tables, character() by its own
-    # recursion; each checks the other, every cell up to degree 10
+    # the table is built from lower-degree tables, character() by folding
+    # the cycles of one type; each checks the other, every cell up to degree 10
     table = character_table(m)
     cells = [(d, c) for d in table.diagrams for c in table.cycle_types]
     if m > 10:
         cells = random.Random(m).sample(cells, 200)
     for d, c in cells:
         assert table.value(d, c) == character(d, c), (d, c)
+
+
+def test_character_answers_deep_inputs():
+    # one fold step per cycle, no stack frame per cycle: a thousand cycles
+    # raised RecursionError when each cycle was a recursive call
+    assert character((1000,), (1,) * 1000) == 1
+    assert character((999, 1), (1,) * 1000) == 999
+    assert character((1000,), (2,) * 500) == 1
 
 
 _MEMORY_PROBE = """
@@ -210,7 +218,6 @@ def test_brute_force_never_uses_murnaghan_nakayama(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle must not evaluate characters")
 
-    monkeypatch.setattr(characters, "_mn", refuse)
     monkeypatch.setattr(characters, "_border_strips", refuse)
     monkeypatch.setattr(characters, "character", refuse)
     monkeypatch.setattr(verify, "character", refuse)

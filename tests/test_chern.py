@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from math import comb, factorial
@@ -298,6 +299,77 @@ def test_sweep_builds_each_block_once(monkeypatch):
     result = verify.rank_oracle_suite(6)
     assert result.ok and result.checks == 7116
     assert calls <= 279
+
+
+def test_swap_trace_suite_runs_both_routes_on_every_spec(monkeypatch):
+    # every spec of rank_oracle_suite(6) is built through BundleSpec and
+    # meets both the closed form and the oracle: no route is skipped
+    calls = {"spec": 0, "closed": 0, "oracle": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(BundleSpec, "__post_init__", counted("spec", BundleSpec.__post_init__))
+    monkeypatch.setattr(verify, "r_number", counted("closed", verify.r_number))
+    monkeypatch.setattr(verify, "_swap_trace_rank", counted("oracle", verify._swap_trace_rank))
+    result = verify.rank_oracle_suite(6)
+    assert result.ok and result.checks == 7116
+    assert calls == {"spec": 3558, "closed": 3558, "oracle": 3558}
+
+
+@pytest.mark.parametrize("max_n", range(2, 10))
+def test_generating_suite_check_count(max_n):
+    # one check per partition of each degree 2..max_n, in both variants
+    result = verify.generating_suite(max_n)
+    assert result.ok
+    assert result.checks == 2 * sum(len(enumerate_partitions(m)) for m in range(2, max_n + 1))
+
+
+def test_generating_suite_expands_only_small_degrees(monkeypatch):
+    degrees = []
+    expand = verify.generating_polynomial
+
+    def recorded(n, inputs, variant="trivial"):
+        degrees.append(n)
+        return expand(n, inputs, variant)
+
+    monkeypatch.setattr(verify, "generating_polynomial", recorded)
+    assert verify.generating_suite(9).ok
+    assert degrees and max(degrees) <= 4
+
+
+def test_generating_suite_reports_a_wrong_single_coefficient(monkeypatch):
+    # degree 5 is read coefficient by coefficient: one that is off by one
+    # is that check's one failure, and no check is skipped
+    clean = verify.generating_suite(6)
+    single = verify._generating_coefficient
+
+    def off_by_one(n, inputs, expts, variant="trivial"):
+        value = single(n, inputs, expts, variant)
+        if (tuple(expts), variant) == ((3, 2, 0, 0, 0), "sign"):
+            value = value + DivisorClass.delta_class(1)
+        return value
+
+    monkeypatch.setattr(verify, "_generating_coefficient", off_by_one)
+    result = verify.generating_suite(6)
+    assert result.failures == ["n=5 sign lam=(3, 2): coefficient mismatch"]
+    assert (clean.failures, result.checks) == ([], clean.checks)
+
+
+def test_generating_suite_memory_stays_small():
+    # the whole degree-9 polynomial in 9 variables has 24,310 monomials;
+    # the suite reads only its 30 checked coefficients of that degree
+    tracemalloc.start()
+    try:
+        assert verify.generating_suite(9).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_trusted_delta_route_equals_the_validating_sum():
