@@ -19,7 +19,6 @@ from .errors import ShapeMismatchError
 from .partitions import (
     MAX_PARTITION_N,
     Partition,
-    YoungDiagram,
     _all_of,
     _is_int,
     content_sum,
@@ -44,12 +43,6 @@ def class_size(c: Sequence[int]) -> int:
 def conjugacy_classes(m: int) -> list[tuple[CycleType, int]]:
     """(cycle type, class size) pairs in descending lexicographic order."""
     return [(c, class_size(c)) for c in enumerate_partitions(m)]
-
-
-def identity_type(m: int) -> CycleType:
-    if not _is_int(m) or m < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {m!r}")
-    return CycleType((1,) * m)
 
 
 def transposition_type(m: int) -> CycleType:
@@ -85,7 +78,7 @@ def _border_strips(parts: tuple[int, ...], length: int) -> list[tuple[int, tuple
 
 def character(d: Sequence[int], c: Sequence[int]) -> int:
     """Irreducible character of the diagram d at the cycle type c."""
-    d = YoungDiagram(d)
+    d = Partition(d)
     c = CycleType(c)
     if d.n != c.n:
         raise ShapeMismatchError(f"diagram of {d.n} evaluated at a type of {c.n}")
@@ -163,7 +156,6 @@ class CharacterTable:
         return index[p]
 
 
-@lru_cache(maxsize=MAX_PARTITION_N)
 def character_table(m: int) -> CharacterTable:
     """Character table of degree m, kept for each degree the partition cap allows.
 
@@ -172,10 +164,18 @@ def character_table(m: int) -> CharacterTable:
     m - l, so chi_d(c) is the signed sum of chi_mu(c[1:]) over the border
     strips of length l of d, each leaving a diagram mu of m - l.
     """
+    # checked before the cache, which would hash the argument first
+    if not _is_int(m):
+        raise ValueError(f"degree must be an integer, got {m!r}")
+    return _character_table(m)
+
+
+@lru_cache(maxsize=MAX_PARTITION_N)
+def _character_table(m: int) -> CharacterTable:
     classes = conjugacy_classes(m)
     diagrams = enumerate_partitions(m)
     lengths = sorted({c[0] for c, _ in classes})
-    lower = {length: character_table(m - length) for length in lengths if length < m}
+    lower = {length: _character_table(m - length) for length in lengths if length < m}
     values = []
     for d in diagrams:
         strips = {length: _border_strips(d, length) for length in lengths}
@@ -196,16 +196,6 @@ def character_table(m: int) -> CharacterTable:
     )
 
 
-def sign_character(c: Sequence[int]) -> int:
-    c = CycleType(c)
-    return -1 if (c.n - len(c)) % 2 else 1
-
-
-def regular_character_value(m: int, c: Sequence[int]) -> int:
-    """Character of the regular representation: m! at the identity, else 0."""
-    return factorial(m) if CycleType(c) == identity_type(m) else 0
-
-
 class RestrictionPair(NamedTuple):
     """Multiplicities (trivial, sign) of a restriction to a 2-cycle subgroup."""
 
@@ -222,7 +212,7 @@ def restrict_to_transposition(d: Sequence[int]) -> RestrictionPair:
     Symmetric Functions and Hall Polynomials, I.7 Ex. 7), which takes O(n)
     steps for any size; character() stays its oracle.
     """
-    d = YoungDiagram(d)
+    d = Partition(d)
     if d.n < 2:
         raise ValueError(f"restriction needs degree >= 2, got {d.n}")
     dim = dimension(d)

@@ -27,7 +27,7 @@ from .divisors import (
 from .errors import IntegralityError, SizeLimitError
 from .partitions import (
     LabeledComposition,
-    YoungDiagram,
+    Partition,
     _all_of,
     _index,
     _is_int,
@@ -73,21 +73,17 @@ class BundleBlock:
 
     rank: int
     c1_symbol: str
-    rep: YoungDiagram
+    rep: Partition
 
     def __post_init__(self):
         _check_rank(self.rank)
-        rep = YoungDiagram(self.rep)
+        rep = Partition(self.rep)
         _check_c1_symbol(self.c1_symbol)
         # frozen: the validated rep and the invariants go straight into
         # the instance dict
         vars(self).update(
             rep=rep, size=rep.n, rep_dim=dimension(rep), rep_content=content_sum(rep)
         )
-
-    @property
-    def c1_class(self) -> DivisorClass:
-        return _symbol_class(self.c1_symbol)
 
 
 def _raise_for_block(lam: LabeledComposition, blocks: tuple) -> None:
@@ -136,7 +132,7 @@ class BundleSpec:
             raise ValueError(f"blocks must be a list or tuple of triples, got {blocks!r}")
         return cls(
             LabeledComposition(sizes),
-            tuple(BundleBlock(rank, symbol, YoungDiagram(rep)) for rank, symbol, rep in blocks),
+            tuple(BundleBlock(rank, symbol, Partition(rep)) for rank, symbol, rep in blocks),
         )
 
     @property

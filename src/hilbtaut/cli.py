@@ -26,7 +26,7 @@ from .errors import (
     ModuliDimensionMismatchError,
     SpecValidationError,
 )
-from .partitions import LabeledComposition, Partition, YoungDiagram, _all_of, _is_int
+from .partitions import LabeledComposition, Partition, _all_of, _is_int
 
 # characters, moduli and verify are imported by the commands that use them,
 # so a chern, rank or generating call never loads them; json likewise, by
@@ -136,7 +136,7 @@ def parse_spec(source: str | Path) -> SpecDocument:
         if not isinstance(rep, list) or not all(map(_is_int, rep)):
             raise SpecValidationError(f"{where}.rep: expected an array of integers")
         try:
-            diagram = YoungDiagram(rep)
+            diagram = Partition(rep)
         except ValueError as exc:
             raise SpecValidationError(f"{where}.rep: {exc}") from exc
         if diagram.n != size:

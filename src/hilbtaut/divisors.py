@@ -19,7 +19,6 @@ from .errors import IntegralityError, ShapeMismatchError
 from .partitions import _all_of, _is_int
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*([A-Za-z_][A-Za-z0-9_]*)$")
 
 Rational = int | Fraction
 
@@ -185,65 +184,11 @@ class DivisorClass:
             pieces.append(f"{sign} {mag}*{name}")
         return " ".join(pieces)
 
-    @classmethod
-    def parse_text(cls, text: str) -> DivisorClass:
-        """Inverse of render_text (whitespace-insensitive between terms)."""
-        if not isinstance(text, str):
-            raise ValueError(f"expected a string, got {text!r}")
-        tokens = text.split()
-        if tokens == ["0"]:
-            return cls.zero()
-        if not tokens:
-            raise ValueError("empty divisor-class expression")
-        surface: dict[str, Fraction] = {}
-        delta = Fraction(0)
-        sign = 1
-        expect_term = True
-        for tok in tokens:
-            if not expect_term:
-                if tok == "+":
-                    sign = 1
-                elif tok == "-":
-                    sign = -1
-                else:
-                    raise ValueError(f"expected '+' or '-', got {tok!r}")
-                expect_term = True
-                continue
-            m = _TERM_RE.match(tok)
-            if not m:
-                raise ValueError(f"malformed term {tok!r}")
-            coeff = sign * _frac_from_json(m.group(1))
-            name = m.group(2)
-            if name == "delta":
-                delta += coeff
-            else:
-                surface[name] = surface.get(name, 0) + coeff
-            sign = 1
-            expect_term = False
-        if expect_term:
-            raise ValueError(f"dangling operator in {text!r}")
-        return cls(surface, delta)
-
     def to_json_dict(self) -> dict:
         return {
             "surface": {name: _frac_to_json(c) for name, c in self.surface.items()},
             "delta": _frac_to_json(self.delta),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> DivisorClass:
-        if not isinstance(data, Mapping):
-            raise ValueError(f"expected an object, got {data!r}")
-        unknown = set(data) - {"surface", "delta"}
-        if unknown:
-            raise ValueError(f"unknown divisor-class keys {sorted(unknown)}")
-        surface = data.get("surface", {})
-        if not isinstance(surface, Mapping):
-            raise ValueError("'surface' must be an object")
-        return cls(
-            {name: _frac_from_json(v) for name, v in surface.items()},
-            _frac_from_json(data.get("delta", 0)),
-        )
 
 
 def _check_exponents(nvars: int, expts: Sequence[int]) -> tuple[int, ...]:
@@ -295,13 +240,6 @@ class ClassPolynomial:
 
     def coefficient_of(self, expts: Sequence[int]) -> DivisorClass:
         return self.terms.get(_check_exponents(self.nvars, expts), DivisorClass.zero())
-
-    def at_ones(self) -> DivisorClass:
-        """Sum of all coefficients (evaluation at every t_i = 1)."""
-        total = DivisorClass.zero()
-        for val in self.terms.values():
-            total = total + val
-        return total
 
     def render_text(self) -> str:
         """One line per monomial, highest exponent tuple first."""

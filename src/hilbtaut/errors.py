@@ -21,10 +21,6 @@ class SpecValidationError(ValueError):
     """A user-supplied spec or table document failed validation."""
 
 
-class NotApplicableError(ValueError):
-    """The requested closed form does not apply to the given input."""
-
-
 class IntegralityError(ArithmeticError):
     """A provably integral quantity evaluated to a non-integer."""
 

@@ -4,8 +4,7 @@ A HomTable records exact dimensions of Hom and Ext^1 between the input
 bundles on the surface.  From it the package checks the ordered-grouping
 vanishing condition, certifies that off-diagonal equivariant Ext^1
 contributions die on every nontrivial coset, sums self-extension
-dimensions into moduli component dimensions, counts Homs between two
-induced bundles with the same shape, and produces per-coset slope
+dimensions into moduli component dimensions, and produces per-coset slope
 certificates for stability.
 
 Neither coset scan enumerates cosets.  The degree-1 dimension of a coset
@@ -22,14 +21,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from math import prod
 from typing import Mapping, NamedTuple
 
 from .chern import BundleSpec
 from .divisors import _frac_from_json
 from .errors import (
     ModuliDimensionMismatchError,
-    NotApplicableError,
     ShapeMismatchError,
 )
 from .partitions import (
@@ -392,43 +389,6 @@ def moduli_component_dim(table: HomTable, spec: BundleSpec) -> int:
     if isinstance(dim, ValueError):
         raise dim
     return dim
-
-
-def hom_between(spec_a: BundleSpec, spec_b: BundleSpec, cross: Sequence[Sequence[int]]) -> int:
-    """Dimension of Hom between two induced bundles of the same shape.
-
-    cross[i][j] is dim Hom(A_i, B_j) between the block inputs.  The product
-    formula needs every off-diagonal cross Hom to vanish; otherwise the
-    closed form does not apply and NotApplicableError is raised.
-    """
-    if spec_a.lam != spec_b.lam:
-        raise ValueError(f"compositions differ: {tuple(spec_a.lam)} vs {tuple(spec_b.lam)}")
-    for idx, (ba, bb) in enumerate(zip(spec_a.blocks, spec_b.blocks), start=1):
-        if ba.rep != bb.rep:
-            raise ValueError(f"block {idx} representations differ: {ba.rep} vs {bb.rep}")
-    k = spec_a.k
-    matrix = _as_matrix(cross, k, "cross hom table")
-    for i in range(k):
-        for j in range(k):
-            if i != j and matrix[i][j]:
-                raise NotApplicableError(
-                    f"cross hom[{i + 1}][{j + 1}] = {matrix[i][j]} is nonzero; "
-                    "the product formula does not apply"
-                )
-    return prod(matrix[j][j] ** spec_a.lam[j] for j in range(k))
-
-
-def slope_of_induced(lam: Sequence[int], slopes: Sequence[Fraction | int]) -> Fraction:
-    """Slope sum of one coset arrangement: sum of lambda_i * slope_i.
-
-    Every coset rearranges the same multiset of factors, so this sum is the
-    same for all of them; that balance is what drives the certificates.
-    """
-    lam = LabeledComposition(lam)
-    slopes = _as_slopes(slopes)
-    if len(slopes) != lam.k:
-        raise ShapeMismatchError(f"{len(slopes)} slopes for {lam.k} blocks")
-    return sum((size * mu for size, mu in zip(lam, slopes)), Fraction(0))
 
 
 class _Witnesses(Sequence):

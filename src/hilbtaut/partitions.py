@@ -59,10 +59,6 @@ class Partition(tuple):
         return sum(self)
 
 
-# A Young diagram is a partition used as a shape (rows of cells).
-YoungDiagram = Partition
-
-
 class LabeledComposition(tuple):
     """Ordered block sizes (lambda_1, ..., lambda_k), every entry positive.
 
@@ -94,19 +90,6 @@ class LabeledComposition(tuple):
     def k(self) -> int:
         return len(self)
 
-    def partition(self) -> Partition:
-        """The underlying partition (parts re-sorted non-increasingly)."""
-        return Partition(sorted(self, reverse=True))
-
-    def block_ranges(self) -> list[range]:
-        """1-based position ranges of the blocks, in block order."""
-        out = []
-        start = 1
-        for p in self:
-            out.append(range(start, start + p))
-            start += p
-        return out
-
     def identity_labels(self) -> tuple[int, ...]:
         return tuple(j + 1 for j, p in enumerate(self) for _ in range(p))
 
@@ -130,23 +113,6 @@ class LabeledSetPartition(tuple):
         if not all(_is_int(lab) and lab >= 1 for lab in t):
             raise ValueError(f"labels must be positive integers, got {t!r}")
         return t
-
-    @property
-    def is_identity(self) -> bool:
-        """True for the coset of the subgroup itself (labels non-decreasing)."""
-        return list(self) == sorted(self)
-
-    def label_of(self, position: int) -> int:
-        """Label of a 1-based position."""
-        if not 1 <= position <= len(self):
-            raise IndexError(f"position {position} out of range 1..{len(self)}")
-        return self[position - 1]
-
-    def counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for lab in self:
-            out[lab] = out.get(lab, 0) + 1
-        return out
 
 
 # one key per (n, largest) the partition cap allows; the entries are
@@ -197,7 +163,7 @@ def standard_tensor_multiplicity(d: Sequence[int]) -> int:
     of d is the number of removable corners of d: its distinct part count.
     Equals 1 exactly for rectangular diagrams and is >= 2 otherwise.
     """
-    d = YoungDiagram(d)
+    d = Partition(d)
     if not d:
         raise ValueError("degree must be >= 1")
     return len(set(d))
@@ -348,12 +314,3 @@ def iter_cosets(lam: Sequence[int]) -> Iterator[LabeledSetPartition]:
     lam = LabeledComposition(lam)
     bounded_index_p(lam)
     return _arrangements(tuple(lam))
-
-
-def enumerate_cosets(lam: Sequence[int]) -> list[LabeledSetPartition]:
-    """All cosets of the Young subgroup, as a list in iter_cosets order."""
-    return list(iter_cosets(lam))
-
-
-def identity_coset(lam: Sequence[int]) -> LabeledSetPartition:
-    return LabeledSetPartition(LabeledComposition(lam).identity_labels())

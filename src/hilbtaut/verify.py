@@ -45,7 +45,6 @@ from .partitions import (
     LabeledComposition,
     LabeledSetPartition,
     Partition,
-    YoungDiagram,
     bounded_index_p,
     dimension,
     enumerate_partitions,
@@ -115,14 +114,15 @@ def coset_count_suite(max_n: int = 6) -> SuiteResult:
     for lam in _sweep_compositions(max_n):
         singles, pairs = p_reduced(lam)
         checks += 1
-        # one pass over the cosets, keeping only counts: the identity must
-        # come first and nowhere else
+        # one pass over the cosets, keeping only counts: the identity (the one
+        # non-decreasing labeling) must come first and nowhere else
+        ident = LabeledComposition(lam).identity_labels()
         count = 0
         identity_first = True
         first_counts: dict[int, int] = {}
         pair_counts: dict[tuple[int, int], int] = {}
         for coset in iter_cosets(lam):
-            if coset.is_identity != (count == 0):
+            if (coset == ident) != (count == 0):
                 identity_first = False
             count += 1
             first_counts[coset[0]] = first_counts.get(coset[0], 0) + 1
@@ -196,7 +196,6 @@ def canonical_permutation(c: Sequence[int]) -> tuple[int, ...]:
     return tuple(image)
 
 
-@lru_cache(maxsize=_BRUTE_FORCE_MAX)
 def brute_force_character_table(m: int) -> CharacterTable:
     """Character table built without the Murnaghan-Nakayama rule.
 
@@ -207,10 +206,16 @@ def brute_force_character_table(m: int) -> CharacterTable:
     previously extracted constituents), with inner products weighted by
     those counted class sizes.  Exact and slow; degree <= 7.
     """
+    # checked before the cache, which would hash the argument first
     if not partitions._is_int(m) or m < 1:
         raise ValueError(f"degree must be a positive integer, got {m!r}")
     if m > _BRUTE_FORCE_MAX:
         raise SizeLimitError(f"brute-force table capped at degree {_BRUTE_FORCE_MAX}")
+    return _brute_force_table(m)
+
+
+@lru_cache(maxsize=_BRUTE_FORCE_MAX)
+def _brute_force_table(m: int) -> CharacterTable:
     diagrams = enumerate_partitions(m)
     sizes: dict[tuple[int, ...], int] = {}
     for g in permutations(range(m)):
@@ -363,7 +368,7 @@ def _same_label_pair_counts(parts: tuple[int, ...]) -> dict[int, int]:
 
 
 @lru_cache(maxsize=1024)
-def _transposition_character(rep: YoungDiagram) -> int:
+def _transposition_character(rep: Partition) -> int:
     # the Murnaghan-Nakayama value at a 2-cycle, from character() and never
     # from the content formula that r_number is built on; once per diagram
     return character(rep, transposition_type(rep.n))

@@ -20,7 +20,6 @@ _NO_CAP_PARAMETER = [
     partitions.enumerate_partitions,
     partitions.bounded_index_p,
     partitions.iter_cosets,
-    partitions.enumerate_cosets,
     moduli.check_conditions,
     moduli.offdiagonal_ext1_vanishing,
     moduli._ext_dims,
@@ -71,7 +70,7 @@ def test_chern_closed_forms_need_no_restriction_tables():
     # walks cosets or permutations; the oracles that do live in verify.
     assert not _names_from_characters(chern)
     assert not hasattr(partitions, "_reduction_indices")
-    enumerators = {"iter_cosets", "enumerate_cosets", "permutations"}
+    enumerators = {"iter_cosets", "permutations"}
     for module in (partitions, characters, divisors, chern, cli):
         found = {name for name in _imported_names(module) if name.split(".")[-1] in enumerators}
         assert not found, (module.__name__, found)

@@ -11,7 +11,6 @@ from hilbtaut import cli, moduli, partitions, verify
 from hilbtaut.characters import (
     CharacterTable,
     character_table,
-    identity_type,
     transposition_type,
 )
 from hilbtaut.chern import (
@@ -55,12 +54,10 @@ def test_delta_class_still_validates(coeff):
         lambda: Partition(5),
         lambda: LabeledComposition(5),
         lambda: index_p(5),
-        lambda: DivisorClass.parse_text("1/0*a"),
-        lambda: DivisorClass.from_json_dict({"delta": "1/0"}),
     ],
     ids=[
         "block-symbol", "class-symbol", "mixed-symbols", "generating-symbol",
-        "partition", "composition", "index", "parse-1/0", "json-1/0",
+        "partition", "composition", "index",
     ],
 )
 def test_wrong_types_and_zero_denominators_raise_value_error(call):
@@ -74,12 +71,13 @@ ONE_BLOCK_TABLE = moduli.HomTable(((1,),), ((0,),), ("A",), (Fraction(0),))
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: DivisorClass.parse_text(5),
         lambda: DivisorClass(5),
         lambda: ClassPolynomial(2, {5: DivisorClass.symbol("a")}),
         lambda: enumerate_partitions(2.5),
         lambda: character_table("3"),
         lambda: character_table(2.5),
+        lambda: character_table([]),
+        lambda: character_table({}),
         lambda: transposition_type("3"),
         lambda: regular_checksum(2.5, 1, "a"),
         lambda: generating_polynomial(2.5, [(1, "a")]),
@@ -94,7 +92,6 @@ ONE_BLOCK_TABLE = moduli.HomTable(((1,),), ((0,),), ("A",), (Fraction(0),))
         lambda: cli.dispatch(5),
         lambda: moduli.check_conditions(5),
         lambda: moduli.stability_certificate((1, 1), 5),
-        lambda: identity_type(2.5),
         lambda: rank_G(5),
         lambda: b_class(5),
         lambda: r_number(5),
@@ -112,17 +109,19 @@ ONE_BLOCK_TABLE = moduli.HomTable(((1,),), ((0,),), ("A",), (Fraction(0),))
         lambda: verify.inner_product(5, 5, 5),
         lambda: verify.invariant_restriction_rank(5),
         lambda: verify.brute_force_character_table("3"),
+        lambda: verify.brute_force_character_table([]),
     ],
     ids=[
-        "parse-int", "class-int", "monomial-int", "partitions-float", "table-str",
-        "table-float", "transposition-str", "checksum-float", "generating-float",
+        "class-int", "monomial-int", "partitions-float", "table-str", "table-float",
+        "table-list", "table-dict", "transposition-str", "checksum-float", "generating-float",
         "generating-input", "verify-float", "verify-str", "spec-int", "spec-block",
         "build-block", "polynomial-terms-int", "spec-document-int", "dispatch-int",
-        "conditions-int", "stability-table-int", "identity-type-float", "rank-int",
+        "conditions-int", "stability-table-int", "rank-int",
         "b-class-int", "r-number-int", "c1-int", "end-dims-spec-int",
         "component-dim-spec-int", "reduce-once-str", "reduce-twice-str",
         "labels-int", "multinomial-int", "table-ints", "blowup-int", "cycle-type-int",
         "cycle-type-repeat", "inner-product-int", "swap-trace-int", "brute-table-str",
+        "brute-table-list",
     ],
 )
 def test_library_entry_points_reject_wrong_types_with_value_error(call):
@@ -151,8 +150,6 @@ def test_stored_coefficients_are_canonical():
             d + d,
             d - half,
             d * Fraction(4),
-            DivisorClass.parse_text(d.render_text()),
-            DivisorClass.from_json_dict(d.to_json_dict()),
         ]
     for n in range(1, 5):
         for lam in enumerate_partitions(n):
@@ -242,31 +239,9 @@ def test_render_frozen():
     assert DivisorClass({"z": 1, "a": 1}, 7).render_text() == "1*a + 1*z + 7*delta"
 
 
-def test_parse_roundtrip_random():
-    rng = random.Random(411)
-    for _ in range(200):
-        d = _random_class(rng)
-        assert DivisorClass.parse_text(d.render_text()) == d
-
-
-def test_parse_errors():
-    for bad in ["4*e1 +", "e1 4", "4**e1", "2*delta + 1*delta2 junk", "+ +", "4 e1"]:
-        with pytest.raises(ValueError):
-            DivisorClass.parse_text(bad)
-
-
-def test_json_roundtrip():
+def test_json_output():
     d = DivisorClass({"e1": 4, "e2": Fraction(1, 3)}, -5)
-    blob = d.to_json_dict()
-    assert blob["delta"] == -5
-    assert blob["surface"]["e2"] == "1/3"
-    assert DivisorClass.from_json_dict(blob) == d
-    rng = random.Random(412)
-    for _ in range(100):
-        d = _random_class(rng)
-        assert DivisorClass.from_json_dict(d.to_json_dict()) == d
-    with pytest.raises(ValueError):
-        DivisorClass.from_json_dict({"surface": {"e": "x/y"}, "delta": 0})
+    assert d.to_json_dict() == {"surface": {"e1": 4, "e2": "1/3"}, "delta": -5}
 
 
 def test_integrality():
@@ -287,10 +262,10 @@ def test_class_polynomial():
     assert p.coefficient_of((1, 0)) == 2 * e1
     assert p.coefficient_of([0, 1]) == e2
     assert p.coefficient_of((2, 0)) == DivisorClass.zero()
-    assert p.at_ones() == 2 * e1 + e2
+    assert sum(p.terms.values(), DivisorClass.zero()) == 2 * e1 + e2
     assert p == ClassPolynomial(2, {(0, 1): e2, (1, 0): 2 * e1})
     assert p != ClassPolynomial(2, {(1, 0): e1})
-    assert ClassPolynomial(2).at_ones() == DivisorClass.zero()
+    assert ClassPolynomial(2).terms == {}
 
     with pytest.raises(ShapeMismatchError):
         p.coefficient_of((1, 0, 0))

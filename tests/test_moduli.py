@@ -18,7 +18,6 @@ from hilbtaut import partitions
 from hilbtaut.chern import BundleSpec
 from hilbtaut.errors import (
     ModuliDimensionMismatchError,
-    NotApplicableError,
     ShapeMismatchError,
     SizeLimitError,
 )
@@ -26,13 +25,11 @@ from hilbtaut.moduli import (
     HomTable,
     check_conditions,
     equivariant_end_dims,
-    hom_between,
     moduli_component_dim,
     offdiagonal_ext1_vanishing,
-    slope_of_induced,
     stability_certificate,
 )
-from hilbtaut.partitions import enumerate_cosets, enumerate_partitions
+from hilbtaut.partitions import enumerate_partitions, iter_cosets
 from hilbtaut.verify import (
     _grouping_tables,
     coset_scan_suite,
@@ -76,6 +73,10 @@ def test_table_validation():
     assert not t.locally_free
     assert t.end1_self == (7,)
     assert RUNNING_TABLE.k == 2
+    # floats and bools are refused as slopes
+    for slopes in ((0.1, 1), (True, 1)):
+        with pytest.raises(ValueError, match="^slopes must be exact fractions"):
+            HomTable(((1, 0), (0, 1)), ((0, 0), (0, 0)), ("A", "B"), slopes)
 
 
 def test_table_json_roundtrip():
@@ -335,34 +336,6 @@ def test_moduli_component_dim_mismatch():
     assert exc.value.tangent_dim == 4
 
 
-def test_hom_between():
-    a = RUNNING_SPEC
-    b = BundleSpec.build((2, 1), [(3, "f1", (2,)), (2, "f2", (1,))])
-    assert hom_between(a, b, [[1, 0], [0, 1]]) == 1
-    assert hom_between(a, b, [[2, 0], [0, 1]]) == 4
-    assert hom_between(a, b, [[2, 0], [0, 3]]) == 12
-    assert hom_between(a, b, [[0, 0], [0, 1]]) == 0
-    with pytest.raises(NotApplicableError):
-        hom_between(a, b, [[1, 1], [0, 1]])
-    with pytest.raises(ValueError):
-        hom_between(a, BundleSpec.build((3,), [(1, "f", (3,))]), [[1]])
-    mismatched = BundleSpec.build((2, 1), [(2, "f1", (1, 1)), (1, "f2", (1,))])
-    with pytest.raises(ValueError):
-        hom_between(a, mismatched, [[1, 0], [0, 1]])
-
-
-def test_slope_of_induced():
-    assert slope_of_induced((2, 1), [Fraction(1, 2), 3]) == 4
-    assert slope_of_induced((3,), [Fraction(-1, 3)]) == -1
-    assert isinstance(slope_of_induced((1, 1), [0, 0]), Fraction)
-    with pytest.raises(ShapeMismatchError):
-        slope_of_induced((2, 1), [1])
-    # the slope rule HomTable enforces: floats and bools are refused
-    for slopes in ([0.1, 1], [True, 1]):
-        with pytest.raises(ValueError, match="^slopes must be exact fractions"):
-            slope_of_induced((1, 2), slopes)
-
-
 def test_stability_running_example():
     cert = stability_certificate((2, 1), RUNNING_TABLE)
     assert cert.ok
@@ -383,7 +356,7 @@ def test_stability_duplicate_label_fails():
     t = _table([[1, 0], [0, 1]], [[0, 0], [0, 0]], ["A", "A"], [0, 0])
     cert = stability_certificate((2, 1), t)
     assert not cert.ok
-    assert tuple(cert.failing_coset) == tuple(enumerate_cosets((2, 1))[1])
+    assert tuple(cert.failing_coset) == tuple(list(iter_cosets((2, 1)))[1])
 
 
 def test_stability_iff_distinct_labels():
@@ -401,7 +374,7 @@ def test_stability_iff_distinct_labels():
             distinct = _table(eye, zero, [f"L{i}" for i in range(k)], slopes)
             assert stability_certificate(lam, distinct).ok, lam
             assert len(stability_certificate(lam, distinct).witnesses) == (
-                len(enumerate_cosets(lam)) - 1
+                len(list(iter_cosets(lam))) - 1
             )
             if k >= 2:
                 labels = [f"L{i}" for i in range(k)]
