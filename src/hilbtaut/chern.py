@@ -11,7 +11,6 @@ coset by coset (the swap trace) live in verify.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import combinations
@@ -62,8 +61,38 @@ def _tuples_of(k: int):
     return lambda item: isinstance(item, (tuple, list)) and len(item) == k
 
 
-@dataclass(frozen=True)
-class BundleBlock:
+class _Frozen:
+    """Base of the validated value types.  Equality, hashing and repr read
+    the fields named in `_fields` only, so what `__init__` caches beside
+    them in the instance dict does not count; no attribute can be assigned
+    or deleted after `__init__`.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BundleBlock(_Frozen):
     """One input bundle with the representation attached to its block.
 
     `size`, `rep_dim` and `rep_content`, the size, the dimension and the
@@ -71,18 +100,19 @@ class BundleBlock:
     so equality, hashing and repr ignore them.
     """
 
-    rank: int
-    c1_symbol: str
-    rep: Partition
+    _fields = ("rank", "c1_symbol", "rep")
 
-    def __post_init__(self):
-        _check_rank(self.rank)
-        rep = Partition(self.rep)
-        _check_c1_symbol(self.c1_symbol)
-        # frozen: the validated rep and the invariants go straight into
-        # the instance dict
+    def __init__(self, rank: int, c1_symbol: str, rep: Partition):
+        _check_rank(rank)
+        rep = Partition(rep)
+        _check_c1_symbol(c1_symbol)
         vars(self).update(
-            rep=rep, size=rep.n, rep_dim=dimension(rep), rep_content=content_sum(rep)
+            rank=rank,
+            c1_symbol=c1_symbol,
+            rep=rep,
+            size=rep.n,
+            rep_dim=dimension(rep),
+            rep_content=content_sum(rep),
         )
 
 
@@ -95,8 +125,7 @@ def _raise_for_block(lam: LabeledComposition, blocks: tuple) -> None:
             raise ValueError(f"block {idx}: rep {tuple(blk.rep)} is not a partition of {size}")
 
 
-@dataclass(frozen=True)
-class BundleSpec:
+class BundleSpec(_Frozen):
     """Composition of n together with one BundleBlock per part.
 
     Computed at construction, in one pass over the blocks, and not fields
@@ -105,11 +134,10 @@ class BundleSpec:
     summand); and `w`, the product of the representation dimensions.
     """
 
-    lam: LabeledComposition
-    blocks: tuple[BundleBlock, ...]
+    _fields = ("lam", "blocks")
 
-    def __post_init__(self):
-        lam, blocks = LabeledComposition(self.lam), self.blocks
+    def __init__(self, lam: LabeledComposition, blocks: tuple[BundleBlock, ...]):
+        lam = LabeledComposition(lam)
         if not isinstance(blocks, (tuple, list)):
             raise ValueError(f"blocks must be a list or tuple, got {blocks!r}")
         blocks = tuple(blocks)

@@ -11,14 +11,11 @@ so every value has one stored form.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from .errors import IntegralityError, ShapeMismatchError
 from .partitions import _all_of, _is_int
-
-_SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 Rational = int | Fraction
 
@@ -33,7 +30,8 @@ def _canonical(value: Rational) -> Rational:
 
 
 def _check_symbol(name: str) -> None:
-    if not isinstance(name, str) or not _SYMBOL_RE.match(name) or name == "delta":
+    # an ASCII identifier, [A-Za-z_][A-Za-z0-9_]*, and nothing after it
+    if not (isinstance(name, str) and name.isascii() and name.isidentifier()) or name == "delta":
         raise ValueError(f"invalid surface symbol {name!r}")
 
 

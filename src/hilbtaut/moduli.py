@@ -18,12 +18,11 @@ verify.py as oracles.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import Mapping, NamedTuple
 
-from .chern import BundleSpec
+from .chern import BundleSpec, _Frozen
 from .divisors import _frac_from_json
 from .errors import (
     ModuliDimensionMismatchError,
@@ -65,8 +64,7 @@ def _as_slopes(values) -> tuple[Fraction, ...]:
         raise bad from exc
 
 
-@dataclass(frozen=True)
-class HomTable:
+class HomTable(_Frozen):
     """Pairwise Hom/Ext^1 dimensions between k input bundles.
 
     hom[i][j] and ext1[i][j] are dim Hom(E_i, E_j) and dim Ext^1(E_i, E_j)
@@ -75,34 +73,44 @@ class HomTable:
     stored but never used; locally_free is recorded only.
     """
 
-    hom: tuple[tuple[int, ...], ...]
-    ext1: tuple[tuple[int, ...], ...]
-    iso_labels: tuple[str, ...]
-    slopes: tuple[Fraction, ...]
-    ext2: tuple[tuple[int, ...], ...] | None = None
-    locally_free: bool = True
+    _fields = ("hom", "ext1", "iso_labels", "slopes", "ext2", "locally_free")
 
-    def __post_init__(self):
-        if not _all_of(self.iso_labels, lambda label: isinstance(label, str)):
-            raise ValueError(f"labels must be a list of strings, got {self.iso_labels!r}")
-        if not isinstance(self.locally_free, bool):
-            raise ValueError(f"locally_free must be true or false, got {self.locally_free!r}")
-        k = len(self.iso_labels)
-        object.__setattr__(self, "iso_labels", tuple(self.iso_labels))
-        object.__setattr__(self, "slopes", _as_slopes(self.slopes))
-        if len(self.slopes) != k:
-            raise ShapeMismatchError(f"{len(self.slopes)} slopes for {k} labels")
-        object.__setattr__(self, "hom", _as_matrix(self.hom, k, "hom"))
-        object.__setattr__(self, "ext1", _as_matrix(self.ext1, k, "ext1"))
-        object.__setattr__(self, "ext2", _as_matrix(self.ext2, k, "ext2", allow_none=True))
+    def __init__(
+        self,
+        hom: Sequence[Sequence[int]],
+        ext1: Sequence[Sequence[int]],
+        iso_labels: Sequence[str],
+        slopes: Sequence[Fraction | int | str],
+        ext2: Sequence[Sequence[int]] | None = None,
+        locally_free: bool = True,
+    ):
+        if not _all_of(iso_labels, lambda label: isinstance(label, str)):
+            raise ValueError(f"labels must be a list of strings, got {iso_labels!r}")
+        if not isinstance(locally_free, bool):
+            raise ValueError(f"locally_free must be true or false, got {locally_free!r}")
+        k = len(iso_labels)
+        slopes = _as_slopes(slopes)
+        if len(slopes) != k:
+            raise ShapeMismatchError(f"{len(slopes)} slopes for {k} labels")
+        hom = _as_matrix(hom, k, "hom")
+        ext1 = _as_matrix(ext1, k, "ext1")
+        ext2 = _as_matrix(ext2, k, "ext2", allow_none=True)
         for i in range(k):
-            if self.hom[i][i] < 1:
+            if hom[i][i] < 1:
                 raise ValueError(f"hom[{i + 1}][{i + 1}] must be >= 1 (identity map)")
         by_label: dict[str, Fraction] = {}
-        for label, slope in zip(self.iso_labels, self.slopes):
+        for label, slope in zip(iso_labels, slopes):
             if label in by_label and by_label[label] != slope:
                 raise ValueError(f"label {label!r} carries two different slopes")
             by_label[label] = slope
+        vars(self).update(
+            hom=hom,
+            ext1=ext1,
+            iso_labels=tuple(iso_labels),
+            slopes=slopes,
+            ext2=ext2,
+            locally_free=locally_free,
+        )
 
     @property
     def k(self) -> int:
@@ -150,8 +158,7 @@ class HomTable:
         return table
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of the ordered-grouping vanishing check."""
 
     distinct_ok: bool
@@ -316,8 +323,7 @@ def offdiagonal_ext1_vanishing(lam: Sequence[int], table: HomTable) -> Vanishing
     return VanishingReport(False, LabeledSetPartition(labels), deg1)
 
 
-@dataclass(frozen=True)
-class EndDims:
+class EndDims(NamedTuple):
     """Equivariant self-Hom and self-Ext^1 dimensions of an induced bundle.
 
     end1 is always the identity-coset contribution (per-block multiplicity
@@ -440,8 +446,7 @@ class _Witnesses(Sequence):
         return f"<{self._length} stability witnesses>"
 
 
-@dataclass(frozen=True)
-class StabilityCertificate:
+class StabilityCertificate(NamedTuple):
     """Per-coset witnesses that destabilising maps cannot exist.
 
     A witness for a coset is a 1-based position whose identity-side factor

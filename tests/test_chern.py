@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import random
 import tracemalloc
-from dataclasses import fields
 from fractions import Fraction
 from math import comb, factorial
 
@@ -76,8 +75,24 @@ def test_cached_invariants_leave_equality_alone():
     c1(a)  # memoises b_class and r_number on a
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b)
-    assert [f.name for f in fields(BundleSpec)] == ["lam", "blocks"]
-    assert [f.name for f in fields(BundleBlock)] == ["rank", "c1_symbol", "rep"]
+    # n, s, w, size, rep_dim, rep_content and the memo live in the instance
+    # dict, yet only the declared fields reach equality, hash and repr
+    assert {"n", "s", "w"} <= set(vars(b))
+    assert set(vars(a)) - set(vars(b)) == {"_b_class", "_r_number"}
+    assert {"size", "rep_dim", "rep_content"} <= set(vars(a.blocks[0]))
+    assert repr(a) == (
+        "BundleSpec(lam=(2, 1), blocks=(BundleBlock(rank=2, c1_symbol='e1', rep=(2,)), "
+        "BundleBlock(rank=3, c1_symbol='e2', rep=(1,))))"
+    )
+    assert hash(a) == hash((a.lam, a.blocks))
+    assert hash(a.blocks[0]) == hash((2, "e1", (2,)))
+    block = BundleBlock(2, "e1", (2,))
+    vars(block).update(size=9, rep_dim=9, rep_content=9)
+    assert block == a.blocks[0] and hash(block) == hash(a.blocks[0])
+    assert repr(block) == "BundleBlock(rank=2, c1_symbol='e1', rep=(2,))"
+    for obj, name in ((a, "lam"), (a, "n"), (block, "rank"), (block, "rep_dim")):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(obj, name, 1)
 
 
 def test_r_number_closed_form_runs_once_per_spec(monkeypatch):
@@ -288,14 +303,14 @@ def test_sweep_builds_each_block_once(monkeypatch):
     # 279 distinct (rank, position, rep) blocks over n = 2..6, against
     # 14,538 block constructions when every spec builds its own
     calls = 0
-    validate = BundleBlock.__post_init__
+    validate = BundleBlock.__init__
 
-    def counted(self):
+    def counted(self, *args):
         nonlocal calls
         calls += 1
-        validate(self)
+        validate(self, *args)
 
-    monkeypatch.setattr(BundleBlock, "__post_init__", counted)
+    monkeypatch.setattr(BundleBlock, "__init__", counted)
     result = verify.rank_oracle_suite(6)
     assert result.ok and result.checks == 7116
     assert calls <= 279
@@ -313,7 +328,7 @@ def test_swap_trace_suite_runs_both_routes_on_every_spec(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(BundleSpec, "__post_init__", counted("spec", BundleSpec.__post_init__))
+    monkeypatch.setattr(BundleSpec, "__init__", counted("spec", BundleSpec.__init__))
     monkeypatch.setattr(verify, "r_number", counted("closed", verify.r_number))
     monkeypatch.setattr(verify, "_swap_trace_rank", counted("oracle", verify._swap_trace_rank))
     result = verify.rank_oracle_suite(6)

@@ -106,6 +106,18 @@ def test_non_object_spec_text(text):
     assert err.getvalue() == "error: spec must be a JSON object\n"
 
 
+@pytest.mark.parametrize("symbol", ["e\n", "e\r\n", "\u00e9"])
+@pytest.mark.parametrize("command", ["chern", "rank"])
+def test_symbol_with_trailing_newline_is_refused(command, symbol):
+    # "e\n" used to pass the symbol check, and chern printed 1*e and a blank line
+    doc = {"n": 1, "blocks": [{"size": 1, "rank": 1, "c1": symbol, "rep": [1]}]}
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = dispatch([command, "--spec", json.dumps(doc)])
+    assert (code, out.getvalue()) == (EXIT_VALIDATION, "")
+    assert err.getvalue() == f"error: blocks[0]: invalid surface symbol {symbol!r}\n"
+
+
 def test_unreadable_spec_path_and_bracket_text(tmp_path):
     with pytest.raises(SpecValidationError, match="^cannot read spec: .*missing.json"):
         parse_spec(str(tmp_path / "missing.json"))

@@ -192,6 +192,12 @@ def test_symbol_validation():
         DivisorClass({"": 1})
     with pytest.raises(ValueError):
         DivisorClass({"a b": 1})
+    # the whole string is the identifier: no trailing newline, no non-ASCII
+    for bad in ("e\n", "a\n", "e\r\n", "\u00e9", "e\u00e9"):
+        with pytest.raises(ValueError, match="^invalid surface symbol "):
+            DivisorClass.symbol(bad)
+        with pytest.raises(ValueError, match="^invalid surface symbol "):
+            DivisorClass({bad: 1})
     assert DivisorClass({"f_0": 1}).render_text() == "1*f_0"
 
 

@@ -98,6 +98,24 @@ def test_table_json_roundtrip():
         HomTable.from_json_dict(blob3)
 
 
+def test_table_is_a_frozen_value():
+    # keyword construction with the defaults; equality, hash and repr over
+    # the six declared fields, in order; no field can be reassigned
+    t = HomTable(hom=[[1, 0], [0, 1]], ext1=[[2, 0], [0, 4]], iso_labels=["A", "B"], slopes=["1/2", 3])
+    assert repr(t) == (
+        "HomTable(hom=((1, 0), (0, 1)), ext1=((2, 0), (0, 4)), iso_labels=('A', 'B'), "
+        "slopes=(Fraction(1, 2), Fraction(3, 1)), ext2=None, locally_free=True)"
+    )
+    assert t == HomTable(t.hom, t.ext1, t.iso_labels, t.slopes, None, True)
+    assert hash(t) == hash((t.hom, t.ext1, t.iso_labels, t.slopes, None, True))
+    assert t != _table(t.hom, t.ext1, t.iso_labels, t.slopes, locally_free=False)
+    for name in ("hom", "locally_free", "k"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(t, name, 1)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(t, name)
+
+
 def test_check_conditions_basic():
     assert check_conditions(_table([[1]], [[5]])).grouping == ((1,),)
     report = check_conditions(RUNNING_TABLE)

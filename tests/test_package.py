@@ -1,5 +1,5 @@
 """The package root runs no submodule, and each CLI command runs only the
-submodules it uses.
+submodules it uses and loads neither dataclasses nor inspect.
 
 Every case runs in a fresh interpreter, so nothing an earlier test imported
 counts; an audit hook records which hilbtaut source files were executed.
@@ -79,7 +79,10 @@ sys.addaudithook(
 import hilbtaut
 package = os.path.dirname(hilbtaut.__file__)
 ran = sorted(os.path.basename(f)[:-3] for f in executed if os.path.dirname(f) == package)
-print(json.dumps({{"executed": ran, "result": result}}))
+# standard-library modules no command needs: dataclasses alone pulls in
+# inspect, ast, dis and tokenize
+stdlib = sorted(name for name in ("dataclasses", "inspect") if name in sys.modules)
+print(json.dumps({{"executed": ran, "stdlib": stdlib, "result": result}}))
 """
 
 
@@ -117,9 +120,11 @@ def test_import_runs_no_submodule():
         (["generating", "--n", "3", "--ranks", "2,1", "--symbols", "a,b"], []),
         (["char", "--n", "3"], ["characters"]),
         (["conditions", "--spec", json.dumps({**SPEC, "hom_table": TABLE})], ["moduli"]),
+        (["ext", "--spec", json.dumps({**SPEC, "hom_table": TABLE})], ["moduli"]),
+        (["stability", "--spec", json.dumps({**SPEC, "hom_table": TABLE})], ["moduli"]),
         (["verify", "--max-n", "2"], ["characters", "verify"]),
     ],
-    ids=["chern", "rank", "generating", "char", "conditions", "verify"],
+    ids=["chern", "rank", "generating", "char", "conditions", "ext", "stability", "verify"],
 )
 def test_each_command_runs_only_its_layers(argv, extra):
     out = _probe(
@@ -130,6 +135,7 @@ def test_each_command_runs_only_its_layers(argv, extra):
     )
     assert out["result"] == 0
     assert out["executed"] == sorted(BASE + extra)
+    assert out["stdlib"] == []
 
 
 def test_exports_are_the_home_modules_objects():
