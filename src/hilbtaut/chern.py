@@ -12,7 +12,6 @@ coset by coset (the swap trace) live in verify.py.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import wraps
 from itertools import combinations
 from math import comb, factorial
 from typing import Iterator, Sequence
@@ -39,12 +38,6 @@ _ZERO_SYMBOLS = ("", "0")
 
 # Largest full generating-polynomial expansion, in monomials.
 MAX_MONOMIALS = 25_000
-
-
-def _symbol_class(symbol: str) -> DivisorClass:
-    if symbol in _ZERO_SYMBOLS:
-        return DivisorClass.zero()
-    return DivisorClass.symbol(symbol)
 
 
 def _check_c1_symbol(symbol: str) -> None:
@@ -172,24 +165,6 @@ def _not_a_spec(value) -> ValueError:
     return ValueError(f"expected a BundleSpec, got {value!r}")
 
 
-def _once_per_spec(fn):
-    # Keep fn(spec) in the spec's own __dict__: c1 and the oracle sweep ask
-    # again for what r_number and b_class already computed.  Not a field, so
-    # equality, hashing and repr ignore it.
-    key = f"_{fn.__name__}"
-
-    @wraps(fn)
-    def memoised(spec: BundleSpec):
-        if not isinstance(spec, BundleSpec):
-            raise _not_a_spec(spec)
-        memo = spec.__dict__
-        if key not in memo:
-            memo[key] = fn(spec)
-        return memo[key]
-
-    return memoised
-
-
 def rank_G(spec: BundleSpec) -> int:
     """Rank of the induced bundle: (number of cosets) * s * w."""
     if not isinstance(spec, BundleSpec):
@@ -203,58 +178,54 @@ def _rank(spec: BundleSpec) -> int:
     return _index(spec.lam) * spec.s * spec.w
 
 
-@_once_per_spec
-def b_class(spec: BundleSpec) -> DivisorClass:
-    """The surface part of the first Chern class (no delta component).
+def c1(spec: BundleSpec) -> DivisorClass:
+    """First Chern class B - r_number * delta, in one pass over the blocks.
 
-    Block i contributes (R / r_i) * lambda_i / n times its class, with R =
-    rank_G(spec): lambda_i / n of the cosets give position 1 the label i,
-    and r_i divides s, a factor of R, because block i has a position.
+    With R = rank_G(spec), block i contributes (R / r_i) * lambda_i / n
+    times its class to the surface part B: lambda_i / n of the cosets give
+    position 1 the label i, and r_i divides s, a factor of R, because block
+    i has a position.  With content(d) the content sum of a diagram,
+    r_number = (R * C(n, 2) - sum_i (R / r_i) * content(rep_i)) / (n (n - 1)),
+    and 0 when n < 2: the sum over the labels of positions 1 and 2,
+    collapsed by Frobenius's content formula for the character value at a
+    2-cycle.  Each division is exact or raises IntegralityError.  The class
+    is kept in the spec's instance dict as `_c1`, which equality, hashing
+    and repr ignore.
     """
+    if not isinstance(spec, BundleSpec):
+        raise _not_a_spec(spec)
+    memo = spec.__dict__
+    if "_c1" in memo:
+        return memo["_c1"]
     n, rank = spec.n, _rank(spec)
     surface: dict[str, int] = {}
+    num = rank * comb(n, 2)
     for i, blk in enumerate(spec.blocks, start=1):
+        share = rank // blk.rank
+        num -= share * blk.rep_content
         symbol = blk.c1_symbol
         if symbol not in _ZERO_SYMBOLS:
-            term = rank // blk.rank * blk.size
+            term = share * blk.size
             coeff, rem = divmod(term, n)
             if rem:
                 raise IntegralityError(f"b_class: block {i} term {term}/{n} is not an integer")
             surface[symbol] = surface.get(symbol, 0) + coeff
-    # the symbols were checked when the blocks were built
-    return DivisorClass._surface_of(surface)
-
-
-@_once_per_spec
-def r_number(spec: BundleSpec) -> int:
-    """Coefficient of -delta in the first Chern class, by the closed formula.
-
-    With R = rank_G(spec) and content(d) the content sum of a diagram,
-    r_number = (R * C(n, 2) - sum_i (R / r_i) * content(rep_i)) / (n (n - 1)),
-    and 0 when n < 2; R / r_i is exact as in b_class.  It is the sum over
-    the labels of positions 1 and 2, collapsed by Frobenius's content
-    formula for the character value at a 2-cycle.
-    """
-    n = spec.n
-    if n < 2:
-        return 0
-    rank = _rank(spec)
-    num = rank * comb(n, 2)
-    for blk in spec.blocks:
-        num -= rank // blk.rank * blk.rep_content
-    total, rem = divmod(num, n * (n - 1))
+    total, rem = divmod(num, n * (n - 1)) if n > 1 else (0, 0)
     if rem:
         raise IntegralityError(f"r_number: {num}/{n * (n - 1)} is not an integer")
-    return total
+    # the symbols were checked when the blocks were built
+    memo["_c1"] = DivisorClass._surface_of(surface, -total)
+    return memo["_c1"]
 
 
-def c1(spec: BundleSpec) -> DivisorClass:
-    """First Chern class b_class - r_number * delta.
+def b_class(spec: BundleSpec) -> DivisorClass:
+    """The surface part B of the first Chern class (no delta component)."""
+    return DivisorClass._surface_of(c1(spec).surface)
 
-    Integral by construction: b_class has int coefficients and r_number is
-    an int, or each raises IntegralityError.
-    """
-    return b_class(spec)._minus_delta(r_number(spec))
+
+def r_number(spec: BundleSpec) -> int:
+    """Coefficient of -delta in the first Chern class."""
+    return -c1(spec).delta
 
 
 def _weak_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -347,6 +318,7 @@ def regular_checksum(n: int, rank: int, symbol: str) -> DivisorClass:
     if not _is_int(n) or n < 2:
         raise ValueError(f"n must be >= 2, got {n!r}")
     _check_rank(rank)
-    base = _symbol_class(symbol) * (factorial(n) * rank ** (n - 1))
-    delta_part = DivisorClass.delta_class(-(factorial(n) // 2) * rank**n)
-    return (base + delta_part).require_integral("regular_checksum")
+    _check_c1_symbol(symbol)
+    surface = {} if symbol in _ZERO_SYMBOLS else {symbol: factorial(n) * rank ** (n - 1)}
+    delta = -(factorial(n) // 2) * rank**n
+    return DivisorClass._surface_of(surface, delta).require_integral("regular_checksum")

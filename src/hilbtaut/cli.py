@@ -73,6 +73,8 @@ class SpecDocument(NamedTuple):
 def _load_json(source: str | Path) -> object:
     import json
 
+    if isinstance(source, str) and not source.strip():
+        raise SpecValidationError("spec is empty")
     if isinstance(source, Path) or not source.lstrip().startswith(("{", "[")):
         try:
             text = Path(source).read_text()
@@ -93,6 +95,8 @@ def _load_json(source: str | Path) -> object:
         raise SpecValidationError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise SpecValidationError("malformed JSON: nested too deeply") from None
 
 
 def parse_spec(source: str | Path) -> SpecDocument:

@@ -11,6 +11,7 @@ so every value has one stored form.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
@@ -44,12 +45,14 @@ def _as_rational(value) -> Rational:
 
 
 def _frac_from_json(value) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected integer or 'p/q' string, got {value!r}")
+    # an int or a '[-]digits[/digits]' string; Fraction alone also reads
+    # '1.5', ' 1/2' and '1e30000000', the last as a 30-million-digit integer
+    if not (_is_int(value) or isinstance(value, str) and re.fullmatch("-?[0-9]+(/[0-9]+)?", value)):
+        raise ValueError("not an integer or 'p/q' string")
     try:
         return Fraction(value)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
+        raise ValueError("zero denominator") from None
 
 
 class DivisorClass:
@@ -87,23 +90,14 @@ class DivisorClass:
         return obj
 
     @classmethod
-    def _surface_of(cls, surface: dict[str, int]) -> DivisorClass:
-        # A class with no delta part, from checked symbols and non-zero int
-        # coefficients (the stored form already), in a dict the caller hands
-        # over: only the sort is left, and only when the symbols are out of
-        # order.
+    def _surface_of(cls, surface: dict[str, int], delta: int = 0) -> DivisorClass:
+        # A class from checked symbols, non-zero int coefficients and an int
+        # delta (the stored form already), in a dict the caller hands over:
+        # only the sort is left, and only when the symbols are out of order.
         obj = cls.__new__(cls)
         names = list(surface)
         obj.surface = surface if names == sorted(names) else dict(sorted(surface.items()))
-        obj.delta = 0
-        return obj
-
-    def _minus_delta(self, coeff: Rational) -> DivisorClass:
-        # self - coeff * delta: the surface is already checked, sorted and
-        # canonical, so only the new delta is validated and made canonical
-        obj = DivisorClass.__new__(DivisorClass)
-        obj.surface = dict(self.surface)
-        obj.delta = _canonical(self.delta - _as_rational(coeff))
+        obj.delta = delta
         return obj
 
     @classmethod

@@ -55,13 +55,15 @@ def _as_matrix(rows, k: int, what: str, allow_none: bool = False):
 
 def _as_slopes(values) -> tuple[Fraction, ...]:
     # Fractions, or the ints and 'p/q' strings of JSON; never floats or bools
-    bad = ValueError(f"slopes must be exact fractions, got {values!r}")
     if not isinstance(values, (list, tuple)):
-        raise bad
-    try:
-        return tuple(s if isinstance(s, Fraction) else _frac_from_json(s) for s in values)
-    except ValueError as exc:
-        raise bad from exc
+        raise ValueError(f"slopes must be exact fractions, got {values!r}")
+    slopes = []
+    for i, s in enumerate(values, start=1):
+        try:
+            slopes.append(s if isinstance(s, Fraction) else _frac_from_json(s))
+        except ValueError as exc:
+            raise ValueError(f"slopes must be exact fractions: slope {i}: {exc}") from None
+    return tuple(slopes)
 
 
 class HomTable(_Frozen):

@@ -39,7 +39,7 @@ from .chern import (
     rank_G,
     regular_checksum,
 )
-from .divisors import DivisorClass
+from .divisors import DivisorClass, _as_rational
 from .errors import IntegralityError, SizeLimitError
 from .partitions import (
     LabeledComposition,
@@ -353,7 +353,8 @@ def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
     sign-twisted restriction to the pairwise diagonal (the blowup route)."""
     if not isinstance(b, DivisorClass):
         raise ValueError(f"expected a DivisorClass, got {b!r}")
-    return b._minus_delta(invariant_rank).require_integral("c1_via_blowup")
+    delta = b.delta - _as_rational(invariant_rank)
+    return DivisorClass._trusted(b.surface, delta).require_integral("c1_via_blowup")
 
 
 @lru_cache(maxsize=256)

@@ -72,13 +72,13 @@ def test_cached_invariants_leave_equality_alone():
     assert repr(a) == repr(b)
     c = BundleSpec.build((2, 1), [(2, "e1", (1, 1)), (3, "e2", (1,))])
     assert c.s == a.s and c != a
-    c1(a)  # memoises b_class and r_number on a
+    c1(a)  # memoises the class on a
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b)
     # n, s, w, size, rep_dim, rep_content and the memo live in the instance
     # dict, yet only the declared fields reach equality, hash and repr
     assert {"n", "s", "w"} <= set(vars(b))
-    assert set(vars(a)) - set(vars(b)) == {"_b_class", "_r_number"}
+    assert set(vars(a)) - set(vars(b)) == {"_c1"}
     assert {"size", "rep_dim", "rep_content"} <= set(vars(a.blocks[0]))
     assert repr(a) == (
         "BundleSpec(lam=(2, 1), blocks=(BundleBlock(rank=2, c1_symbol='e1', rep=(2,)), "
@@ -93,6 +93,31 @@ def test_cached_invariants_leave_equality_alone():
     for obj, name in ((a, "lam"), (a, "n"), (block, "rank"), (block, "rep_dim")):
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(obj, name, 1)
+
+
+@pytest.mark.parametrize(
+    "sizes, blocks",
+    [
+        # symbols out of order, repeated, and trivial
+        ((2, 1), [(2, "e2", (2,)), (3, "e1", (1,))]),
+        ((1, 2, 1), [(3, "e3", (1,)), (1, "e1", (1, 1)), (2, "e2", (1,))]),
+        ((2, 2), [(2, "e", (1, 1)), (3, "e", (2,))]),
+        ((2, 1), [(2, "0", (2,)), (3, "", (1,))]),
+        ((1, 1), [(2, "0", (1,)), (1, "e", (1,))]),
+        ((1,), [(4, "e", (1,))]),
+    ],
+)
+def test_one_memo_keeps_both_parts_in_stored_form(sizes, blocks):
+    spec = BundleSpec.build(sizes, blocks)
+    before = set(vars(spec))
+    b, r, full = b_class(spec), r_number(spec), c1(spec)
+    assert full.surface == b.surface
+    assert list(b.surface) == sorted(b.surface)
+    assert all(type(coeff) is int and coeff for coeff in b.surface.values())
+    assert b.delta == 0 and type(r) is int and r == -full.delta
+    assert set(vars(spec)) - before == {"_c1"}
+    # the memo is the class itself, and b_class and r_number read it
+    assert c1(spec) is full and b_class(spec) == b and r_number(spec) == r
 
 
 def test_r_number_closed_form_runs_once_per_spec(monkeypatch):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,33 @@ def test_symbol_with_trailing_newline_is_refused(command, symbol):
         code = dispatch([command, "--spec", json.dumps(doc)])
     assert (code, out.getvalue()) == (EXIT_VALIDATION, "")
     assert err.getvalue() == f"error: blocks[0]: invalid surface symbol {symbol!r}\n"
+
+
+@pytest.mark.parametrize("inline", [True, False])
+def test_deeply_nested_spec_is_malformed_json(tmp_path, inline):
+    # json.loads recurses once per bracket; past the recursion limit that was
+    # an internal error and exit 2
+    text = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    source = text if inline else str(path)
+    with pytest.raises(SpecValidationError, match="^malformed JSON: nested too deeply$"):
+        parse_spec(source)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run_cli("chern", "--spec", source) == (EXIT_VALIDATION, "")
+    assert err.getvalue() == "error: malformed JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("blank", ["", "  ", "\n"])
+def test_blank_spec_is_refused(blank):
+    # "" used to be read as the path ".", a directory
+    with pytest.raises(SpecValidationError, match="^spec is empty$"):
+        parse_spec(blank)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run_cli("chern", "--spec", blank) == (EXIT_VALIDATION, "")
+    assert err.getvalue() == "error: spec is empty\n"
 
 
 def test_unreadable_spec_path_and_bracket_text(tmp_path):
@@ -241,6 +269,9 @@ def test_ext_requires_hom_table(tmp_path):
         ("k", None, "k must be an integer"),
         ("hom", [[1.9, 0], [0, True]], "hom must be a 2x2 matrix of integers"),
         ("slopes", [0.5, 1], "slopes must be exact fractions"),
+        ("slopes", ["1", "1/0"], "slopes must be exact fractions: slope 2: zero denominator$"),
+        ("slopes", ["1/2", "1.5"], "slopes must be exact fractions: slope 2: not an integer or"),
+        ("slopes", [" 1/2", "1"], "slopes must be exact fractions: slope 1: not an integer or"),
     ],
 )
 def test_hom_table_json_errors_exit_cleanly(tmp_path, capsys, key, value, message):
@@ -254,6 +285,38 @@ def test_hom_table_json_errors_exit_cleanly(tmp_path, capsys, key, value, messag
     assert (code, out) == (EXIT_VALIDATION, "")
     err = capsys.readouterr().err
     assert err.startswith("error: hom_table: ") and err.count("\n") == 1
+
+
+def test_slope_with_an_exponent_exits_at_once(tmp_path, capsys):
+    # Fraction alone reads "1e30000000" as a 30-million-digit integer and
+    # does not finish; a long slope's message names its place, not its digits
+    data = json.loads(json.dumps(SPEC))
+    path = tmp_path / "slopes.json"
+    for slope in ("1e30000000", "9" * 5000 + ".5"):
+        data["hom_table"]["slopes"] = ["1/2", slope]
+        path.write_text(json.dumps(data))
+        started = time.perf_counter()
+        assert run_cli("ext", "--spec", str(path)) == (EXIT_VALIDATION, "")
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().err == (
+            "error: hom_table: slopes must be exact fractions: slope 2: "
+            "not an integer or 'p/q' string\n"
+        )
+
+
+def test_documented_slopes_still_parse():
+    # integers and "p/q" strings, signed or not, as the benchmark and the
+    # README write them
+    data = json.loads(json.dumps(SPEC))
+    for slopes, expected in (
+        (["-1", "-1"], (-1, -1)),
+        ([0, "0"], (0, 0)),
+        (["5/2", "10/4"], (Fraction(5, 2),) * 2),
+        (["-3/2", -2], (Fraction(-3, 2), -2)),
+    ):
+        data["hom_table"]["slopes"] = slopes
+        data["hom_table"]["labels"] = ["A", "A" if expected[0] == expected[1] else "B"]
+        assert parse_spec(json.dumps(data)).hom_table.slopes == expected
 
 
 def test_conditions_text(spec_file):
@@ -482,7 +545,7 @@ def test_unexpected_exception_is_one_line(monkeypatch, capsys):
 
 
 _JUNK = (
-    None, True, False, 0, -1, 2, 3, 1.5, 1e300, "x", "1/0", "",
+    None, True, False, 0, -1, 2, 3, 1.5, 1e300, "x", "1/0", "", "1e30000000", "1.5", " 1/2",
     [], [1], [[1.9]], [None, [2]], {}, {"n": 1},
 )
 
