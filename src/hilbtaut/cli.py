@@ -75,26 +75,30 @@ def _load_json(source: str | Path) -> object:
 
     if isinstance(source, str) and not source.strip():
         raise SpecValidationError("spec is empty")
+    text, unread = source, None
     if isinstance(source, Path) or not source.lstrip().startswith(("{", "[")):
         try:
             text = Path(source).read_text()
         except OSError as exc:
+            if isinstance(source, Path):
+                raise SpecValidationError(f"cannot read spec: {exc}") from exc
             # JSON text such as null, 5 or "x" is not a path either; parse_spec
             # rejects every value that is not an object
-            if isinstance(source, str):
-                try:
-                    return json.loads(source)
-                except ValueError:
-                    pass
-            raise SpecValidationError(f"cannot read spec: {exc}") from exc
-    else:
-        text = source
+            unread = exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
+        if unread is not None:
+            raise SpecValidationError(f"cannot read spec: {unread}") from unread
         raise SpecValidationError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError:
+        # the one other ValueError of json.loads: int() refuses an integer
+        # longer than the interpreter's digit limit
+        raise SpecValidationError(
+            f"malformed JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     except RecursionError:
         raise SpecValidationError("malformed JSON: nested too deeply") from None
 

@@ -56,7 +56,7 @@ def _as_matrix(rows, k: int, what: str, allow_none: bool = False):
 def _as_slopes(values) -> tuple[Fraction, ...]:
     # Fractions, or the ints and 'p/q' strings of JSON; never floats or bools
     if not isinstance(values, (list, tuple)):
-        raise ValueError(f"slopes must be exact fractions, got {values!r}")
+        raise ValueError(f"slopes must be exact fractions, got {type(values).__name__}")
     slopes = []
     for i, s in enumerate(values, start=1):
         try:
@@ -86,10 +86,13 @@ class HomTable(_Frozen):
         ext2: Sequence[Sequence[int]] | None = None,
         locally_free: bool = True,
     ):
+        # a wrong value is named by its type, never echoed: JSON has no size bound
         if not _all_of(iso_labels, lambda label: isinstance(label, str)):
-            raise ValueError(f"labels must be a list of strings, got {iso_labels!r}")
+            raise ValueError(f"labels must be a list of strings, got {type(iso_labels).__name__}")
         if not isinstance(locally_free, bool):
-            raise ValueError(f"locally_free must be true or false, got {locally_free!r}")
+            raise ValueError(
+                f"locally_free must be true or false, got {type(locally_free).__name__}"
+            )
         k = len(iso_labels)
         slopes = _as_slopes(slopes)
         if len(slopes) != k:
@@ -138,7 +141,7 @@ class HomTable(_Frozen):
     @classmethod
     def from_json_dict(cls, data: Mapping) -> HomTable:
         if not isinstance(data, Mapping):
-            raise ValueError(f"hom table must be an object, got {data!r}")
+            raise ValueError(f"hom table must be an object, got {type(data).__name__}")
         unknown = set(data) - {"k", "hom", "ext1", "labels", "slopes", "ext2", "locally_free"}
         if unknown:
             raise ValueError(f"unknown hom-table keys {sorted(unknown)}")
@@ -154,7 +157,7 @@ class HomTable(_Frozen):
             locally_free=data.get("locally_free", True),
         )
         if "k" in data and not _is_int(data["k"]):
-            raise ValueError(f"k must be an integer, got {data['k']!r}")
+            raise ValueError(f"k must be an integer, got {type(data['k']).__name__}")
         if data.get("k", table.k) != table.k:
             raise ValueError(f"declared k = {data['k']} but tables have size {table.k}")
         return table

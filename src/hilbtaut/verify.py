@@ -1,10 +1,12 @@
 """Cross-checks pitting every closed formula against its brute-force oracle.
 
 Every oracle lives here, beside the suite that runs it; the other modules
-hold only closed forms and searches.  Each suite returns the number of
-comparisons made and a list of failure descriptions (empty when the routes
-agree).  The CLI `verify` subcommand runs all of them; the acceptance tests
-reuse them with pinned bounds.
+hold only closed forms and searches.  Each suite is written as a generator
+of check outcomes, one per comparison: None when the two routes agree, else
+the failure line.  One runner, `_suite`, turns it into the public suite
+function, which counts the outcomes, collects the failures and times the run
+into a `SuiteResult`.  The CLI `verify` subcommand runs seven of them
+through `verify_all`; the acceptance tests reuse them with pinned bounds.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from itertools import combinations, permutations, product
 from math import factorial, prod
 from operator import itemgetter
@@ -72,6 +74,27 @@ class SuiteResult(NamedTuple):
         return not self.failures
 
 
+def _suite(name: str):
+    # one runner for every suite: the decorated generator yields one outcome
+    # per check, None or the failure line; wraps keeps its __module__, which
+    # the benchmark's tracer selects on, and its __wrapped__ for the tests
+    def runner(outcomes):
+        @wraps(outcomes)
+        def suite(*bound) -> SuiteResult:
+            started = time.perf_counter()
+            checks = 0
+            failures: list[str] = []
+            for outcome in outcomes(*bound):
+                checks += 1
+                if outcome is not None:
+                    failures.append(outcome)
+            return SuiteResult(name, checks, failures, time.perf_counter() - started)
+
+        return suite
+
+    return runner
+
+
 def _sweep_compositions(max_n: int):
     # canonical descending order plus the reversed (ascending) variant, so
     # unsorted compositions get exercised too
@@ -107,13 +130,12 @@ def count_standard_tableaux(d: Sequence[int]) -> int:
     return grow(0)
 
 
-def coset_count_suite(max_n: int = 6) -> SuiteResult:
+@_suite("coset counts vs index numbers")
+def coset_count_suite(max_n: int = 6):
     """Coset enumeration vs the multinomial index numbers."""
-    checks = 0
-    failures: list[str] = []
     for lam in _sweep_compositions(max_n):
         singles, pairs = p_reduced(lam)
-        checks += 1
+        index = index_p(lam)
         # one pass over the cosets, keeping only counts: the identity (the one
         # non-decreasing labeling) must come first and nowhere else
         ident = LabeledComposition(lam).identity_labels()
@@ -129,34 +151,30 @@ def coset_count_suite(max_n: int = 6) -> SuiteResult:
             if len(coset) >= 2:
                 key = (coset[0], coset[1])
                 pair_counts[key] = pair_counts.get(key, 0) + 1
-        if count != index_p(lam):
-            failures.append(f"lam={lam}: {count} cosets vs index {index_p(lam)}")
+        if count != index:
+            yield f"lam={lam}: {count} cosets vs index {index}"
             continue
-        if not identity_first:
-            failures.append(f"lam={lam}: identity coset not unique or not first")
-        if sum(singles.values()) != index_p(lam):
-            failures.append(f"lam={lam}: single reductions do not sum to the index")
+        # the identity's place and the single reductions' total belong to the
+        # composition's first check
+        yield (
+            f"lam={lam}: identity coset not unique or not first" if not identity_first
+            else f"lam={lam}: single reductions do not sum to the index"
+            if sum(singles.values()) != index
+            else None
+        )
         for i, expected in singles.items():
-            checks += 1
-            if first_counts.get(i, 0) != expected:
-                failures.append(f"lam={lam}: position-1 label {i} count mismatch")
+            ok = first_counts.get(i, 0) == expected
+            yield None if ok else f"lam={lam}: position-1 label {i} count mismatch"
         if sum(lam) >= 2:
             ordered_total = 0
             for (i, j), expected in pairs.items():
-                if i == j:
-                    ordered = [(i, i)]
+                for key in ((i, j),) if i == j else ((i, j), (j, i)):
                     ordered_total += expected
-                else:
-                    ordered = [(i, j), (j, i)]
-                    ordered_total += 2 * expected
-                for key in ordered:
-                    checks += 1
-                    if pair_counts.get(key, 0) != expected:
-                        failures.append(f"lam={lam}: positions-1,2 labels {key} mismatch")
-            checks += 1
-            if ordered_total != index_p(lam):
-                failures.append(f"lam={lam}: pair reductions do not sum to the index")
-    return SuiteResult("coset counts vs index numbers", checks, failures)
+                    ok = pair_counts.get(key, 0) == expected
+                    yield None if ok else f"lam={lam}: positions-1,2 labels {key} mismatch"
+            yield None if ordered_total == index else (
+                f"lam={lam}: pair reductions do not sum to the index"
+            )
 
 
 _BRUTE_FORCE_MAX = 7
@@ -252,21 +270,19 @@ def _brute_force_table(m: int) -> CharacterTable:
     )
 
 
-def character_suite(max_m: int = 6) -> SuiteResult:
+@_suite("characters vs permutation brute force")
+def character_suite(max_m: int = 6):
     """Recursive character values vs the tabloid/Gram-Schmidt oracle."""
-    checks = 0
-    failures: list[str] = []
     for m in range(1, min(max_m, 7) + 1):
         fast = character_table(m)
         slow = brute_force_character_table(m)
         for row_fast, row_slow, d in zip(fast.values, slow.values, fast.diagrams):
-            checks += 1
-            if row_fast != row_slow:
-                failures.append(f"m={m} diagram {tuple(d)}: {row_fast} vs {row_slow}")
-        checks += 1
-        if fast.class_sizes != slow.class_sizes:
-            failures.append(f"m={m}: class sizes {fast.class_sizes} vs {slow.class_sizes}")
-    return SuiteResult("characters vs permutation brute force", checks, failures)
+            yield None if row_fast == row_slow else (
+                f"m={m} diagram {tuple(d)}: {row_fast} vs {row_slow}"
+            )
+        yield None if fast.class_sizes == slow.class_sizes else (
+            f"m={m}: class sizes {fast.class_sizes} vs {slow.class_sizes}"
+        )
 
 
 def inner_product(
@@ -300,35 +316,29 @@ def _tensor_multiplicity_by_characters(d: Sequence[int]) -> Fraction:
     return Fraction(total, factorial(m))
 
 
-def rectangularity_suite(max_m: int = 8) -> SuiteResult:
+@_suite("rectangularity vs tensor multiplicity")
+def rectangularity_suite(max_m: int = 8):
     """Distinct-part count vs the character inner product, and
     multiplicity 1 exactly on rectangular diagrams."""
-    checks = 0
-    failures: list[str] = []
     for m in range(1, max_m + 1):
         for d in enumerate_partitions(m):
             mult = standard_tensor_multiplicity(d)
             oracle = _tensor_multiplicity_by_characters(d)
-            checks += 1
-            if mult != oracle or (mult == 1) != is_rectangular(d):
-                failures.append(f"{tuple(d)}: multiplicity {mult}, inner product {oracle}")
-    return SuiteResult("rectangularity vs tensor multiplicity", checks, failures)
+            ok = mult == oracle and (mult == 1) == is_rectangular(d)
+            yield None if ok else f"{tuple(d)}: multiplicity {mult}, inner product {oracle}"
 
 
-def restriction_suite(max_m: int = 10) -> SuiteResult:
+@_suite("transposition restriction sums")
+def restriction_suite(max_m: int = 10):
     """Trivial/sign multiplicities under a 2-cycle sum to the dimension."""
-    checks = 0
-    failures: list[str] = []
     for m in range(2, max_m + 1):
         for d in enumerate_partitions(m):
             alpha, beta = restrict_to_transposition(d)
-            checks += 1
-            if alpha < 0 or beta < 0 or alpha + beta != dimension(d):
-                failures.append(f"{tuple(d)}: alpha={alpha} beta={beta} dim={dimension(d)}")
-    return SuiteResult("transposition restriction sums", checks, failures)
+            ok = alpha >= 0 and beta >= 0 and alpha + beta == dimension(d)
+            yield None if ok else f"{tuple(d)}: alpha={alpha} beta={beta} dim={dimension(d)}"
 
 
-def _all_specs(n: int, ranks=(1, 2, 3)):
+def _all_specs(n: int):
     # every spec is still built and validated; the blocks of one position
     # and rep, one per rank, are built once per call and shared by the specs
     # that carry them
@@ -337,13 +347,13 @@ def _all_specs(n: int, ranks=(1, 2, 3)):
     def position_blocks(i: int, rep) -> tuple[BundleBlock, ...]:
         key = (i, rep)
         if key not in blocks:
-            blocks[key] = tuple(BundleBlock(rank, f"e{i + 1}", rep) for rank in ranks)
+            blocks[key] = tuple(BundleBlock(rank, f"e{i + 1}", rep) for rank in (1, 2, 3))
         return blocks[key]
 
     for lam in enumerate_partitions(n):
         comp = LabeledComposition(lam)
         for reps in product(*(enumerate_partitions(part) for part in lam)):
-            # in rank-tuple order, as product(ranks, repeat=k)
+            # in rank-tuple order, as product((1, 2, 3), repeat=k)
             for chosen in product(*(position_blocks(i, rep) for i, rep in enumerate(reps))):
                 yield BundleSpec(comp, chosen)
 
@@ -409,29 +419,25 @@ def _swap_trace_rank(spec: BundleSpec) -> int:
     return (dim - trace) // 2
 
 
-def rank_oracle_suite(max_n: int = 6, ranks=(1, 2, 3)) -> SuiteResult:
+@_suite("chern delta coefficient vs swap-trace oracle")
+def rank_oracle_suite(max_n: int = 6):
     """Closed-form delta coefficient vs the swap-trace oracle, full sweep.
 
     Two checks per spec, whatever the first one finds: the delta
     coefficients, then c1 against b_class - oracle * delta.
     """
-    checks = 0
-    failures: list[str] = []
     for n in range(2, max_n + 1):
-        for spec in _all_specs(n, ranks):
+        for spec in _all_specs(n):
             closed = r_number(spec)
             oracle = _swap_trace_rank(spec)
-            checks += 2
-            if closed != oracle:
-                failures.append(
-                    f"lam={tuple(spec.lam)} ranks={[b.rank for b in spec.blocks]} "
-                    f"reps={[tuple(b.rep) for b in spec.blocks]}: {closed} vs {oracle}"
-                )
+            yield None if closed == oracle else (
+                f"lam={tuple(spec.lam)} ranks={[b.rank for b in spec.blocks]} "
+                f"reps={[tuple(b.rep) for b in spec.blocks]}: {closed} vs {oracle}"
+            )
             # compared part by part, without building the second class
             full, b = c1(spec), b_class(spec)
-            if full.surface != b.surface or full.delta != b.delta - oracle or not full.is_integral:
-                failures.append(f"lam={tuple(spec.lam)}: c1 routes disagree")
-    return SuiteResult("chern delta coefficient vs swap-trace oracle", checks, failures)
+            ok = full.surface == b.surface and full.delta == b.delta - oracle and full.is_integral
+            yield None if ok else f"lam={tuple(spec.lam)}: c1 routes disagree"
 
 
 # The largest degree whose whole polynomial the generating suite expands:
@@ -439,7 +445,8 @@ def rank_oracle_suite(max_n: int = 6, ranks=(1, 2, 3)) -> SuiteResult:
 _EXPANDED_MAX_N = 4
 
 
-def generating_suite(max_n: int = 6) -> SuiteResult:
+@_suite("generating polynomial coefficients")
+def generating_suite(max_n: int = 6):
     """Generating-polynomial coefficients vs per-shape closed formulas.
 
     Up to degree _EXPANDED_MAX_N the coefficients are read from the whole
@@ -447,8 +454,6 @@ def generating_suite(max_n: int = 6) -> SuiteResult:
     alone, by the closed form `generating --coeff` uses, so no other
     monomial is built.
     """
-    checks = 0
-    failures: list[str] = []
     rank_cycle = (2, 1, 3)
     for n in range(2, max_n + 1):
         inputs = [(rank_cycle[i % 3], f"e{i + 1}") for i in range(n)]
@@ -458,21 +463,12 @@ def generating_suite(max_n: int = 6) -> SuiteResult:
             else:
                 coefficient = partial(_generating_coefficient, n, inputs, variant=variant)
             for lam in enumerate_partitions(n):
-                k = len(lam)
-                expts = tuple(lam) + (0,) * (n - k)
-                reps = [
-                    (part,) if variant == "trivial" else (1,) * part for part in lam
-                ]
-                spec = BundleSpec.build(
-                    tuple(lam),
-                    [(inputs[i][0], inputs[i][1], reps[i]) for i in range(k)],
-                )
-                checks += 1
-                if coefficient(expts) != c1(spec):
-                    failures.append(
-                        f"n={n} {variant} lam={tuple(lam)}: coefficient mismatch"
-                    )
-    return SuiteResult("generating polynomial coefficients", checks, failures)
+                expts = tuple(lam) + (0,) * (n - len(lam))
+                reps = [(part,) if variant == "trivial" else (1,) * part for part in lam]
+                blocks = [(*inputs[i], rep) for i, rep in enumerate(reps)]
+                spec = BundleSpec.build(tuple(lam), blocks)
+                ok = coefficient(expts) == c1(spec)
+                yield None if ok else f"n={n} {variant} lam={tuple(lam)}: coefficient mismatch"
 
 
 def regular_checksum_via_irreps(n: int, rank: int, symbol: str) -> DivisorClass:
@@ -485,16 +481,13 @@ def regular_checksum_via_irreps(n: int, rank: int, symbol: str) -> DivisorClass:
     return total
 
 
-def regular_suite(max_n: int = 6, max_rank: int = 3) -> SuiteResult:
+@_suite("regular-representation checksum")
+def regular_suite(max_n: int = 6):
     """Closed-form checksum vs the dimension-weighted sum over irreducibles."""
-    checks = 0
-    failures: list[str] = []
     for n in range(2, max_n + 1):
-        for rank in range(1, max_rank + 1):
-            checks += 1
-            if regular_checksum(n, rank, "e") != regular_checksum_via_irreps(n, rank, "e"):
-                failures.append(f"n={n} rank={rank}: checksum mismatch")
-    return SuiteResult("regular-representation checksum", checks, failures)
+        for rank in (1, 2, 3):
+            ok = regular_checksum(n, rank, "e") == regular_checksum_via_irreps(n, rank, "e")
+            yield None if ok else f"n={n} rank={rank}: checksum mismatch"
 
 
 def vanishing_by_enumeration(lam: Sequence[int], table: HomTable) -> VanishingReport:
@@ -591,30 +584,23 @@ def _coset_scan_tables(k: int, rng: random.Random):
         yield "non-adjacent repeat", table(matrix(0, 2), matrix(0, 2), labels)
 
 
-def coset_scan_suite(max_n: int = 7) -> SuiteResult:
+@_suite("double-coset scans vs coset enumeration")
+def coset_scan_suite(max_n: int = 7):
     """Double-coset vanishing and closed-form stability vs coset enumeration
     on every composition of n <= max_n, under seeded tables."""
     from .moduli import offdiagonal_ext1_vanishing, stability_certificate
 
     rng = random.Random(20261017)
-    checks = 0
-    failures: list[str] = []
     for n in range(1, max_n + 1):
         for lam in _compositions(n):
             for kind, table in _coset_scan_tables(len(lam), rng):
                 fast, slow = offdiagonal_ext1_vanishing(lam, table), vanishing_by_enumeration(lam, table)
-                checks += 1
-                if fast != slow:
-                    failures.append(f"lam={lam} {kind}: vanishing {fast} vs {slow}")
+                yield None if fast == slow else f"lam={lam} {kind}: vanishing {fast} vs {slow}"
                 cert, oracle = stability_certificate(lam, table), stability_by_enumeration(lam, table)
-                checks += 1
-                if (
-                    (cert.ok, cert.failing_coset, len(cert.witnesses))
-                    != (oracle.ok, oracle.failing_coset, len(oracle.witnesses))
-                    or tuple(cert.witnesses[:11]) != oracle.witnesses[:11]
-                ):
-                    failures.append(f"lam={lam} {kind}: stability certificates differ")
-    return SuiteResult("double-coset scans vs coset enumeration", checks, failures)
+                ok = (cert.ok, cert.failing_coset, len(cert.witnesses)) == (
+                    oracle.ok, oracle.failing_coset, len(oracle.witnesses)
+                ) and tuple(cert.witnesses[:11]) == oracle.witnesses[:11]
+                yield None if ok else f"lam={lam} {kind}: stability certificates differ"
 
 
 def grouping_by_search(table: HomTable) -> tuple[tuple[int, ...], ...] | None:
@@ -693,28 +679,26 @@ def _grouping_tables(k: int, rng: random.Random, count: int):
         yield "random", table(hom, ext1)
 
 
-def grouping_suite() -> SuiteResult:
+@_suite("grouping components vs backtracking search")
+def grouping_suite():
     """Strongly-connected-component grouping vs the backtracking search on
     structured and seeded random tables with k <= 7 blocks, fewer of them
     where the search costs more (1,083 tables in all)."""
     from .moduli import check_conditions
 
     rng = random.Random(20261018)
-    checks = 0
-    failures: list[str] = []
     for k in range(8):
         count = min(200, 20 * 3 ** (7 - k)) if k else 0
         for kind, table in _grouping_tables(k, rng, count):
             fast, slow = check_conditions(table).grouping, grouping_by_search(table)
-            checks += 1
-            if fast != slow:
-                failures.append(f"k={k} {kind} {table.hom} {table.ext1}: {fast} vs {slow}")
-    return SuiteResult("grouping components vs backtracking search", checks, failures)
+            yield None if fast == slow else (
+                f"k={k} {kind} {table.hom} {table.ext1}: {fast} vs {slow}"
+            )
 
 
 def verify_all(max_n: int = 6) -> list[SuiteResult]:
-    """Run every oracle suite with bounds tied to max_n, each timed; from
-    max_n = 2 on, each suite makes at least one check.
+    """Run seven oracle suites with bounds tied to max_n; from max_n = 2 on,
+    each suite makes at least one check.
 
     The size caps the suites would meet are checked first, before any work:
     partitions of max_n + 4 and max_n! cosets.  The largest accepted bound
@@ -729,6 +713,7 @@ def verify_all(max_n: int = 6) -> list[SuiteResult]:
             f"past the partition bound {partitions.MAX_PARTITION_N}"
         )
     bounded_index_p((1,) * max_n)
+    # built at each call, so that a suite rebound on the module is the one run
     suites = (
         (coset_count_suite, max_n),
         (character_suite, min(max_n, 6)),
@@ -738,9 +723,4 @@ def verify_all(max_n: int = 6) -> list[SuiteResult]:
         (generating_suite, max_n),
         (regular_suite, max_n),
     )
-    results = []
-    for suite, bound in suites:
-        started = time.perf_counter()
-        result = suite(bound)
-        results.append(result._replace(seconds=time.perf_counter() - started))
-    return results
+    return [suite(bound) for suite, bound in suites]

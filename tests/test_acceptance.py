@@ -124,7 +124,7 @@ def test_criterion_04_generating_function_consistency():
 
 def test_criterion_05_regular_representation_checksum():
     started = time.perf_counter()
-    result = regular_suite(7, max_rank=3)
+    result = regular_suite(7)
     assert not result.failures, result.failures
     assert result.checks >= 18
     _verdict(

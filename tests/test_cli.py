@@ -135,6 +135,23 @@ def test_deeply_nested_spec_is_malformed_json(tmp_path, inline):
     assert err.getvalue() == "error: malformed JSON: nested too deeply\n"
 
 
+@pytest.mark.parametrize("inline", [True, False])
+def test_integer_past_the_digit_limit_is_malformed_json(tmp_path, inline):
+    # json.loads reads integers with int(), which refuses more than 4,300
+    # digits with a plain ValueError and a hint about sys.set_int_max_str_digits
+    text = json.dumps({**SPEC, "n": 0}).replace('"n": 0', '"n": ' + "9" * 5000)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    source = text if inline else str(path)
+    with pytest.raises(SpecValidationError, match="^malformed JSON: an integer has more than "):
+        parse_spec(source)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run_cli("chern", "--spec", source) == (EXIT_VALIDATION, "")
+    assert err.getvalue().startswith("error: malformed JSON: ")
+    assert err.getvalue().count("\n") == 1 and len(err.getvalue().encode()) < 200
+
+
 @pytest.mark.parametrize("blank", ["", "  ", "\n"])
 def test_blank_spec_is_refused(blank):
     # "" used to be read as the path ".", a directory
@@ -258,6 +275,10 @@ def test_ext_requires_hom_table(tmp_path):
     assert run_cli("chern", "--spec", str(path))[0] == EXIT_OK
 
 
+# a string longer than any message may echo
+LONG = "x" * 100_000
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -272,11 +293,23 @@ def test_ext_requires_hom_table(tmp_path):
         ("slopes", ["1", "1/0"], "slopes must be exact fractions: slope 2: zero denominator$"),
         ("slopes", ["1/2", "1.5"], "slopes must be exact fractions: slope 2: not an integer or"),
         ("slopes", [" 1/2", "1"], "slopes must be exact fractions: slope 1: not an integer or"),
+        # a long wrong value is named by its type, not echoed
+        pytest.param("slopes", LONG, "slopes must be exact fractions, got str$", id="long-slopes"),
+        pytest.param("labels", LONG, "labels must be a list of strings, got str$", id="long-labels"),
+        pytest.param(
+            "locally_free", LONG, "locally_free must be true or false, got str$", id="long-locally-free"
+        ),
+        pytest.param("k", LONG, "k must be an integer, got str$", id="long-k"),
+        pytest.param(None, LONG, "hom table must be an object, got str$", id="long-table"),
     ],
 )
 def test_hom_table_json_errors_exit_cleanly(tmp_path, capsys, key, value, message):
+    # key None replaces the whole table
     data = json.loads(json.dumps(SPEC))
-    data["hom_table"][key] = value
+    if key is None:
+        data["hom_table"] = value
+    else:
+        data["hom_table"][key] = value
     with pytest.raises(SpecValidationError, match=message):
         parse_spec(json.dumps(data))
     path = tmp_path / "bad_table.json"
@@ -285,6 +318,7 @@ def test_hom_table_json_errors_exit_cleanly(tmp_path, capsys, key, value, messag
     assert (code, out) == (EXIT_VALIDATION, "")
     err = capsys.readouterr().err
     assert err.startswith("error: hom_table: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
 
 
 def test_slope_with_an_exponent_exits_at_once(tmp_path, capsys):

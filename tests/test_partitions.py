@@ -295,3 +295,24 @@ def test_coset_count_suite_reports_a_misplaced_identity(monkeypatch):
     assert result.failures
     assert all(f.endswith("identity coset not unique or not first") for f in result.failures)
     assert len(result.failures) == sum(1 for lam in verify._sweep_compositions(3) if len(lam) > 1)
+
+
+def test_coset_count_suite_reports_single_reductions_off_the_index(monkeypatch):
+    # one single reduction raised by one: the total belongs to each
+    # composition's first check, which reports it, and no check is added
+    clean = verify.coset_count_suite(4)
+    real = verify.p_reduced
+
+    def raised(lam):
+        singles, pairs = real(lam)
+        singles[1] += 1
+        return singles, pairs
+
+    monkeypatch.setattr(verify, "p_reduced", raised)
+    result = verify.coset_count_suite(4)
+    totals = [f for f in result.failures if f.endswith("do not sum to the index")]
+    assert totals == [
+        f"lam={lam}: single reductions do not sum to the index"
+        for lam in verify._sweep_compositions(4)
+    ]
+    assert (clean.failures, result.checks) == ([], clean.checks)
