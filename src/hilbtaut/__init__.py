@@ -24,13 +24,11 @@ _NAMES_BY_MODULE = {
     "partitions": (
         "LabeledComposition", "LabeledSetPartition", "Partition", "conjugate",
         "dimension", "enumerate_partitions", "index_p", "is_rectangular",
-        "iter_cosets", "multinomial_index", "p_reduced", "reduce_once",
-        "reduce_twice", "standard_tensor_multiplicity",
+        "iter_cosets", "standard_tensor_multiplicity",
     ),
     "characters": (
-        "CharacterTable", "CycleType", "RestrictionPair", "character",
-        "character_table", "class_size", "conjugacy_classes",
-        "restrict_to_transposition", "transposition_type",
+        "CharacterTable", "CycleType", "character", "character_table",
+        "class_size", "conjugacy_classes", "transposition_type",
     ),
     "divisors": ("ClassPolynomial", "DivisorClass"),
     "chern": (

@@ -5,15 +5,17 @@ numbers, in exact integers: each table from the cached tables of lower
 degree, a single value by folding its cycles over the diagrams they leave.
 Its oracle, a table built for small degrees from nothing but explicit
 permutations and tabloid counts, lives in verify.py.  The value at a
-transposition comes from Frobenius's content formula instead, for blocks of
-any size; the Chern closed forms read the content sum it is built on.
+transposition also has a closed form, Frobenius's content formula
+dim * content_sum / C(m, 2), written out only where it is read: in the
+Chern closed forms and in verify.py's restriction suite.  The tests check
+it against these values.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, prod
-from typing import NamedTuple, Sequence
+from math import factorial, prod
+from typing import Sequence
 
 from .errors import ShapeMismatchError
 from .partitions import (
@@ -21,8 +23,6 @@ from .partitions import (
     Partition,
     _all_of,
     _is_int,
-    content_sum,
-    dimension,
     enumerate_partitions,
 )
 
@@ -194,32 +194,3 @@ def _character_table(m: int) -> CharacterTable:
     return CharacterTable(
         m, diagrams, [c for c, _ in classes], [s for _, s in classes], values
     )
-
-
-class RestrictionPair(NamedTuple):
-    """Multiplicities (trivial, sign) of a restriction to a 2-cycle subgroup."""
-
-    alpha: int
-    beta: int
-
-
-def restrict_to_transposition(d: Sequence[int]) -> RestrictionPair:
-    """Decompose the restriction of an irreducible to the subgroup generated
-    by a single transposition into trivial and sign isotypic multiplicities.
-
-    The character value at the transposition is Frobenius's content formula,
-    chi(tau) = dim * sum_i [C(d_i, 2) - C(d'_i, 2)] / C(n, 2) (Macdonald,
-    Symmetric Functions and Hall Polynomials, I.7 Ex. 7), which takes O(n)
-    steps for any size; character() stays its oracle.
-    """
-    d = Partition(d)
-    if d.n < 2:
-        raise ValueError(f"restriction needs degree >= 2, got {d.n}")
-    dim = dimension(d)
-    # sum_i [C(d_i, 2) - C(d'_i, 2)] is the content sum of the cells
-    chi, rem = divmod(dim * content_sum(d), comb(d.n, 2))
-    if rem:
-        raise ArithmeticError(f"content formula not integral for {d}")
-    if (dim + chi) % 2:
-        raise ArithmeticError(f"parity failure for {d}: dim {dim}, trace {chi}")
-    return RestrictionPair((dim + chi) // 2, (dim - chi) // 2)

@@ -11,7 +11,6 @@ coset by coset (the swap trace) live in verify.py.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 from typing import Iterator, Sequence
@@ -266,10 +265,13 @@ def _coefficient(n: int, inputs, expts: tuple[int, ...], sign: int) -> DivisorCl
         if e and symbol not in _ZERO_SYMBOLS:
             surface[symbol] = surface.get(symbol, 0) + x * e // (n * rank)
         pairs += x * e * (e - 1) // (n * (n - 1) * rank)
-    # a Fraction only when the delta coefficient is a half-integer; the
-    # symbols were checked by _generating_inputs
-    twice_delta = -(x + sign * pairs)
-    delta = Fraction(twice_delta, 2) if twice_delta % 2 else twice_delta // 2
+    # twice delta is -(x - pairs) or -(x - pairs) - 2 * pairs, and x - pairs
+    # counts the coloured words whose first two letters differ, which the
+    # swap of positions 1 and 2 pairs off: it is even.  The symbols were
+    # checked by _generating_inputs.
+    delta, rem = divmod(-(x + sign * pairs), 2)
+    if rem:
+        raise IntegralityError(f"generating coefficient {expts}: delta is not an integer")
     return DivisorClass._trusted(surface, delta)
 
 

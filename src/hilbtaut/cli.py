@@ -1,12 +1,14 @@
 """Command line interface: JSON bundle specs in, exact invariants out.
 
 Exit codes: 0 success, 1 validation error, 2 internal consistency failure,
-64 usage error.  All output is deterministic.
+64 usage error, 141 stdout closed by its reader.  All output is
+deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -37,6 +39,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INTERNAL = 2
 EXIT_USAGE = 64
+# 128 + SIGPIPE, the status a shell reports for a writer its reader left
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -459,6 +463,10 @@ def dispatch(argv: Sequence[str]) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # the reader of stdout is gone: main, which owns the process's
+        # streams, ends it
+        raise
     except Exception as exc:
         # the last line of defence: one line on stderr, never a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -466,7 +474,16 @@ def dispatch(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered can go nowhere; pointing stdout at devnull
+        # keeps the flush at exit from failing again (Python's `signal`
+        # docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -289,7 +289,7 @@ def _first_failing_table(
             cells[a][b] = t
             rows[a] -= t
             cols[b] -= t
-            found = place(c + 1, p_next, d_next, moved or (t > 0 and a != b))
+            found = place(c + 1, p_next, d_next, moved or a != b)
             rows[a] += t
             cols[b] += t
             if found:

@@ -31,9 +31,9 @@ def _all_of(values, check) -> bool:
 class Partition(tuple):
     """A partition: non-increasing tuple of positive integers.
 
-    The empty partition (of 0) is allowed; it shows up as the result of
-    reducing small compositions.  A Partition passed in is returned as it
-    is: it was validated when it was made.
+    The empty partition (of 0) is allowed; it ends the recursion that
+    enumerates partitions.  A Partition passed in is returned as it is: it
+    was validated when it was made.
     """
 
     __slots__ = ()
@@ -196,15 +196,8 @@ def content_sum(d: Sequence[int]) -> int:
     return sum(row * (row - 1) // 2 - i * row for i, row in enumerate(Partition(d)))
 
 
-def multinomial_index(parts: Sequence[int]) -> int:
-    """(sum parts)! / prod(parts!); the index of a Young subgroup."""
-    if not _all_of(parts, lambda p: _is_int(p) and p >= 0):
-        raise ValueError(f"parts must be a list or tuple of non-negative integers, got {parts!r}")
-    return _multinomial(parts)
-
-
 def _multinomial(parts: Sequence[int]) -> int:
-    # multinomial_index on parts the caller has already checked
+    # (sum parts)! / prod(parts!), on non-negative parts the caller checked
     return factorial(sum(parts)) // prod(factorial(p) for p in parts)
 
 
@@ -229,57 +222,6 @@ def bounded_index_p(lam: Sequence[int]) -> int:
     if count > MAX_COSETS:
         raise SizeLimitError(f"{count} cosets exceed the bound {MAX_COSETS}")
     return count
-
-
-def _check_block_index(i: int, k: int) -> None:
-    if not _is_int(i):
-        raise ValueError(f"block index must be an integer, got {i!r}")
-    if not 1 <= i <= k:
-        raise IndexError(f"block index {i} out of range 1..{k}")
-
-
-def reduce_once(lam: Sequence[int], i: int) -> Partition:
-    """Decrement block i (1-based), drop zero parts, re-sort canonically."""
-    lam = LabeledComposition(lam)
-    _check_block_index(i, lam.k)
-    parts = list(lam)
-    parts[i - 1] -= 1
-    return Partition(sorted((p for p in parts if p), reverse=True))
-
-
-def reduce_twice(lam: Sequence[int], i: int, j: int) -> Partition:
-    """Decrement blocks i and j (i == j takes 2 from one block; needs size >= 2)."""
-    lam = LabeledComposition(lam)
-    _check_block_index(i, lam.k)
-    _check_block_index(j, lam.k)
-    parts = list(lam)
-    if i == j:
-        if parts[i - 1] < 2:
-            raise ValueError(f"block {i} has size {parts[i - 1]} < 2")
-        parts[i - 1] -= 2
-    else:
-        parts[i - 1] -= 1
-        parts[j - 1] -= 1
-    return Partition(sorted((p for p in parts if p), reverse=True))
-
-
-def p_reduced(lam: Sequence[int]) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """Index numbers of all single and double reductions of a composition.
-
-    Returns (singles, pairs): singles[i] counts cosets whose position 1 carries
-    label i; pairs[(i, j)] (i <= j, with (i, i) present only when block i has
-    size >= 2) counts cosets with prescribed labels on positions 1 and 2.
-    Both dicts are fresh, so callers may change them.
-    """
-    lam = LabeledComposition(lam)
-    singles = {i: _multinomial(reduce_once(lam, i)) for i in range(1, lam.k + 1)}
-    pairs = {
-        (i, j): _multinomial(reduce_twice(lam, i, j))
-        for i in range(1, lam.k + 1)
-        for j in range(i, lam.k + 1)
-        if i != j or lam[i - 1] >= 2
-    }
-    return singles, pairs
 
 
 def _arrangements(parts: tuple[int, ...]) -> Iterator[LabeledSetPartition]:

@@ -28,7 +28,7 @@ _NO_CAP_PARAMETER = [
     moduli.stability_certificate,
     moduli._Witnesses.__init__,
     verify.invariant_restriction_rank,
-    verify._same_label_pair_counts,
+    verify._coset_census,
     verify.vanishing_by_enumeration,
     verify.stability_by_enumeration,
 ]

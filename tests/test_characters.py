@@ -24,11 +24,11 @@ from hilbtaut.characters import (
     character_table,
     class_size,
     conjugacy_classes,
-    restrict_to_transposition,
     transposition_type,
 )
 from hilbtaut.errors import ShapeMismatchError
 from hilbtaut.partitions import (
+    content_sum,
     dimension,
     enumerate_partitions,
     is_rectangular,
@@ -271,22 +271,41 @@ def test_regular_character_multiplicities(m):
 
 
 def test_restriction_frozen():
-    assert restrict_to_transposition((2, 1)) == (1, 1)
-    assert restrict_to_transposition((3,)) == (1, 0)
-    assert restrict_to_transposition((1, 1)) == (0, 1)
-    assert restrict_to_transposition((2, 2)) == (1, 1)
+    # trivial and sign multiplicities (dim + chi) / 2 and (dim - chi) / 2
+    # under a 2-cycle, with chi by the border-strip rule and by the content
+    # formula
+    frozen = {(2, 1): (1, 1), (3,): (1, 0), (1, 1): (0, 1), (2, 2): (1, 1), (3, 1): (2, 1)}
+    for d, pair in frozen.items():
+        m, dim = sum(d), dimension(d)
+        chi = character(d, transposition_type(m))
+        assert dim * content_sum(d) == chi * math.comb(m, 2)
+        assert ((dim + chi) // 2, (dim - chi) // 2) == pair
     with pytest.raises(ValueError):
-        restrict_to_transposition((1,))
+        transposition_type(1)
 
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_restriction_sums(m):
+    # Frobenius's content formula, which restriction_suite and c1 read,
+    # against the border-strip value; the multiplicities (dim +- chi) / 2
+    # are then non-negative integers summing to the dimension
     tau = transposition_type(m)
     for d in enumerate_partitions(m):
-        alpha, beta = restrict_to_transposition(d)
-        assert alpha >= 0 and beta >= 0
-        assert alpha + beta == dimension(d)
-        assert alpha - beta == character(d, tau)
+        dim, chi = dimension(d), character(d, tau)
+        assert dim * content_sum(d) == chi * math.comb(m, 2)
+        assert abs(chi) <= dim and (dim + chi) % 2 == 0
+
+
+def test_restriction_suite_reports_a_wrong_content_sum(monkeypatch):
+    # a content sum one too large breaks the formula's division or the
+    # parity on every diagram of degree 2 or 3, one failure per check
+    clean = verify.restriction_suite(3)
+    monkeypatch.setattr(verify, "content_sum", lambda d: content_sum(d) + 1)
+    result = verify.restriction_suite(3)
+    assert clean.ok and result.checks == clean.checks == 5
+    assert [f.split(":")[0] for f in result.failures] == [
+        "(2,)", "(1, 1)", "(3,)", "(2, 1)", "(1, 1, 1)"
+    ]
 
 
 def test_standard_tensor_multiplicity_frozen():

@@ -15,7 +15,6 @@ from math import comb, factorial
 import pytest
 
 from hilbtaut import chern, verify
-from hilbtaut.characters import restrict_to_transposition
 from hilbtaut.chern import (
     BundleBlock,
     BundleSpec,
@@ -29,7 +28,7 @@ from hilbtaut.chern import (
 )
 from hilbtaut.divisors import DivisorClass
 from hilbtaut.errors import ShapeMismatchError, SizeLimitError
-from hilbtaut.partitions import content_sum, dimension, enumerate_partitions, p_reduced
+from hilbtaut.partitions import content_sum, dimension, enumerate_partitions
 from hilbtaut.verify import (
     c1_via_blowup,
     invariant_restriction_rank,
@@ -156,7 +155,8 @@ def test_swap_trace_suite_reports_one_wrong_closed_form(monkeypatch):
 def test_swap_trace_suite_reports_a_wrong_character_value(monkeypatch):
     # the oracle's 2-cycle value of (2, 1) is 0; moved by 2, the swap trace
     # keeps its parity and every spec with a (2, 1) block on a repeated
-    # label must disagree with the closed form
+    # label must disagree with the closed form.  The surface check reads no
+    # character, so it still passes on each of them.
     clean = verify.rank_oracle_suite(4)
     value = verify._transposition_character
     monkeypatch.setattr(
@@ -165,14 +165,35 @@ def test_swap_trace_suite_reports_a_wrong_character_value(monkeypatch):
     result = verify.rank_oracle_suite(4)
     delta_failures = [f for f in result.failures if " vs " in f]
     assert delta_failures and all("(2, 1)" in f.split("reps=")[1] for f in delta_failures)
-    assert len(result.failures) == 2 * len(delta_failures)
+    assert result.failures == delta_failures
     assert result.checks == clean.checks
+
+
+def test_swap_trace_suite_reports_a_c1_surface_off_by_one(monkeypatch):
+    # c1 off by one in its surface part, for every caller, b_class and
+    # r_number included: only the census of the enumerated cosets can tell,
+    # so each spec fails its second check and no other
+    clean = verify.rank_oracle_suite(3)
+    real = chern.c1
+
+    def shifted(spec):
+        full = real(spec)
+        return full + DivisorClass({next(iter(full.surface)): 1})
+
+    monkeypatch.setattr(chern, "c1", shifted)
+    monkeypatch.setattr(verify, "c1", shifted)
+    result = verify.rank_oracle_suite(3)
+    specs = [spec for n in (2, 3) for spec in verify._all_specs(n)]
+    assert result.failures == [f"lam={tuple(spec.lam)}: c1 routes disagree" for spec in specs]
+    assert (clean.failures, result.checks) == ([], clean.checks)
 
 
 def _pair_index_reference(spec: BundleSpec) -> tuple[DivisorClass, int]:
     # the pair-index form: position-1 and positions-1,2 coset counts from
-    # p_reduced, same-block pairs weighed by the 2-cycle restriction
-    singles, pairs = p_reduced(spec.lam)
+    # the reduction index numbers, same-block pairs weighed by the trivial
+    # and sign multiplicities of the 2-cycle, (dim +- chi) / 2 with chi by
+    # the content formula
+    singles, pairs = verify._reduction_counts(spec.lam)
     s, w = spec.s, spec.w
     surface: dict[str, int] = {}
     for i, blk in enumerate(spec.blocks, start=1):
@@ -185,7 +206,9 @@ def _pair_index_reference(spec: BundleSpec) -> tuple[DivisorClass, int]:
             total += s * w * p
             continue
         blk = spec.blocks[i - 1]
-        alpha, beta = restrict_to_transposition(blk.rep)
+        chi, rem = divmod(blk.rep_dim * content_sum(blk.rep), comb(blk.size, 2))
+        assert rem == 0 and (blk.rep_dim + chi) % 2 == 0
+        alpha, beta = (blk.rep_dim + chi) // 2, (blk.rep_dim - chi) // 2
         weight = alpha * comb(blk.rank, 2) + beta * comb(blk.rank + 1, 2)
         term, rem = divmod(s * w * p * weight, blk.rank**2 * blk.rep_dim)
         assert rem == 0
@@ -212,9 +235,11 @@ def test_closed_forms_match_the_pair_index_form():
 
 
 def test_transposition_closed_form_any_block_size():
-    # no recursion through Murnaghan-Nakayama: a block of 3000 points
-    assert restrict_to_transposition((3000,)) == (1, 0)
-    assert restrict_to_transposition((1,) * 3000) == (0, 1)
+    # no recursion through Murnaghan-Nakayama: a block of 3000 points, whose
+    # 2-cycle value dim * content_sum / C(3000, 2) is 1 on the row (trivial
+    # restriction) and -1 on the column (sign restriction)
+    assert dimension((3000,)) * content_sum((3000,)) == comb(3000, 2)
+    assert dimension((1,) * 3000) * content_sum((1,) * 3000) == -comb(3000, 2)
     n = 3000
     triv = BundleSpec.build((n,), [(2, "e", (n,))])
     sgn = BundleSpec.build((n,), [(2, "e", (1,) * n)])

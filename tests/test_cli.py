@@ -21,6 +21,7 @@ from hilbtaut import cli, moduli, partitions, verify
 from hilbtaut.characters import character_table
 from hilbtaut.chern import BundleSpec, c1, rank_G
 from hilbtaut.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -722,6 +723,43 @@ def test_exit_codes(spec_file, tmp_path):
     assert run_cli("chern", "--spec", str(bad))[0] == EXIT_VALIDATION
     assert EXIT_INTERNAL == 2
     assert run_cli("chern", "--spec", spec_file)[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("n", ["12", "3"], ids=["table-77kb", "table-short"])
+def test_closed_stdout_pipe_exits_quietly(n, unbuffered):
+    # the reader of stdout is gone before the first byte.  Unbuffered, the
+    # first print meets the closed pipe inside the command; buffered, a 77 KB
+    # table meets it there too and a short one at main's flush.  Either way:
+    # no traceback, no "Exception ignored" line from the flush at exit, and
+    # not the internal-error code.
+    src = str(Path(hilbtaut.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hilbtaut", "char", "--n", n],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, "")
+
+
+def test_dispatch_lets_a_broken_pipe_through(monkeypatch):
+    # dispatch leaves the process's streams alone; main handles the pipe
+    def closed(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setitem(cli._COMMANDS, "char", closed)
+    with pytest.raises(BrokenPipeError):
+        dispatch(["char", "--n", "3"])
 
 
 def test_module_entrypoint(spec_file):

@@ -435,6 +435,27 @@ def test_stability_witnesses_behave_as_tuple():
     assert vacuous == () and not vacuous and vacuous[:10] == ()
 
 
+def test_stability_witness_slices_match_the_tuple():
+    # every step of +-1, +-2 and +-3 with bounds that are negative, past
+    # either end or missing, on certificates that hold and that fail
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    holds = _table(eye, [[0] * 3] * 3, ["A", "B", "C"], [2, Fraction(-1, 2), 1])
+    fails = _table(eye, [[0] * 3] * 3, ["A", "B", "A"], [1, 0, 1])
+    bounds = (None, -30, -7, -2, -1, 0, 1, 3, 8, 30)
+    certs = [
+        stability_certificate(lam, t)
+        for t in (holds, fails)
+        for lam in [(2, 1, 2), (3, 1, 1), (1, 1, 1)]
+    ]
+    assert [cert.ok for cert in certs] == [True] * 3 + [False] * 3
+    for cert in certs:
+        full = tuple(cert.witnesses)
+        for step in (1, 2, 3, -1, -2, -3):
+            for start, stop in itertools.product(bounds, repeat=2):
+                key = slice(start, stop, step)
+                assert cert.witnesses[key] == full[key], (cert.failing_coset, key)
+
+
 def test_coset_scans_match_enumeration_n7():
     # every composition of n <= 7, unsorted ones included, under identity,
     # all-nonzero, random and repeated-label tables

@@ -24,12 +24,8 @@ from hilbtaut.partitions import (
     index_p,
     is_rectangular,
     iter_cosets,
-    multinomial_index,
-    p_reduced,
-    reduce_once,
-    reduce_twice,
 )
-from hilbtaut.verify import count_standard_tableaux
+from hilbtaut.verify import _reduction_counts, count_standard_tableaux
 
 
 def _partition_count(n: int) -> int:
@@ -153,39 +149,39 @@ def test_hook_product_remainder_raises_without_assert(monkeypatch):
 
 
 def test_multinomial_index():
-    assert multinomial_index(()) == 1
-    assert multinomial_index((3,)) == 1
+    # zero parts count as 0! = 1, as the reduction counts need
+    assert partitions._multinomial(()) == 1
+    assert partitions._multinomial((3,)) == 1
+    assert partitions._multinomial((2, 0, 1)) == 3
     assert index_p((1, 1)) == 2
     assert index_p((2, 1)) == 3
     assert index_p((1,) * 5) == 120
 
 
 def test_reduce_once():
-    assert reduce_once((2, 1), 1) == (1, 1)
-    assert reduce_once((2, 1), 2) == (2,)
-    assert reduce_once((1, 3), 1) == (3,)
-    with pytest.raises(IndexError):
-        reduce_once((2, 1), 3)
-    with pytest.raises(IndexError):
-        reduce_once((2, 1), 0)
+    # a single count is the index of the composition with one position of
+    # block i removed: (2, 1) leaves (1, 1) and (2,), (1, 3) leaves (3,) and
+    # (1, 2)
+    assert _reduction_counts((2, 1))[0] == {1: index_p((1, 1)), 2: index_p((2,))}
+    assert _reduction_counts((1, 3))[0] == {1: index_p((3,)), 2: index_p((1, 2))}
 
 
 def test_reduce_twice():
-    assert reduce_twice((2, 1), 1, 1) == (1,)
-    assert reduce_twice((2, 1), 1, 2) == (1,)
-    assert reduce_twice((2, 2), 1, 2) == (1, 1)
-    assert reduce_twice((2,), 1, 1) == ()
-    with pytest.raises(ValueError):
-        reduce_twice((2, 1), 2, 2)
-    with pytest.raises(IndexError):
-        reduce_twice((2, 1), 1, 3)
+    # a pair count removes one position of blocks i and j, two of block i
+    # when i == j; (2, 2) is absent from (2, 1), whose block 2 has one
+    assert _reduction_counts((2, 1))[1] == {(1, 1): index_p((1,)), (1, 2): index_p((1,))}
+    assert _reduction_counts((2, 2))[1] == {
+        (1, 1): index_p((2,)), (1, 2): index_p((1, 1)), (2, 2): index_p((2,)),
+    }
+    assert _reduction_counts((2,))[1] == {(1, 1): 1}
+    assert _reduction_counts((1,)) == ({1: 1}, {})
 
 
 def test_p_reduced_examples():
-    singles, pairs = p_reduced((2, 1))
+    singles, pairs = _reduction_counts((2, 1))
     assert singles == {1: 2, 2: 1}
     assert pairs == {(1, 2): 1, (1, 1): 1}
-    singles, pairs = p_reduced((1, 1, 1))
+    singles, pairs = _reduction_counts((1, 1, 1))
     assert singles == {1: 2, 2: 2, 3: 2}
     assert pairs == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
 
@@ -193,7 +189,7 @@ def test_p_reduced_examples():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_single_reduction_sum(n):
     for lam in enumerate_partitions(n):
-        singles, _ = p_reduced(tuple(lam))
+        singles, _ = _reduction_counts(tuple(lam))
         assert sum(singles.values()) == index_p(tuple(lam))
 
 
@@ -201,7 +197,7 @@ def test_single_reduction_sum(n):
 def test_pair_reduction_sum(n):
     # ordered double reductions partition the cosets
     for lam in enumerate_partitions(n):
-        _, pairs = p_reduced(tuple(lam))
+        _, pairs = _reduction_counts(tuple(lam))
         total = sum(p if i == j else 2 * p for (i, j), p in pairs.items())
         assert total == index_p(tuple(lam))
 
@@ -232,7 +228,7 @@ def test_coset_position_label_census():
                 shapes.append(tuple(reversed(part)))
     for lam in shapes:
         cosets = list(iter_cosets(lam))
-        singles, pairs = p_reduced(lam)
+        singles, pairs = _reduction_counts(lam)
         for i in singles:
             assert sum(1 for c in cosets if c[0] == i) == singles[i], (lam, i)
         for (i, j), expected in pairs.items():
@@ -301,14 +297,14 @@ def test_coset_count_suite_reports_single_reductions_off_the_index(monkeypatch):
     # one single reduction raised by one: the total belongs to each
     # composition's first check, which reports it, and no check is added
     clean = verify.coset_count_suite(4)
-    real = verify.p_reduced
+    real = verify._reduction_counts
 
     def raised(lam):
         singles, pairs = real(lam)
         singles[1] += 1
         return singles, pairs
 
-    monkeypatch.setattr(verify, "p_reduced", raised)
+    monkeypatch.setattr(verify, "_reduction_counts", raised)
     result = verify.coset_count_suite(4)
     totals = [f for f in result.failures if f.endswith("do not sum to the index")]
     assert totals == [

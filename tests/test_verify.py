@@ -1,5 +1,5 @@
-"""The oracle suites as a whole: which closed forms they reach, and the
-suite list that the benchmark's tracer times.
+"""The oracle suites as a whole: which closed forms they reach, the suite
+list that the benchmark's tracer times, and each suite's check count.
 
 Each suite is a generator of check outcomes wrapped by one runner; the
 undecorated generator stays reachable as the suite's ``__wrapped__``, so a
@@ -13,6 +13,8 @@ import inspect
 import itertools
 import sys
 from pathlib import Path
+
+import pytest
 
 from hilbtaut import characters, chern, divisors, moduli, partitions, verify
 
@@ -52,13 +54,9 @@ JSON_HELPERS = {
     "moduli.HomTable.to_json_dict",
     "moduli.HomTable.from_json_dict",
 }
-# Closed forms with no oracle yet: when a suite starts to reach one, it
-# leaves this list.
-KNOWN_GAPS = {
-    "moduli.equivariant_end_dims",
-    "moduli.moduli_component_dim",
-    "partitions.multinomial_index",
-}
+# Closed forms with no oracle yet.  Empty, and kept empty: a new closed form
+# comes with the suite that checks it.
+KNOWN_GAPS: set[str] = set()
 
 
 def _public_code(module):
@@ -117,7 +115,7 @@ def test_every_closed_form_meets_an_oracle_suite():
     assert allowed <= set(public), sorted(allowed - set(public))
     unreached = {name for name, code in public.items() if code is None or id(code) not in reached}
     assert unreached <= allowed, sorted(unreached - allowed)
-    assert KNOWN_GAPS <= unreached, sorted(KNOWN_GAPS - unreached)
+    assert KNOWN_GAPS == set()
 
 
 def test_verify_all_runs_the_suites_the_tracer_times(monkeypatch):
@@ -142,3 +140,23 @@ def test_verify_all_runs_the_suites_the_tracer_times(monkeypatch):
             monkeypatch.setattr(verify, name, recorded)
     verify.verify_all(6)
     assert tuple(ran) == traced
+
+
+# Each suite's check count in verify_all(n), in verify_all's order.
+CHECK_COUNTS = {
+    2: (12, 5, 11, 28, 30, 4, 3),
+    3: (41, 9, 18, 43, 138, 10, 6),
+    4: (109, 15, 29, 65, 564, 20, 9),
+    5: (258, 23, 44, 95, 1992, 34, 12),
+    6: (536, 35, 66, 137, 7116, 56, 15),
+    7: (1053, 35, 96, 193, 23748, 86, 18),
+}
+
+
+@pytest.mark.parametrize("max_n", sorted(CHECK_COUNTS))
+def test_verify_all_check_counts_pinned(max_n):
+    # `verify --max-n N` prints these counts: a check dropped or added at
+    # any bound changes its output
+    results = verify.verify_all(max_n)
+    assert all(result.ok for result in results)
+    assert tuple(result.checks for result in results) == CHECK_COUNTS[max_n]
