@@ -22,9 +22,9 @@ _NAMES_BY_MODULE = {
         "SizeLimitError", "SpecValidationError",
     ),
     "partitions": (
-        "LabeledComposition", "LabeledSetPartition", "Partition", "conjugate",
-        "dimension", "enumerate_partitions", "index_p", "is_rectangular",
-        "iter_cosets", "standard_tensor_multiplicity",
+        "LabeledComposition", "Partition", "conjugate", "dimension",
+        "enumerate_partitions", "index_p", "is_rectangular", "iter_cosets",
+        "standard_tensor_multiplicity",
     ),
     "characters": (
         "CharacterTable", "CycleType", "character", "character_table",

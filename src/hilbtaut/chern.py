@@ -21,7 +21,7 @@ from .divisors import (
     _check_exponents,
     _check_symbol,
 )
-from .errors import IntegralityError, SizeLimitError
+from .errors import IntegralityError, SizeLimitError, _brief
 from .partitions import (
     LabeledComposition,
     Partition,
@@ -161,7 +161,7 @@ class BundleSpec(_Frozen):
 
 
 def _not_a_spec(value) -> ValueError:
-    return ValueError(f"expected a BundleSpec, got {value!r}")
+    return ValueError(f"expected a BundleSpec, got {_brief(value)}")
 
 
 def rank_G(spec: BundleSpec) -> int:
@@ -213,13 +213,13 @@ def c1(spec: BundleSpec) -> DivisorClass:
     if rem:
         raise IntegralityError(f"r_number: {num}/{n * (n - 1)} is not an integer")
     # the symbols were checked when the blocks were built
-    memo["_c1"] = DivisorClass._surface_of(surface, -total)
+    memo["_c1"] = DivisorClass._trusted(surface, -total)
     return memo["_c1"]
 
 
 def b_class(spec: BundleSpec) -> DivisorClass:
     """The surface part B of the first Chern class (no delta component)."""
-    return DivisorClass._surface_of(c1(spec).surface)
+    return DivisorClass._trusted(c1(spec).surface)
 
 
 def r_number(spec: BundleSpec) -> int:
@@ -323,4 +323,4 @@ def regular_checksum(n: int, rank: int, symbol: str) -> DivisorClass:
     _check_c1_symbol(symbol)
     surface = {} if symbol in _ZERO_SYMBOLS else {symbol: factorial(n) * rank ** (n - 1)}
     delta = -(factorial(n) // 2) * rank**n
-    return DivisorClass._surface_of(surface, delta).require_integral("regular_checksum")
+    return DivisorClass._trusted(surface, delta)

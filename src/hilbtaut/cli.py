@@ -22,11 +22,7 @@ from .chern import (
     rank_G,
     regular_checksum,
 )
-from .errors import (
-    IntegralityError,
-    ModuliDimensionMismatchError,
-    SpecValidationError,
-)
+from .errors import IntegralityError, ModuliDimensionMismatchError, SpecValidationError, _brief
 from .partitions import LabeledComposition, Partition, _all_of, _is_int
 
 # characters, moduli and verify are imported by the commands that use them,
@@ -84,16 +80,17 @@ def _load_json(source: str | Path) -> object:
         try:
             text = Path(source).read_text()
         except OSError as exc:
+            # the OS message echoes the name, which may be the whole text
+            unread = str(exc) if len(str(exc)) <= 150 else exc.strerror
             if isinstance(source, Path):
-                raise SpecValidationError(f"cannot read spec: {exc}") from exc
+                raise SpecValidationError(f"cannot read spec: {unread}") from exc
             # JSON text such as null, 5 or "x" is not a path either; parse_spec
             # rejects every value that is not an object
-            unread = exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         if unread is not None:
-            raise SpecValidationError(f"cannot read spec: {unread}") from unread
+            raise SpecValidationError(f"cannot read spec: {unread}") from None
         raise SpecValidationError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
@@ -110,16 +107,16 @@ def _load_json(source: str | Path) -> object:
 def parse_spec(source: str | Path) -> SpecDocument:
     """Parse and validate a spec document (a path, or raw JSON text)."""
     if not isinstance(source, (str, Path)):
-        raise SpecValidationError(f"spec must be a path or JSON text, got {source!r}")
+        raise SpecValidationError(f"spec must be a path or JSON text, got {_brief(source)}")
     data = _load_json(source)
     if not isinstance(data, dict):
         raise SpecValidationError("spec must be a JSON object")
     unknown = set(data) - {"n", "blocks", "hom_table"}
     if unknown:
-        raise SpecValidationError(f"unknown spec keys {sorted(unknown)}")
+        raise SpecValidationError(f"unknown spec keys {_brief(sorted(unknown))}")
     n = data.get("n")
     if not _is_int(n) or n < 1:
-        raise SpecValidationError(f"n: expected a positive integer, got {n!r}")
+        raise SpecValidationError(f"n: expected a positive integer, got {_brief(n)}")
     blocks_data = data.get("blocks")
     if not isinstance(blocks_data, list) or not blocks_data:
         raise SpecValidationError("blocks: expected a non-empty array")
@@ -132,7 +129,7 @@ def parse_spec(source: str | Path) -> SpecDocument:
             raise SpecValidationError(f"{where}: expected an object")
         unknown = set(entry) - {"size", "rank", "c1", "rep"}
         if unknown:
-            raise SpecValidationError(f"{where}: unknown keys {sorted(unknown)}")
+            raise SpecValidationError(f"{where}: unknown keys {_brief(sorted(unknown))}")
         for key in ("size", "rank", "c1", "rep"):
             if key not in entry:
                 raise SpecValidationError(f"{where}: missing {key!r}")
@@ -151,7 +148,7 @@ def parse_spec(source: str | Path) -> SpecDocument:
             raise SpecValidationError(f"{where}.rep: {exc}") from exc
         if diagram.n != size:
             raise SpecValidationError(
-                f"{where}.rep: {rep} is not a partition of {size}"
+                f"{where}.rep: {_brief(rep)} is not a partition of {size}"
             )
         try:
             blocks.append(BundleBlock(rank, symbol, diagram))
@@ -160,7 +157,7 @@ def parse_spec(source: str | Path) -> SpecDocument:
         sizes.append(size)
 
     if sum(sizes) != n:
-        raise SpecValidationError(f"block sizes {sizes} sum to {sum(sizes)}, not n = {n}")
+        raise SpecValidationError(f"block sizes {_brief(sizes)} sum to {sum(sizes)}, not n = {n}")
     spec = BundleSpec(LabeledComposition(sizes), tuple(blocks))
 
     table = None
@@ -388,7 +385,7 @@ def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(piece) for piece in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {_brief(text)}")
 
 
 def _symbol_list(text: str) -> tuple[str, ...]:
@@ -446,7 +443,7 @@ _COMMANDS = {
 def dispatch(argv: Sequence[str]) -> int:
     """Run one CLI invocation and return its exit code."""
     if not _all_of(argv, lambda arg: isinstance(arg, str)):
-        raise ValueError(f"argv must be a list or tuple of strings, got {argv!r}")
+        raise ValueError(f"argv must be a list or tuple of strings, got {_brief(argv)}")
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))

@@ -1,58 +1,32 @@
 """Exact divisor-class bookkeeping and a sparse polynomial over it.
 
-A DivisorClass is a rational combination of named surface classes plus a
-multiple of the exceptional half-diagonal class `delta`.  A ClassPolynomial
-maps exponent tuples to DivisorClass coefficients; it is built whole (the
-generating polynomial computes each coefficient in closed form) and then
-only read.  All arithmetic is exact: a coefficient is stored as an int
-when it is integral and as a Fraction only when its denominator exceeds 1,
-so every value has one stored form.
+A DivisorClass is an integer combination of named surface classes plus a
+multiple of the exceptional half-diagonal class `delta`: every first Chern
+class lies in that lattice (Fogarty), and each closed form raises
+IntegralityError where a division would leave a remainder.  A
+ClassPolynomial maps exponent tuples to DivisorClass coefficients; it is
+built whole (the generating polynomial computes each coefficient in closed
+form) and then only read.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
 
-from .errors import IntegralityError, ShapeMismatchError
+from .errors import ShapeMismatchError, _brief
 from .partitions import _all_of, _is_int
-
-Rational = int | Fraction
-
-
-def _frac_to_json(value: Rational) -> int | str:
-    return int(value) if value.denominator == 1 else str(value)
-
-
-def _canonical(value: Rational) -> Rational:
-    # the stored form: an int when integral, else the Fraction itself
-    return value.numerator if value.denominator == 1 else value
 
 
 def _check_symbol(name: str) -> None:
     # an ASCII identifier, [A-Za-z_][A-Za-z0-9_]*, and nothing after it
     if not (isinstance(name, str) and name.isascii() and name.isidentifier()) or name == "delta":
-        raise ValueError(f"invalid surface symbol {name!r}")
+        raise ValueError(f"invalid surface symbol {_brief(name)}")
 
 
-def _as_rational(value) -> Rational:
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise ValueError(f"coefficients must be int or Fraction, got {value!r}")
-    return int(value) if isinstance(value, int) else _canonical(Fraction(value))
-
-
-def _frac_from_json(value) -> Fraction:
-    # an int or a '[-]digits[/digits]' string; Fraction alone also reads
-    # '1.5', ' 1/2' and '1e30000000', the last as a 30-million-digit integer
-    if not (_is_int(value) or isinstance(value, str) and re.fullmatch("-?[0-9]+(/[0-9]+)?", value)):
-        raise ValueError("not an integer or 'p/q' string")
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator") from None
+def _as_int(value) -> int:
+    if not _is_int(value):
+        raise ValueError(f"coefficients must be integers, got {type(value).__name__}")
+    return int(value)
 
 
 class DivisorClass:
@@ -65,36 +39,27 @@ class DivisorClass:
 
     __slots__ = ("surface", "delta")
 
-    def __init__(self, surface: Mapping[str, Rational] | None = None, delta: Rational = 0):
+    def __init__(self, surface: Mapping[str, int] | None = None, delta: int = 0):
         if not isinstance(surface, (Mapping, type(None))):
-            raise ValueError(f"surface must be a mapping, got {surface!r}")
+            raise ValueError(f"surface must be a mapping, got {_brief(surface)}")
         for name in surface or {}:  # before sorting, which needs comparable names
             _check_symbol(name)
-        clean: dict[str, Rational] = {}
+        clean: dict[str, int] = {}
         for name, coeff in sorted((surface or {}).items()):
-            coeff = _as_rational(coeff)
+            coeff = _as_int(coeff)
             if coeff:
                 clean[name] = coeff
         self.surface = clean
-        self.delta = _as_rational(delta)
+        self.delta = _as_int(delta)
 
     @classmethod
-    def _trusted(cls, surface: Mapping[str, Rational], delta: Rational) -> DivisorClass:
-        # Results of arithmetic on valid classes: the symbols were checked
-        # and the coefficients made exact when the operands were built.
+    def _trusted(cls, surface: dict[str, int], delta: int = 0) -> DivisorClass:
+        # A class from checked symbols and int coefficients, in a dict the
+        # caller hands over: the zeros are dropped and the symbols sorted,
+        # each only when needed.
         obj = cls.__new__(cls)
-        obj.surface = {
-            name: _canonical(coeff) for name, coeff in sorted(surface.items()) if coeff
-        }
-        obj.delta = _canonical(delta)
-        return obj
-
-    @classmethod
-    def _surface_of(cls, surface: dict[str, int], delta: int = 0) -> DivisorClass:
-        # A class from checked symbols, non-zero int coefficients and an int
-        # delta (the stored form already), in a dict the caller hands over:
-        # only the sort is left, and only when the symbols are out of order.
-        obj = cls.__new__(cls)
+        if 0 in surface.values():
+            surface = {name: coeff for name, coeff in surface.items() if coeff}
         names = list(surface)
         obj.surface = surface if names == sorted(names) else dict(sorted(surface.items()))
         obj.delta = delta
@@ -105,11 +70,11 @@ class DivisorClass:
         return cls()
 
     @classmethod
-    def symbol(cls, name: str, coeff: Rational = 1) -> DivisorClass:
+    def symbol(cls, name: str, coeff: int = 1) -> DivisorClass:
         return cls({name: coeff})
 
     @classmethod
-    def delta_class(cls, coeff: Rational = 1) -> DivisorClass:
+    def delta_class(cls, coeff: int = 1) -> DivisorClass:
         return cls(delta=coeff)
 
     def __add__(self, other: DivisorClass) -> DivisorClass:
@@ -126,8 +91,8 @@ class DivisorClass:
     def __neg__(self) -> DivisorClass:
         return self * -1
 
-    def __mul__(self, scalar: Rational) -> DivisorClass:
-        if not isinstance(scalar, (int, Fraction)):
+    def __mul__(self, scalar: int) -> DivisorClass:
+        if not _is_int(scalar):
             return NotImplemented
         return DivisorClass._trusted(
             {name: coeff * scalar for name, coeff in self.surface.items()},
@@ -151,18 +116,6 @@ class DivisorClass:
     def is_zero(self) -> bool:
         return not self.surface and not self.delta
 
-    @property
-    def is_integral(self) -> bool:
-        # in the stored form only a non-integral coefficient is a Fraction
-        if type(self.delta) is Fraction:
-            return False
-        return Fraction not in map(type, self.surface.values())
-
-    def require_integral(self, context: str = "divisor class") -> DivisorClass:
-        if not self.is_integral:
-            raise IntegralityError(f"{context} has non-integer coefficients: {self.render_text()}")
-        return self
-
     def render_text(self) -> str:
         """Deterministic text form, e.g. '4*e1 + 4*e2 - 5*delta'."""
         items = list(self.surface.items())
@@ -177,20 +130,17 @@ class DivisorClass:
         return " ".join(pieces)
 
     def to_json_dict(self) -> dict:
-        return {
-            "surface": {name: _frac_to_json(c) for name, c in self.surface.items()},
-            "delta": _frac_to_json(self.delta),
-        }
+        return {"surface": dict(self.surface), "delta": self.delta}
 
 
 def _check_exponents(nvars: int, expts: Sequence[int]) -> tuple[int, ...]:
     if not _all_of(expts, _is_int):
-        raise ValueError(f"exponents must be integers, got {expts!r}")
+        raise ValueError(f"exponents must be integers, got {_brief(expts)}")
     t = tuple(expts)
     if len(t) != nvars:
-        raise ShapeMismatchError(f"exponent tuple {t} does not have arity {nvars}")
+        raise ShapeMismatchError(f"exponent tuple {_brief(t)} does not have arity {nvars}")
     if any(e < 0 for e in t):
-        raise ValueError(f"negative exponent in {t}")
+        raise ValueError(f"negative exponent in {_brief(t)}")
     return t
 
 

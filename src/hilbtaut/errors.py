@@ -8,6 +8,25 @@ ValueError, since it indicates a bug rather than bad input.
 
 from __future__ import annotations
 
+from collections.abc import Sized
+
+# The longest repr an error message echoes.
+_BRIEF_MAX = 60
+
+
+def _brief(value) -> str:
+    """The value's repr when it is short, else its type and its size, so an
+    error line stays short whatever the input.  An int's size is counted in
+    bits, as str() of an int past 4,300 digits raises; one of at most
+    3 * _BRIEF_MAX bits has fewer than _BRIEF_MAX digits."""
+    if isinstance(value, int) and value.bit_length() > 3 * _BRIEF_MAX:
+        return f"<int of {value.bit_length()} bits>"
+    text = repr(value)
+    if len(text) <= _BRIEF_MAX:
+        return text
+    size = f" of length {len(value)}" if isinstance(value, Sized) else ""
+    return f"<{type(value).__name__}{size}>"
+
 
 class SizeLimitError(ValueError):
     """An enumeration would exceed its configured bound."""

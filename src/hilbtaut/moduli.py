@@ -17,20 +17,16 @@ verify.py as oracles.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import Mapping, NamedTuple
 
 from .chern import BundleSpec, _Frozen
-from .divisors import _frac_from_json
-from .errors import (
-    ModuliDimensionMismatchError,
-    ShapeMismatchError,
-)
+from .errors import ModuliDimensionMismatchError, ShapeMismatchError, _brief
 from .partitions import (
     LabeledComposition,
-    LabeledSetPartition,
     _all_of,
     _is_int,
     _multinomial,
@@ -51,6 +47,17 @@ def _as_matrix(rows, k: int, what: str, allow_none: bool = False):
     if any(v < 0 for row in rows for v in row):
         raise ValueError(f"{what} entries must be non-negative")
     return rows
+
+
+def _frac_from_json(value) -> Fraction:
+    # an int or a '[-]digits[/digits]' string; Fraction alone also reads
+    # '1.5', ' 1/2' and '1e30000000', the last as a 30-million-digit integer
+    if not (_is_int(value) or isinstance(value, str) and re.fullmatch("-?[0-9]+(/[0-9]+)?", value)):
+        raise ValueError("not an integer or 'p/q' string")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
 
 
 def _as_slopes(values) -> tuple[Fraction, ...]:
@@ -106,7 +113,7 @@ class HomTable(_Frozen):
         by_label: dict[str, Fraction] = {}
         for label, slope in zip(iso_labels, slopes):
             if label in by_label and by_label[label] != slope:
-                raise ValueError(f"label {label!r} carries two different slopes")
+                raise ValueError(f"label {_brief(label)} carries two different slopes")
             by_label[label] = slope
         vars(self).update(
             hom=hom,
@@ -144,7 +151,7 @@ class HomTable(_Frozen):
             raise ValueError(f"hom table must be an object, got {type(data).__name__}")
         unknown = set(data) - {"k", "hom", "ext1", "labels", "slopes", "ext2", "locally_free"}
         if unknown:
-            raise ValueError(f"unknown hom-table keys {sorted(unknown)}")
+            raise ValueError(f"unknown hom-table keys {_brief(sorted(unknown))}")
         for key in ("hom", "ext1", "labels", "slopes"):
             if key not in data:
                 raise ValueError(f"hom table is missing {key!r}")
@@ -159,7 +166,7 @@ class HomTable(_Frozen):
         if "k" in data and not _is_int(data["k"]):
             raise ValueError(f"k must be an integer, got {type(data['k']).__name__}")
         if data.get("k", table.k) != table.k:
-            raise ValueError(f"declared k = {data['k']} but tables have size {table.k}")
+            raise ValueError(f"declared k = {_brief(data['k'])} but tables have size {table.k}")
         return table
 
 
@@ -241,7 +248,7 @@ def check_conditions(table: HomTable) -> ConditionReport:
 
 class VanishingReport(NamedTuple):
     holds: bool
-    failing_coset: LabeledSetPartition | None
+    failing_coset: tuple[int, ...] | None
     degree1_dim: int
 
 
@@ -325,7 +332,7 @@ def offdiagonal_ext1_vanishing(lam: Sequence[int], table: HomTable) -> Vanishing
         return VanishingReport(True, None, 0)
     cells, deg1 = found
     labels = [b + 1 for row in cells for b, t in enumerate(row) for _ in range(t)]
-    return VanishingReport(False, LabeledSetPartition(labels), deg1)
+    return VanishingReport(False, tuple(labels), deg1)
 
 
 class EndDims(NamedTuple):
@@ -339,7 +346,7 @@ class EndDims(NamedTuple):
     end0: int
     end1: int
     offdiagonal_vanishes: bool
-    failing_coset: LabeledSetPartition | None
+    failing_coset: tuple[int, ...] | None
 
 
 def _require_simple_diagonal(table: HomTable) -> None:
@@ -462,8 +469,8 @@ class StabilityCertificate(NamedTuple):
     """
 
     ok: bool
-    witnesses: Sequence[tuple[LabeledSetPartition, int]]
-    failing_coset: LabeledSetPartition | None
+    witnesses: Sequence[tuple[tuple[int, ...], int]]
+    failing_coset: tuple[int, ...] | None
 
 
 def _lex_rank(labels: Sequence[int], counts: Sequence[int]) -> int:
@@ -511,4 +518,4 @@ def stability_certificate(lam: Sequence[int], table: HomTable) -> StabilityCerti
     end_b1, start_b2 = sum(lam[: b1 + 1]) - 1, sum(lam[:b2])
     labels[end_b1], labels[start_b2] = b2 + 1, b1 + 1
     length = _lex_rank(labels, lam) - 1
-    return StabilityCertificate(False, _Witnesses(lam, table, length), LabeledSetPartition(labels))
+    return StabilityCertificate(False, _Witnesses(lam, table, length), tuple(labels))

@@ -2,8 +2,8 @@
 
 The combinatorial layer everything else sits on: partitions of n in a fixed
 deterministic order, Young diagrams with their hook-length dimension, and the
-right cosets of a Young subgroup of the symmetric group, realised as labeled
-set partitions of the positions 1..n.
+right cosets of a Young subgroup of the symmetric group, each a plain tuple
+that gives every position 1..n the label of its block.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, _brief
 
 # Safety bounds, read at each check; there is no per-call override.
 MAX_PARTITION_N = 14
@@ -46,12 +46,12 @@ class Partition(tuple):
         except TypeError:
             raise ValueError(f"partition must be a sequence of integers, got {parts!r}") from None
         if not all(map(_is_int, t)):
-            raise ValueError(f"partition parts must be integers, got {t!r}")
+            raise ValueError(f"partition parts must be integers, got {_brief(t)}")
         if t and t[-1] < 1:
-            raise ValueError(f"partition parts must be positive, got {t}")
+            raise ValueError(f"partition parts must be positive, got {_brief(t)}")
         for a, b in zip(t, t[1:]):
             if a < b:
-                raise ValueError(f"partition parts must be non-increasing, got {t}")
+                raise ValueError(f"partition parts must be non-increasing, got {_brief(t)}")
         return super().__new__(cls, t)
 
     @property
@@ -77,9 +77,9 @@ class LabeledComposition(tuple):
         except TypeError:
             raise ValueError(f"composition must be a sequence of integers, got {parts!r}") from None
         if not all(map(_is_int, t)):
-            raise ValueError(f"composition parts must be integers, got {t!r}")
+            raise ValueError(f"composition parts must be integers, got {_brief(t)}")
         if any(p < 1 for p in t):
-            raise ValueError(f"composition parts must be positive, got {t}")
+            raise ValueError(f"composition parts must be positive, got {_brief(t)}")
         return super().__new__(cls, t)
 
     @property
@@ -92,27 +92,6 @@ class LabeledComposition(tuple):
 
     def identity_labels(self) -> tuple[int, ...]:
         return tuple(j + 1 for j, p in enumerate(self) for _ in range(p))
-
-
-class LabeledSetPartition(tuple):
-    """One block label (1-based) per position; entry p-1 labels position p.
-
-    Represents a right coset of the Young subgroup for a composition lambda:
-    the coset of g assigns position p the label of the block containing g(p).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, labels: Iterable[int] = ()):
-        if type(labels) is cls:
-            return labels
-        try:
-            t = tuple.__new__(cls, labels)
-        except TypeError:
-            raise ValueError(f"labels must be a sequence of integers, got {labels!r}") from None
-        if not all(_is_int(lab) and lab >= 1 for lab in t):
-            raise ValueError(f"labels must be positive integers, got {t!r}")
-        return t
 
 
 # one key per (n, largest) the partition cap allows; the entries are
@@ -224,15 +203,14 @@ def bounded_index_p(lam: Sequence[int]) -> int:
     return count
 
 
-def _arrangements(parts: tuple[int, ...]) -> Iterator[LabeledSetPartition]:
+def _arrangements(parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # All arrangements of the multiset {1^parts[0], 2^parts[1], ...} in
     # lexicographic order, by repeated next-permutation; the identity
     # labeling comes first.
     seq = [j + 1 for j, p in enumerate(parts) for _ in range(p)]
     n = len(seq)
-    new = tuple.__new__  # the labels are valid by construction
     while True:
-        yield new(LabeledSetPartition, seq)
+        yield tuple(seq)
         i = n - 2
         while i >= 0 and seq[i] >= seq[i + 1]:
             i -= 1
@@ -245,9 +223,11 @@ def _arrangements(parts: tuple[int, ...]) -> Iterator[LabeledSetPartition]:
         seq[i + 1 :] = seq[:i:-1]
 
 
-def iter_cosets(lam: Sequence[int]) -> Iterator[LabeledSetPartition]:
-    """Lazily yield the cosets of the Young subgroup, as labeled set partitions.
+def iter_cosets(lam: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Lazily yield the cosets of the Young subgroup, as label tuples.
 
+    Entry p - 1 of a tuple is the 1-based label of position p: the coset of
+    g gives position p the label of the block containing g(p).
     Deterministic lexicographic order on the label tuples; the identity coset
     comes first.  The bound is checked eagerly, at the call, so
     SizeLimitError is raised before anything is enumerated; the cosets are

@@ -24,6 +24,7 @@ from . import partitions
 from .characters import (
     CharacterTable,
     CycleType,
+    _border_strips,
     character,
     character_table,
     conjugacy_classes,
@@ -40,11 +41,10 @@ from .chern import (
     rank_G,
     regular_checksum,
 )
-from .divisors import DivisorClass, _as_rational
+from .divisors import DivisorClass
 from .errors import IntegralityError, ModuliDimensionMismatchError, SizeLimitError
 from .partitions import (
     LabeledComposition,
-    LabeledSetPartition,
     Partition,
     bounded_index_p,
     content_sum,
@@ -293,12 +293,14 @@ def _brute_force_table(m: int) -> CharacterTable:
 
 @_suite("characters vs permutation brute force")
 def character_suite(max_m: int = 6):
-    """Recursive character values vs the tabloid/Gram-Schmidt oracle."""
+    """Recursive characters and hook-length dimensions vs the tabloid oracle."""
     for m in range(1, min(max_m, 7) + 1):
         fast = character_table(m)
         slow = brute_force_character_table(m)
         for row_fast, row_slow, d in zip(fast.values, slow.values, fast.diagrams):
-            yield None if row_fast == row_slow else (
+            # the dimension is the value at the identity, the last cycle type
+            ok = row_fast == row_slow and dimension(d) == row_slow[-1]
+            yield None if ok else (
                 f"m={m} diagram {tuple(d)}: {row_fast} vs {row_slow}"
             )
         yield None if fast.class_sizes == slow.class_sizes else (
@@ -355,15 +357,18 @@ def restriction_suite(max_m: int = 10):
 
     The value at the 2-cycle is Frobenius's content formula,
     chi = dim * content_sum / C(m, 2) (Macdonald, Symmetric Functions and
-    Hall Polynomials, I.7 Ex. 7), and the multiplicities are (dim +- chi)/2;
-    a remainder in either division fails the check.
+    Hall Polynomials, I.7 Ex. 7), and it must equal the domino rule: the
+    signed sum of the dimensions left by each border strip of length 2.
+    The multiplicities are (dim +- chi)/2; a remainder in either division
+    fails the check.
     """
     for m in range(2, max_m + 1):
         for d in enumerate_partitions(m):
             dim = dimension(d)
             chi, rem = divmod(dim * content_sum(d), comb(m, 2))
+            dominoes = sum(sign * dimension(rest) for sign, rest in _border_strips(d, 2))
             alpha, beta = (dim + chi) // 2, (dim - chi) // 2
-            ok = not rem and alpha >= 0 and beta >= 0 and alpha + beta == dim
+            ok = not rem and chi == dominoes and alpha >= 0 and beta >= 0 and alpha + beta == dim
             yield None if ok else f"{tuple(d)}: alpha={alpha} beta={beta} dim={dim}"
 
 
@@ -392,8 +397,9 @@ def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
     sign-twisted restriction to the pairwise diagonal (the blowup route)."""
     if not isinstance(b, DivisorClass):
         raise ValueError(f"expected a DivisorClass, got {b!r}")
-    delta = b.delta - _as_rational(invariant_rank)
-    return DivisorClass._trusted(b.surface, delta).require_integral("c1_via_blowup")
+    if not partitions._is_int(invariant_rank):
+        raise ValueError(f"the rank must be an integer, got {type(invariant_rank).__name__}")
+    return DivisorClass._trusted(b.surface, b.delta - invariant_rank)
 
 
 @lru_cache(maxsize=256)
@@ -558,7 +564,7 @@ def vanishing_by_enumeration(lam: Sequence[int], table: HomTable) -> VanishingRe
             full = prod(h)
             deg1 = sum(e[p] * (full // h[p]) for p in range(n))
         if deg1:
-            return VanishingReport(False, LabeledSetPartition(labels), deg1)
+            return VanishingReport(False, labels, deg1)
     return VanishingReport(True, None, 0)
 
 
@@ -571,7 +577,7 @@ def stability_by_enumeration(lam: Sequence[int], table: HomTable) -> StabilityCe
     ident = lam.identity_labels()
     labels_of = table.iso_labels
     slopes = table.slopes
-    witnesses: list[tuple[LabeledSetPartition, int]] = []
+    witnesses: list[tuple[tuple[int, ...], int]] = []
     for labels in iter_cosets(lam):
         if labels == ident:
             continue
@@ -582,8 +588,8 @@ def stability_by_enumeration(lam: Sequence[int], table: HomTable) -> StabilityCe
                 found = p + 1
                 break
         if not found:
-            return StabilityCertificate(False, tuple(witnesses), LabeledSetPartition(labels))
-        witnesses.append((LabeledSetPartition(labels), found))
+            return StabilityCertificate(False, tuple(witnesses), labels)
+        witnesses.append((labels, found))
     return StabilityCertificate(True, tuple(witnesses), None)
 
 

@@ -1,10 +1,11 @@
 """Size caps are module constants read at each check, with no per-call
 override, the README names exactly those caps, the Ext path needs no
 character tables, the Chern closed forms need no characters at all, only
-verify.py enumerates for its own sake, cli imports the characters, moduli
-and verify layers only inside the commands that use them, every
-module-level cache is bounded, no check is an assert statement, and every
-module reads each name it imports."""
+verify.py enumerates for its own sake, only moduli and verify import
+fractions, cli imports the characters, moduli and verify layers only
+inside the commands that use them, every module-level cache is bounded,
+no check is an assert statement, and every module reads each name it
+imports."""
 
 from __future__ import annotations
 
@@ -74,6 +75,23 @@ def test_chern_closed_forms_need_no_restriction_tables():
     for module in (partitions, characters, divisors, chern, cli):
         found = {name for name in _imported_names(module) if name.split(".")[-1] in enumerators}
         assert not found, (module.__name__, found)
+
+
+def test_only_slopes_and_inner_products_import_fractions():
+    # divisor classes hold ints; a Fraction is read only as a hom-table
+    # slope (moduli) and made only by the character inner products (verify)
+    importers = set()
+    for path in Path(divisors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {node.module}
+            elif isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if "fractions" in names:
+                importers.add(path.stem)
+    assert importers == {"moduli", "verify"}
 
 
 def test_cli_imports_command_layers_per_command():

@@ -308,6 +308,32 @@ def test_restriction_suite_reports_a_wrong_content_sum(monkeypatch):
     ]
 
 
+def test_restriction_suite_reports_a_negated_content_sum(monkeypatch):
+    # a negated content sum keeps every division and parity of the formula;
+    # the domino rule, which reads no content, fails each diagram whose
+    # content sum is not 0, with the same count of checks
+    clean = verify.restriction_suite(10)
+    monkeypatch.setattr(verify, "content_sum", lambda d: -content_sum(d))
+    result = verify.restriction_suite(10)
+    assert clean.ok and result.checks == clean.checks == 137
+    moved = [d for m in range(2, 11) for d in enumerate_partitions(m) if content_sum(d)]
+    assert len(moved) > 100
+    assert [f.split(":")[0] for f in result.failures] == [str(tuple(d)) for d in moved]
+
+
+def test_character_suite_reports_a_dimension_off_by_one(monkeypatch):
+    # the brute-force table's identity column is the hook-length formula's
+    # oracle: every diagram's check fails, and the count does not change
+    clean = verify.character_suite(4)
+    monkeypatch.setattr(verify, "dimension", lambda d: dimension(d) + 1)
+    result = verify.character_suite(4)
+    assert clean.ok and result.checks == clean.checks
+    diagrams = [d for m in range(1, 5) for d in enumerate_partitions(m)]
+    assert [f.split(":")[0] for f in result.failures] == [
+        f"m={sum(d)} diagram {tuple(d)}" for d in diagrams
+    ]
+
+
 def test_standard_tensor_multiplicity_frozen():
     assert standard_tensor_multiplicity((1,)) == 1
     assert standard_tensor_multiplicity((2, 1)) == 2

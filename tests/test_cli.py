@@ -322,6 +322,57 @@ def test_hom_table_json_errors_exit_cleanly(tmp_path, capsys, key, value, messag
     assert len(err.encode()) < 200
 
 
+def _chern_on(mutate) -> list[str]:
+    data = json.loads(json.dumps(SPEC))
+    mutate(data)
+    return ["chern", "--spec", json.dumps(data)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["chern", "--spec", LONG], id="text-neither-path-nor-json"),
+        pytest.param(_chern_on(lambda d: d.update({LONG: 1})), id="unknown-spec-key"),
+        pytest.param(_chern_on(lambda d: d["blocks"][0].update({LONG: 1})), id="unknown-block-key"),
+        pytest.param(_chern_on(lambda d: d["hom_table"].update({LONG: 1})), id="unknown-table-key"),
+        pytest.param(_chern_on(lambda d: d.update(n=LONG)), id="long-n"),
+        pytest.param(_chern_on(lambda d: d["blocks"][0].update(c1="1" + LONG)), id="long-symbol"),
+        pytest.param(_chern_on(lambda d: d["blocks"][0].update(rep=[1] * 50_000)), id="rep-wrong-size"),
+        pytest.param(
+            _chern_on(lambda d: d["blocks"][0].update(rep=list(range(1, 50_001)))), id="rep-increasing"
+        ),
+        pytest.param(
+            _chern_on(lambda d: d["hom_table"].update(labels=[LONG, LONG], slopes=[1, 2])),
+            id="label-two-slopes",
+        ),
+        pytest.param(_chern_on(lambda d: d["hom_table"].update(k=10**4000)), id="declared-k-digits"),
+        pytest.param(
+            ["generating", "--n", "2", "--ranks", ",".join(["1"] * 20_000),
+             "--symbols", ",".join(["a"] * 20_000), "--coeff", "0" + ",-1" * 19_999],
+            id="negative-exponents",
+        ),
+    ],
+)
+def test_long_input_gives_one_short_error_line(capsys, argv):
+    # a message names a long value by its type and size, never echoes it
+    assert run_cli(*argv) == (EXIT_VALIDATION, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["char", "--n", "2", "--diagram"], ["generating", "--n", "2", "--ranks", "1", "--symbols", "a", "--coeff"]],
+    ids=["diagram", "coeff"],
+)
+def test_long_integer_list_option_is_not_echoed(capsys, argv):
+    # a usage error: the usage line, then one short error line
+    assert run_cli(*argv, LONG) == (EXIT_USAGE, "")
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith(f"{argv[-1]}: expected comma-separated integers, got <str of length 100000>")
+
+
 def test_slope_with_an_exponent_exits_at_once(tmp_path, capsys):
     # Fraction alone reads "1e30000000" as a 30-million-digit integer and
     # does not finish; a long slope's message names its place, not its digits

@@ -15,7 +15,6 @@ from hilbtaut import partitions, verify
 from hilbtaut.errors import SizeLimitError
 from hilbtaut.partitions import (
     LabeledComposition,
-    LabeledSetPartition,
     Partition,
     bounded_index_p,
     conjugate,
@@ -258,7 +257,7 @@ def test_bounded_index_p(monkeypatch):
 def test_iter_cosets_lazy_and_capped(monkeypatch):
     cosets = iter_cosets((2, 1, 1))
     assert next(cosets) == LabeledComposition((2, 1, 1)).identity_labels()
-    assert isinstance(next(cosets), LabeledSetPartition)
+    assert type(next(cosets)) is tuple
     # the distinct arrangements of the label multiset, in lexicographic order
     assert list(iter_cosets((2, 1, 1))) == sorted(set(itertools.permutations((1, 1, 2, 3))))
     # the bound is checked at the call, before the first coset is asked for
@@ -269,13 +268,6 @@ def test_iter_cosets_lazy_and_capped(monkeypatch):
         iter_cosets((2, 2))
     monkeypatch.setattr(partitions, "MAX_COSETS", 10**10)
     assert next(iter_cosets((1,) * 13)) == tuple(range(1, 14))
-
-
-def test_labeled_set_partition_api():
-    coset = LabeledSetPartition((2, 1, 1))
-    with pytest.raises(ValueError, match="^labels must be positive integers"):
-        LabeledSetPartition((1, 0))
-    assert LabeledSetPartition(coset) is coset
 
 
 def test_coset_count_suite_reports_a_misplaced_identity(monkeypatch):
