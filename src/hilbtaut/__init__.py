@@ -5,10 +5,12 @@ combinatorics, symmetric-group characters, divisor-class bookkeeping, the
 rank/Chern pipeline, Hom/Ext certificates, and the brute-force oracles that
 check every closed form.
 
-Importing the package runs none of its submodules.  Each submodule is
-registered in ``sys.modules`` as a lazy module that executes on its first
-attribute access, and each exported name is looked up in its submodule on
-first access (PEP 562), so a program pays only for the layers it uses.
+Importing the package runs none of its submodules.  Each submodule but
+``cli`` is registered in ``sys.modules`` as a lazy module that executes on
+its first attribute access, and each exported name is looked up in its
+submodule on first access (PEP 562), so a program pays only for the layers
+it uses.  ``cli`` is imported when first used, so that ``python -m
+hilbtaut.cli`` finds it unregistered and runs it once.
 """
 
 import importlib.util
@@ -30,7 +32,7 @@ _NAMES_BY_MODULE = {
         "CharacterTable", "CycleType", "character", "character_table",
         "class_size", "conjugacy_classes", "transposition_type",
     ),
-    "divisors": ("ClassPolynomial", "DivisorClass"),
+    "divisors": ("DivisorClass",),
     "chern": (
         "BundleBlock", "BundleSpec", "b_class", "c1", "generating_polynomial",
         "r_number", "rank_G", "regular_checksum",
@@ -67,16 +69,21 @@ def _lazy_submodule(name: str):
     return module
 
 
-globals().update({module: _lazy_submodule(module) for module in _NAMES_BY_MODULE})
+# all but cli: see the module docstring
+globals().update({m: _lazy_submodule(m) for m in _NAMES_BY_MODULE if m != "cli"})
 
 
 def __getattr__(name: str):
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
     if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(globals()[_EXPORTS[name]], name)
+        from .errors import _brief
+
+        raise AttributeError(f"module {_brief(__name__)} has no attribute {_brief(name)}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+    return sorted(set(globals()) | set(_NAMES_BY_MODULE) | set(_EXPORTS))

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Sequence
 
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, _brief
 from .partitions import (
     MAX_PARTITION_N,
     Partition,
@@ -47,7 +47,7 @@ def conjugacy_classes(m: int) -> list[tuple[CycleType, int]]:
 
 def transposition_type(m: int) -> CycleType:
     if not _is_int(m) or m < 2:
-        raise ValueError(f"no transposition in degree {m!r}")
+        raise ValueError(f"no transposition in degree {_brief(m)}")
     return CycleType((2,) + (1,) * (m - 2))
 
 
@@ -141,19 +141,13 @@ class CharacterTable:
             raise ShapeMismatchError(f"{kind} {tuple(p)} is not a partition of {self.degree}")
         return p
 
-    def value(self, d: Sequence[int], c: Sequence[int]) -> int:
-        return self.row(d)[self._lookup(self._col_index, c, "cycle type")]
-
     def row(self, d: Sequence[int]) -> tuple[int, ...]:
-        return self.values[self._lookup(self._row_index, d, "diagram")]
-
-    def _lookup(self, index: dict, p: Sequence[int], kind: str) -> int:
-        p = Partition(p)
-        if p not in index:
+        d = Partition(d)
+        if d not in self._row_index:
             raise ShapeMismatchError(
-                f"{kind} {tuple(p)} of {p.n} is not in the table of degree {self.degree}"
+                f"diagram {tuple(d)} of {d.n} is not in the table of degree {self.degree}"
             )
-        return index[p]
+        return self.values[self._row_index[d]]
 
 
 def character_table(m: int) -> CharacterTable:
@@ -166,7 +160,7 @@ def character_table(m: int) -> CharacterTable:
     """
     # checked before the cache, which would hash the argument first
     if not _is_int(m):
-        raise ValueError(f"degree must be an integer, got {m!r}")
+        raise ValueError(f"degree must be an integer, got {_brief(m)}")
     return _character_table(m)
 
 

@@ -5,8 +5,11 @@ one input bundle per block (rank and a first-Chern symbol on the surface)
 and one irreducible representation of the symmetric group of each block
 size.  The induced object on the Hilbert scheme of n points has an integer
 rank and a first Chern class of the form B - R*delta; both are computed by
-closed formulas, with no coset enumerated.  The oracles that recount them
-coset by coset (the swap trace) live in verify.py.
+closed formulas, with no coset enumerated.  The generating polynomial
+collects the first Chern classes of all one-shape specs over a list of
+input bundles: a plain dict from exponent tuples to DivisorClass
+coefficients, each computed alone in closed form.  The oracles that
+recount them coset by coset (the swap trace) live in verify.py.
 """
 
 from __future__ import annotations
@@ -15,13 +18,8 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .divisors import (
-    ClassPolynomial,
-    DivisorClass,
-    _check_exponents,
-    _check_symbol,
-)
-from .errors import IntegralityError, SizeLimitError, _brief
+from .divisors import DivisorClass, _check_symbol
+from .errors import IntegralityError, ShapeMismatchError, SizeLimitError, _brief
 from .partitions import (
     LabeledComposition,
     Partition,
@@ -46,7 +44,7 @@ def _check_c1_symbol(symbol: str) -> None:
 
 def _check_rank(rank: int) -> None:
     if not _is_int(rank) or rank < 1:
-        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+        raise ValueError(f"rank must be a positive integer, got {_brief(rank)}")
 
 
 def _tuples_of(k: int):
@@ -78,10 +76,10 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {_brief(name)}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {_brief(name)}")
 
 
 class BundleBlock(_Frozen):
@@ -112,7 +110,7 @@ def _raise_for_block(lam: LabeledComposition, blocks: tuple) -> None:
     # the first block that is not a BundleBlock of its part's size
     for idx, (size, blk) in enumerate(zip(lam, blocks), start=1):
         if not isinstance(blk, BundleBlock):
-            raise ValueError(f"block {idx}: {blk!r} is not a BundleBlock")
+            raise ValueError(f"block {idx}: {_brief(blk)} is not a BundleBlock")
         if blk.size != size:
             raise ValueError(f"block {idx}: rep {tuple(blk.rep)} is not a partition of {size}")
 
@@ -131,7 +129,7 @@ class BundleSpec(_Frozen):
     def __init__(self, lam: LabeledComposition, blocks: tuple[BundleBlock, ...]):
         lam = LabeledComposition(lam)
         if not isinstance(blocks, (tuple, list)):
-            raise ValueError(f"blocks must be a list or tuple, got {blocks!r}")
+            raise ValueError(f"blocks must be a list or tuple, got {_brief(blocks)}")
         blocks = tuple(blocks)
         if len(blocks) != len(lam):
             raise ValueError(f"{len(blocks)} blocks for a composition with {lam.k} parts")
@@ -149,7 +147,7 @@ class BundleSpec(_Frozen):
         cls, sizes: Sequence[int], blocks: Sequence[tuple[int, str, Sequence[int]]]
     ) -> BundleSpec:
         if not _all_of(blocks, _tuples_of(3)):
-            raise ValueError(f"blocks must be a list or tuple of triples, got {blocks!r}")
+            raise ValueError(f"blocks must be a list or tuple of triples, got {_brief(blocks)}")
         return cls(
             LabeledComposition(sizes),
             tuple(BundleBlock(rank, symbol, Partition(rep)) for rank, symbol, rep in blocks),
@@ -237,11 +235,11 @@ def _weak_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
 def _generating_inputs(n: int, inputs, variant: str) -> tuple[list[tuple[int, str]], int]:
     # the validated inputs, and the sign of sum r_i t_i^2 in the pair rank
     if variant not in ("trivial", "sign"):
-        raise ValueError(f"variant must be 'trivial' or 'sign', got {variant!r}")
+        raise ValueError(f"variant must be 'trivial' or 'sign', got {_brief(variant)}")
     if not _is_int(n) or n < 2:
-        raise ValueError(f"n must be >= 2, got {n!r}")
+        raise ValueError(f"n must be >= 2, got {_brief(n)}")
     if not _all_of(inputs, _tuples_of(2)):
-        raise ValueError(f"inputs must be a list or tuple of pairs, got {inputs!r}")
+        raise ValueError(f"inputs must be a list or tuple of pairs, got {_brief(inputs)}")
     inputs = list(inputs)
     if not inputs:
         raise ValueError("at least one input bundle required")
@@ -277,8 +275,9 @@ def _coefficient(n: int, inputs, expts: tuple[int, ...], sign: int) -> DivisorCl
 
 def generating_polynomial(
     n: int, inputs: Sequence[tuple[int, str]], variant: str = "trivial"
-) -> ClassPolynomial:
-    """Chern generating polynomial in one variable per input bundle.
+) -> dict[tuple[int, ...], DivisorClass]:
+    """Chern generating polynomial in one variable per input bundle, as a
+    dict from exponent tuples (a_1, ..., a_k) to nonzero coefficients.
 
     The coefficient of t_1^{a_1} * ... * t_k^{a_k} with sum a_i = n is the
     first Chern class of the spec whose blocks are the inputs with sizes a_i
@@ -292,21 +291,32 @@ def generating_polynomial(
     multinomial coefficient (0 if some b_i < 0) and r^b = prod r_i^{b_i},
     coef(a) = sum_i M(n-1; a-e_i) r^{a-e_i} c_i - (M(n; a) r^a
     -+ sum_i r_i M(n-2; a-2e_i) r^{a-2e_i}) / 2 * delta, - for 'trivial'.
-    More than MAX_MONOMIALS monomials raise SizeLimitError.
+    More than MAX_MONOMIALS monomials raise SizeLimitError.  Each call
+    builds a new dict.
     """
     inputs, sign = _generating_inputs(n, inputs, variant)
     k = len(inputs)
     # comb(n + k - 1, k - 1) monomials, refused before any work past the cap
     count = comb(n + k - 1, k - 1)
     if count > MAX_MONOMIALS:
-        raise SizeLimitError(f"{count} monomials exceed the bound {MAX_MONOMIALS}")
-    return ClassPolynomial._trusted(
-        k, {a: _coefficient(n, inputs, a, sign) for a in _weak_compositions(n, k)}
-    )
+        raise SizeLimitError(f"{_brief(count)} monomials exceed the bound {MAX_MONOMIALS}")
+    terms = ((a, _coefficient(n, inputs, a, sign)) for a in _weak_compositions(n, k))
+    return {a: coeff for a, coeff in terms if not coeff.is_zero}
+
+
+def _check_exponents(nvars: int, expts: Sequence[int]) -> tuple[int, ...]:
+    if not _all_of(expts, _is_int):
+        raise ValueError(f"exponents must be integers, got {_brief(expts)}")
+    t = tuple(expts)
+    if len(t) != nvars:
+        raise ShapeMismatchError(f"exponent tuple {_brief(t)} does not have arity {nvars}")
+    if any(e < 0 for e in t):
+        raise ValueError(f"negative exponent in {_brief(t)}")
+    return t
 
 
 def _generating_coefficient(n: int, inputs, expts, variant: str = "trivial") -> DivisorClass:
-    # generating_polynomial(...).coefficient_of(expts) without the expansion
+    # generating_polynomial(...).get(expts, zero) without the expansion
     inputs, sign = _generating_inputs(n, inputs, variant)
     return _coefficient(n, inputs, _check_exponents(len(inputs), expts), sign)
 
@@ -318,7 +328,7 @@ def regular_checksum(n: int, rank: int, symbol: str) -> DivisorClass:
     dimension-weighted sum of c1 over all irreducibles must reproduce.
     """
     if not _is_int(n) or n < 2:
-        raise ValueError(f"n must be >= 2, got {n!r}")
+        raise ValueError(f"n must be >= 2, got {_brief(n)}")
     _check_rank(rank)
     _check_c1_symbol(symbol)
     surface = {} if symbol in _ZERO_SYMBOLS else {symbol: factorial(n) * rank ** (n - 1)}

@@ -132,7 +132,7 @@ def parse_spec(source: str | Path) -> SpecDocument:
             raise SpecValidationError(f"{where}: unknown keys {_brief(sorted(unknown))}")
         for key in ("size", "rank", "c1", "rep"):
             if key not in entry:
-                raise SpecValidationError(f"{where}: missing {key!r}")
+                raise SpecValidationError(f"{where}: missing {_brief(key)}")
         size, rank, symbol, rep = entry["size"], entry["rank"], entry["c1"], entry["rep"]
         if not _is_int(size) or size < 1:
             raise SpecValidationError(f"{where}.size: expected a positive integer")
@@ -350,8 +350,15 @@ def _cmd_generating(args) -> int:
             )
         print(_generating_coefficient(args.n, inputs, args.coeff, args.variant).render_text())
     else:
-        print(generating_polynomial(args.n, inputs, args.variant).render_text())
+        terms = generating_polynomial(args.n, inputs, args.variant)
+        # one line per monomial, highest exponent tuple first
+        lines = [f"{_monomial(a)}: {terms[a].render_text()}" for a in sorted(terms, reverse=True)]
+        print("\n".join(lines) or "0")
     return EXIT_OK
+
+
+def _monomial(expts: tuple[int, ...]) -> str:
+    return "*".join(f"t{i}^{e}" if e > 1 else f"t{i}" for i, e in enumerate(expts, 1) if e)
 
 
 def _cmd_verify(args) -> int:
@@ -379,6 +386,14 @@ def _cmd_verify(args) -> int:
         return EXIT_OK
     print("oracle disagreement: internal consistency failure", file=sys.stderr)
     return EXIT_INTERNAL
+
+
+def _int(text: str) -> int:
+    # argparse's own int type echoes the whole argument
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_brief(text)}") from None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -409,11 +424,11 @@ def build_parser() -> _Parser:
             p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("char", help="character table of a symmetric group")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--diagram", type=_int_list, help="single row, e.g. 2,1")
 
     p = sub.add_parser("generating", help="Chern generating polynomial")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--ranks", type=_int_list, required=True)
     p.add_argument("--symbols", type=_symbol_list, required=True)
     p.add_argument(
@@ -422,7 +437,7 @@ def build_parser() -> _Parser:
     p.add_argument("--coeff", type=_int_list, help="extract one coefficient")
 
     p = sub.add_parser("verify", help="run all oracle cross-check suites")
-    p.add_argument("--max-n", type=int, default=6, dest="max_n")
+    p.add_argument("--max-n", type=_int, default=6, dest="max_n")
     p.add_argument("--json", action="store_true", help="emit JSON with per-suite timings")
 
     return parser

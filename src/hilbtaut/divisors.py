@@ -1,20 +1,17 @@
-"""Exact divisor-class bookkeeping and a sparse polynomial over it.
+"""Exact divisor-class bookkeeping.
 
 A DivisorClass is an integer combination of named surface classes plus a
 multiple of the exceptional half-diagonal class `delta`: every first Chern
 class lies in that lattice (Fogarty), and each closed form raises
-IntegralityError where a division would leave a remainder.  A
-ClassPolynomial maps exponent tuples to DivisorClass coefficients; it is
-built whole (the generating polynomial computes each coefficient in closed
-form) and then only read.
+IntegralityError where a division would leave a remainder.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
-from .errors import ShapeMismatchError, _brief
-from .partitions import _all_of, _is_int
+from .errors import _brief
+from .partitions import _is_int
 
 
 def _check_symbol(name: str) -> None:
@@ -68,14 +65,6 @@ class DivisorClass:
     @classmethod
     def zero(cls) -> DivisorClass:
         return cls()
-
-    @classmethod
-    def symbol(cls, name: str, coeff: int = 1) -> DivisorClass:
-        return cls({name: coeff})
-
-    @classmethod
-    def delta_class(cls, coeff: int = 1) -> DivisorClass:
-        return cls(delta=coeff)
 
     def __add__(self, other: DivisorClass) -> DivisorClass:
         if not isinstance(other, DivisorClass):
@@ -131,68 +120,3 @@ class DivisorClass:
 
     def to_json_dict(self) -> dict:
         return {"surface": dict(self.surface), "delta": self.delta}
-
-
-def _check_exponents(nvars: int, expts: Sequence[int]) -> tuple[int, ...]:
-    if not _all_of(expts, _is_int):
-        raise ValueError(f"exponents must be integers, got {_brief(expts)}")
-    t = tuple(expts)
-    if len(t) != nvars:
-        raise ShapeMismatchError(f"exponent tuple {_brief(t)} does not have arity {nvars}")
-    if any(e < 0 for e in t):
-        raise ValueError(f"negative exponent in {_brief(t)}")
-    return t
-
-
-class ClassPolynomial:
-    """Sparse polynomial whose coefficients are DivisorClass values."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Mapping[Sequence[int], DivisorClass] | None = None):
-        if not _is_int(nvars):
-            raise ValueError(f"nvars must be an integer, got {nvars!r}")
-        if not isinstance(terms, (Mapping, type(None))):
-            raise ValueError(f"terms must be a mapping, got {terms!r}")
-        self.nvars = nvars
-        clean: dict[tuple[int, ...], DivisorClass] = {}
-        for expts, cls_val in (terms or {}).items():
-            if not isinstance(cls_val, DivisorClass):
-                raise ValueError(f"coefficient of {tuple(expts)} is not a DivisorClass")
-            if not cls_val.is_zero:
-                clean[_check_exponents(self.nvars, expts)] = cls_val
-        self.terms = clean
-
-    @classmethod
-    def _trusted(cls, nvars: int, terms: Mapping[tuple[int, ...], DivisorClass]) -> ClassPolynomial:
-        # Terms built from checked inputs: exponent tuples of arity nvars and
-        # DivisorClass values; only the zero coefficients are dropped.
-        obj = cls.__new__(cls)
-        obj.nvars = nvars
-        obj.terms = {expts: val for expts, val in terms.items() if not val.is_zero}
-        return obj
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassPolynomial):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"ClassPolynomial({self.nvars}, {len(self.terms)} terms)"
-
-    def coefficient_of(self, expts: Sequence[int]) -> DivisorClass:
-        return self.terms.get(_check_exponents(self.nvars, expts), DivisorClass.zero())
-
-    def render_text(self) -> str:
-        """One line per monomial, highest exponent tuple first."""
-        if not self.terms:
-            return "0"
-        lines = []
-        for expts in sorted(self.terms, reverse=True):
-            mono = "*".join(
-                f"t{i + 1}^{e}" if e > 1 else f"t{i + 1}"
-                for i, e in enumerate(expts)
-                if e
-            ) or "1"
-            lines.append(f"{mono}: {self.terms[expts].render_text()}")
-        return "\n".join(lines)

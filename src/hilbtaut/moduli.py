@@ -154,7 +154,7 @@ class HomTable(_Frozen):
             raise ValueError(f"unknown hom-table keys {_brief(sorted(unknown))}")
         for key in ("hom", "ext1", "labels", "slopes"):
             if key not in data:
-                raise ValueError(f"hom table is missing {key!r}")
+                raise ValueError(f"hom table is missing {_brief(key)}")
         table = cls(
             hom=data["hom"],
             ext1=data["ext1"],
@@ -254,7 +254,7 @@ class VanishingReport(NamedTuple):
 
 def _require_table(table: HomTable) -> None:
     if not isinstance(table, HomTable):
-        raise ValueError(f"expected a HomTable, got {table!r}")
+        raise ValueError(f"expected a HomTable, got {_brief(table)}")
 
 
 def _require_block_match(lam: LabeledComposition, table: HomTable) -> None:
@@ -362,7 +362,7 @@ def _ext_dims(spec: BundleSpec, table: HomTable) -> tuple[EndDims, int | ValueEr
     # second entry is the component dimension or the error explaining why
     # there is none
     if not isinstance(spec, BundleSpec):
-        raise ValueError(f"expected a BundleSpec, got {spec!r}")
+        raise ValueError(f"expected a BundleSpec, got {_brief(spec)}")
     _require_block_match(spec.lam, table)
     _require_simple_diagonal(table)
     tangent_dim = sum(

@@ -44,7 +44,7 @@ class Partition(tuple):
         try:
             t = tuple(parts)
         except TypeError:
-            raise ValueError(f"partition must be a sequence of integers, got {parts!r}") from None
+            raise ValueError(f"partition must be a sequence of integers, got {_brief(parts)}") from None
         if not all(map(_is_int, t)):
             raise ValueError(f"partition parts must be integers, got {_brief(t)}")
         if t and t[-1] < 1:
@@ -75,7 +75,7 @@ class LabeledComposition(tuple):
         try:
             t = tuple(parts)
         except TypeError:
-            raise ValueError(f"composition must be a sequence of integers, got {parts!r}") from None
+            raise ValueError(f"composition must be a sequence of integers, got {_brief(parts)}") from None
         if not all(map(_is_int, t)):
             raise ValueError(f"composition parts must be integers, got {_brief(t)}")
         if any(p < 1 for p in t):
@@ -115,9 +115,9 @@ def enumerate_partitions(n: int) -> list[Partition]:
     enumeration order used throughout the package.
     """
     if not _is_int(n) or n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+        raise ValueError(f"n must be >= 1, got {_brief(n)}")
     if n > MAX_PARTITION_N:
-        raise SizeLimitError(f"n = {n} exceeds the partition bound {MAX_PARTITION_N}")
+        raise SizeLimitError(f"n = {_brief(n)} exceeds the partition bound {MAX_PARTITION_N}")
     return list(_partitions_desc(n, n))
 
 
@@ -199,7 +199,7 @@ def bounded_index_p(lam: Sequence[int]) -> int:
     """
     count = index_p(lam)
     if count > MAX_COSETS:
-        raise SizeLimitError(f"{count} cosets exceed the bound {MAX_COSETS}")
+        raise SizeLimitError(f"{_brief(count)} cosets exceed the bound {MAX_COSETS}")
     return count
 
 

@@ -42,7 +42,7 @@ from .chern import (
     regular_checksum,
 )
 from .divisors import DivisorClass
-from .errors import IntegralityError, ModuliDimensionMismatchError, SizeLimitError
+from .errors import IntegralityError, ModuliDimensionMismatchError, SizeLimitError, _brief
 from .partitions import (
     LabeledComposition,
     Partition,
@@ -204,7 +204,7 @@ _BRUTE_FORCE_MAX = 7
 def cycle_type_of(perm: Sequence[int]) -> CycleType:
     """Cycle type of a permutation given as a 0-based image tuple."""
     if not partitions._all_of(perm, partitions._is_int) or sorted(perm) != list(range(len(perm))):
-        raise ValueError(f"expected a 0-based permutation as a list or tuple, got {perm!r}")
+        raise ValueError(f"expected a 0-based permutation as a list or tuple, got {_brief(perm)}")
     return CycleType(_cycle_lengths(perm))
 
 
@@ -247,7 +247,7 @@ def brute_force_character_table(m: int) -> CharacterTable:
     """
     # checked before the cache, which would hash the argument first
     if not partitions._is_int(m) or m < 1:
-        raise ValueError(f"degree must be a positive integer, got {m!r}")
+        raise ValueError(f"degree must be a positive integer, got {_brief(m)}")
     if m > _BRUTE_FORCE_MAX:
         raise SizeLimitError(f"brute-force table capped at degree {_BRUTE_FORCE_MAX}")
     return _brute_force_table(m)
@@ -315,7 +315,7 @@ def inner_product(
 ) -> Fraction:
     """Class-function inner product (1/m!) sum over classes of size*f*g."""
     if not (callable(f) and callable(g)):
-        raise ValueError(f"f and g must be class functions, got {f!r} and {g!r}")
+        raise ValueError(f"f and g must be class functions, got {_brief(f)} and {_brief(g)}")
     # exact in int while f and g give ints; one division at the end
     total = sum(size * f(c) * g(c) for c, size in conjugacy_classes(m))
     return Fraction(total, factorial(m))
@@ -396,7 +396,7 @@ def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
     """Assemble the Chern class from the surface part and the rank of the
     sign-twisted restriction to the pairwise diagonal (the blowup route)."""
     if not isinstance(b, DivisorClass):
-        raise ValueError(f"expected a DivisorClass, got {b!r}")
+        raise ValueError(f"expected a DivisorClass, got {_brief(b)}")
     if not partitions._is_int(invariant_rank):
         raise ValueError(f"the rank must be an integer, got {type(invariant_rank).__name__}")
     return DivisorClass._trusted(b.surface, b.delta - invariant_rank)
@@ -434,7 +434,7 @@ def invariant_restriction_rank(spec: BundleSpec) -> int:
     Returns 0 when n < 2 (there is no pairwise diagonal).
     """
     if not isinstance(spec, BundleSpec):
-        raise ValueError(f"expected a BundleSpec, got {spec!r}")
+        raise ValueError(f"expected a BundleSpec, got {_brief(spec)}")
     return _swap_trace_rank(spec)
 
 
@@ -509,7 +509,8 @@ def generating_suite(max_n: int = 6):
         inputs = [(rank_cycle[i % 3], f"e{i + 1}") for i in range(n)]
         for variant in ("trivial", "sign"):
             if n <= _EXPANDED_MAX_N:
-                coefficient = generating_polynomial(n, inputs, variant).coefficient_of
+                terms = generating_polynomial(n, inputs, variant)
+                coefficient = lambda expts: terms.get(expts, DivisorClass.zero())  # noqa: E731
             else:
                 coefficient = partial(_generating_coefficient, n, inputs, variant=variant)
             for lam in enumerate_partitions(n):
@@ -792,11 +793,11 @@ def verify_all(max_n: int = 6) -> list[SuiteResult]:
     is max_n = 9.
     """
     if not partitions._is_int(max_n) or max_n < 2:
-        raise ValueError(f"max_n must be at least 2, got {max_n!r}")
+        raise ValueError(f"max_n must be at least 2, got {_brief(max_n)}")
     if max_n + 4 > partitions.MAX_PARTITION_N:
         # read first, so that a huge max_n builds nothing
         raise SizeLimitError(
-            f"max_n = {max_n} needs partitions of {max_n + 4}, "
+            f"max_n = {_brief(max_n)} needs partitions of {_brief(max_n + 4)}, "
             f"past the partition bound {partitions.MAX_PARTITION_N}"
         )
     bounded_index_p((1,) * max_n)

@@ -147,7 +147,8 @@ def test_criterion_06_representation_theory_suite():
         assert not result.failures, (result.name, result.failures)
     for m in range(1, 13):
         table = character_table(m)
-        dims = [table.value(d, (1,) * m) for d in table.diagrams]
+        ident = table.cycle_types.index((1,) * m)
+        dims = [table.row(d)[ident] for d in table.diagrams]
         assert sum(x * x for x in dims) == factorial(m)
         order = factorial(m)
         for d in table.diagrams:
@@ -301,7 +302,7 @@ def test_criterion_09_integrality():
     for n in range(2, 6):
         for variant in ("trivial", "sign"):
             poly = generating_polynomial(n, [(2, "a"), (3, "b")], variant=variant)
-            classes.extend(poly.terms.values())
+            classes.extend(poly.values())
     # the class type stores ints only, so integral means every coefficient is one
     assert all(type(c) is int for cls in classes for c in (cls.delta, *cls.surface.values()))
     _verdict(

@@ -4,8 +4,8 @@ character tables, the Chern closed forms need no characters at all, only
 verify.py enumerates for its own sake, only moduli and verify import
 fractions, cli imports the characters, moduli and verify layers only
 inside the commands that use them, every module-level cache is bounded,
-no check is an assert statement, and every module reads each name it
-imports."""
+no check is an assert statement, no raise message echoes a value through
+`!r`, and every module reads each name it imports."""
 
 from __future__ import annotations
 
@@ -137,6 +137,24 @@ def test_no_assert_in_the_package():
         for path in sorted(src.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_raise_message_echoes_a_repr():
+    # a value in an error message goes through errors._brief, which names a
+    # long one by its type and size; `!r` would echo all of it
+    src = Path(partitions.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and any(
+            isinstance(part, ast.FormattedValue) and part.conversion == ord("r")
+            for part in ast.walk(node.exc)
+        )
     ]
     assert found == []
 

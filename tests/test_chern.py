@@ -129,7 +129,7 @@ def test_r_number_closed_form_runs_once_per_spec(monkeypatch):
     monkeypatch.setattr(chern, "content_sum", counted)
     spec = BundleSpec.build((3, 1), [(2, "e1", (2, 1)), (3, "e2", (1,))])
     r = r_number(spec)
-    assert c1(spec) == b_class(spec) + DivisorClass.delta_class(-r)
+    assert c1(spec) == b_class(spec) + DivisorClass(delta=-r)
     assert calls == [(2, 1), (1,)]
 
 
@@ -417,7 +417,7 @@ def test_generating_suite_reports_a_wrong_single_coefficient(monkeypatch):
     def off_by_one(n, inputs, expts, variant="trivial"):
         value = single(n, inputs, expts, variant)
         if (tuple(expts), variant) == ((3, 2, 0, 0, 0), "sign"):
-            value = value + DivisorClass.delta_class(1)
+            value = value + DivisorClass(delta=1)
         return value
 
     monkeypatch.setattr(verify, "_generating_coefficient", off_by_one)
@@ -442,7 +442,7 @@ def test_trusted_delta_route_equals_the_validating_sum():
     for n in range(1, 6):
         for spec in _all_specs(n):
             full = c1(spec)
-            assert full == b_class(spec) + DivisorClass.delta_class(-r_number(spec)), spec
+            assert full == b_class(spec) + DivisorClass(delta=-r_number(spec)), spec
             # c1 is integral, so every stored coefficient is an int
             assert type(full.delta) is int
             assert all(type(coeff) is int for coeff in full.surface.values())
@@ -491,17 +491,30 @@ def test_n_equals_one():
 
 
 def test_generating_polynomial_frozen():
-    poly = generating_polynomial(2, [(2, "e")])
-    assert poly.coefficient_of((2,)) == DivisorClass({"e": 2}, -1)
-    assert set(poly.terms) == {(2,)}
-    assert sum(poly.terms.values(), DivisorClass.zero()) == DivisorClass({"e": 2}, -1)
+    assert generating_polynomial(2, [(2, "e")]) == {(2,): DivisorClass({"e": 2}, -1)}
+    assert generating_polynomial(2, [(2, "e")], variant="sign") == {
+        (2,): DivisorClass({"e": 2}, -3)
+    }
+    assert generating_polynomial(2, [(1, "a"), (1, "b")]) == {
+        (2, 0): DivisorClass({"a": 1}),
+        (1, 1): DivisorClass({"a": 1, "b": 1}, -1),
+        (0, 2): DivisorClass({"b": 1}),
+    }
 
-    sign = generating_polynomial(2, [(2, "e")], variant="sign")
-    assert sign.coefficient_of((2,)) == DivisorClass({"e": 2}, -3)
 
-    pair = generating_polynomial(2, [(1, "a"), (1, "b")])
-    assert pair.coefficient_of((1, 1)) == DivisorClass({"a": 1, "b": 1}, -1)
-    assert pair.coefficient_of((2, 0)) == DivisorClass({"a": 1})
+def test_generating_polynomial_is_a_plain_dict():
+    # a new dict on each call, keyed by exponent tuples of arity k, with
+    # no zero coefficient
+    poly = generating_polynomial(3, [(1, "a"), (1, "0")])
+    assert type(poly) is dict and poly is not generating_polynomial(3, [(1, "a"), (1, "0")])
+    assert set(poly) == {(3, 0), (2, 1), (1, 2)}
+    assert not any(coeff.is_zero for coeff in poly.values())
+    assert _generating_coefficient(3, [(1, "a"), (1, "0")], (0, 3)).is_zero
+    # the one-coefficient route takes exponents as ints, never coerced:
+    # (1.9, 0.2) is not (1, 0)
+    for expts in ((1.9, 0.2), ("1", "1"), (True, True), (1, 1.0), 5):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            _generating_coefficient(2, [(1, "a"), (2, "b")], expts)
 
 
 @pytest.mark.parametrize("variant", ["trivial", "sign"])
@@ -513,7 +526,7 @@ def test_generating_polynomial_vs_block_formula(n, variant):
     inputs = [(rank_cycle[i % 3], f"e{i+1}") for i in range(n)]
     for k in range(1, n + 1):
         poly = generating_polynomial(n, inputs[:k], variant=variant)
-        for expts in poly.terms:
+        for expts in poly:
             assert sum(expts) == n
         for part in enumerate_partitions(n):
             fits = [lam for lam in itertools.permutations(part, len(part))]
@@ -530,7 +543,7 @@ def test_generating_polynomial_vs_block_formula(n, variant):
                     for i in range(len(lam))
                 ]
                 spec = BundleSpec.build(lam, blocks)
-                assert poly.coefficient_of(expts) == c1(spec), (lam, variant)
+                assert poly.get(expts, DivisorClass.zero()) == c1(spec), (lam, variant)
                 assert _generating_coefficient(n, inputs[:k], expts, variant) == c1(spec)
 
 
@@ -559,7 +572,7 @@ def test_generating_polynomial_monomial_cap(monkeypatch):
     # comb(n+k-1, k-1) monomials: 10 for n = 3 and k = 3, 15 for n = 4
     inputs = [(1, "a"), (2, "b"), (3, "c")]
     monkeypatch.setattr(chern, "MAX_MONOMIALS", 10)
-    assert len(generating_polynomial(3, inputs).terms) == 10
+    assert len(generating_polynomial(3, inputs)) == 10
     with pytest.raises(SizeLimitError, match="15 monomials exceed the bound 10"):
         generating_polynomial(4, inputs)
     assert _generating_coefficient(4, inputs, (2, 1, 1)) == c1(

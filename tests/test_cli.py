@@ -405,6 +405,53 @@ def test_documented_slopes_still_parse():
         assert parse_spec(json.dumps(data)).hom_table.slopes == expected
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["char", "--n"], ["generating", "--ranks", "1", "--symbols", "a", "--n"], ["verify", "--max-n"]],
+    ids=["char", "generating", "verify"],
+)
+@pytest.mark.parametrize("value", ["9" * 5000, LONG], ids=["5000-digits", "100000-chars"])
+def test_long_integer_option_gives_short_usage_error(capsys, argv, value):
+    assert run_cli(*argv, value) == (EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert all(len(line.encode()) < 200 for line in err.splitlines()), err
+    assert err.endswith(f"{argv[-1]}: invalid int value: <str of length {len(value)}>\n")
+    # a short bad value is echoed as argparse's own int type echoes it
+    assert run_cli(*argv, "x") == (EXIT_USAGE, "")
+    assert capsys.readouterr().err.endswith(f"argument {argv[-1]}: invalid int value: 'x'\n")
+
+
+def _spec_of_sizes(*sizes) -> str:
+    blocks = [{"size": size, "rank": 1, "c1": "e", "rep": [size]} for size in sizes]
+    labels = [chr(ord("A") + i) for i in range(len(sizes))]
+    table = {
+        "hom": [[int(i == j) for j in range(len(sizes))] for i in range(len(sizes))],
+        "ext1": [[0] * len(sizes) for _ in sizes],
+        "labels": labels,
+        "slopes": list(range(len(sizes))),
+    }
+    return json.dumps({"n": sum(sizes), "blocks": blocks, "hom_table": table})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["char", "--n", "9" * 4000],
+        ["verify", "--max-n", "9" * 4000],
+        ["generating", "--n", "9" * 4000, "--ranks", "1,1", "--symbols", "a,b"],
+        ["ext", "--spec", _spec_of_sizes(300, 200, 100)],
+        ["stability", "--spec", _spec_of_sizes(300, 200, 100)],
+    ],
+    ids=["char", "verify", "generating", "ext", "stability"],
+)
+def test_size_cap_refusal_is_one_short_line(capsys, argv):
+    # the refused size is named by its bit length once it passes 180 bits
+    assert run_cli(*argv) == (EXIT_VALIDATION, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200, err
+
+
 def test_conditions_text(spec_file):
     code, out = run_cli("conditions", "--spec", spec_file)
     assert code == EXIT_OK
@@ -547,6 +594,31 @@ def test_generating_outputs():
         "--variant", "regular",
     )
     assert (code, out) == (EXIT_OK, "24*e - 24*delta\n")
+
+
+def test_generating_polynomial_render():
+    # one line per nonzero monomial, highest exponent tuple first, and 0
+    # for a polynomial with no terms
+    assert run_cli("generating", "--n", "2", "--ranks", "1,1", "--symbols", "a,b") == (
+        EXIT_OK,
+        "t1^2: 1*a\nt1*t2: 1*a + 1*b - 1*delta\nt2^2: 1*b\n",
+    )
+    code, out = run_cli("generating", "--n", "3", "--ranks", "1,2,1", "--symbols", "a,0,0")
+    assert (code, out.splitlines()) == (
+        EXIT_OK,
+        [
+            "t1^3: 1*a",
+            "t1^2*t2: 4*a - 2*delta",
+            "t1^2*t3: 2*a - 1*delta",
+            "t1*t2^2: 4*a - 5*delta",
+            "t1*t2*t3: 4*a - 6*delta",
+            "t1*t3^2: 1*a - 1*delta",
+            "t2^3: -2*delta",
+            "t2^2*t3: -5*delta",
+            "t2*t3^2: -2*delta",
+        ],
+    )
+    assert run_cli("generating", "--n", "2", "--ranks", "1", "--symbols", "0") == (EXIT_OK, "0\n")
 
 
 def test_generating_validation():
@@ -817,3 +889,18 @@ def test_module_entrypoint(spec_file):
     proc = _run_module("chern", "--spec", spec_file, timeout=None)
     assert proc.returncode == 0
     assert proc.stdout == "4*e1 + 4*e2 - 5*delta\n"
+
+
+def test_cli_module_runs_once_without_a_warning(spec_file):
+    # the package root does not register hilbtaut.cli, so runpy finds it
+    # unimported and gives no RuntimeWarning
+    src = str(Path(hilbtaut.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbtaut.cli", "rank", "--spec", spec_file],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout == _run_module("rank", "--spec", spec_file, timeout=None).stdout == "12\n"

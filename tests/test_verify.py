@@ -1,5 +1,6 @@
 """The oracle suites as a whole: which closed forms they reach, the suite
-list that the benchmark's tracer times, and each suite's check count.
+list that the benchmark's tracer times, and each suite's check count; and
+the CLI as a whole, which reaches every public member of the layers.
 
 Each suite is a generator of check outcomes wrapped by one runner; the
 undecorated generator stays reachable as the suite's ``__wrapped__``, so a
@@ -9,14 +10,17 @@ few hundred outcomes of each can be drawn without running it to the end.
 from __future__ import annotations
 
 import ast
+import contextlib
 import inspect
+import io
 import itertools
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from hilbtaut import characters, chern, divisors, moduli, partitions, verify
+from hilbtaut import characters, chern, cli, divisors, moduli, partitions, verify
 
 LAYERS = (partitions, characters, chern, divisors, moduli)
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -40,15 +44,11 @@ OUTCOMES_PER_SUITE = 300
 # constructor; a method or property is named Class.attribute.
 TYPES = {
     "chern.BundleSpec.k",
-    "characters.CharacterTable.value",
-    "divisors.ClassPolynomial",
-    "divisors.DivisorClass.symbol",
-    "divisors.DivisorClass.delta_class",
     "moduli.ConditionReport.satisfied",
     "moduli.EndDims",
     "moduli.HomTable.end1_self",
 }
-RENDERERS = {"divisors.DivisorClass.render_text", "divisors.ClassPolynomial.render_text"}
+RENDERERS = {"divisors.DivisorClass.render_text"}
 JSON_HELPERS = {
     "divisors.DivisorClass.to_json_dict",
     "moduli.HomTable.to_json_dict",
@@ -80,10 +80,10 @@ def _public_code(module):
                     yield f"{layer}.{name}.{attr}", member.__code__
 
 
-def _reached_by_suites() -> set[int]:
-    # ids of the code objects called while each suite yields its first
-    # outcomes; the memo caches are emptied first, so that what an earlier
-    # test computed is computed again here
+def _reached_by(run) -> set[int]:
+    # ids of the code objects called while run() runs; the memo caches are
+    # emptied first, so that what an earlier test computed is computed
+    # again here
     for module in (*LAYERS, verify):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
@@ -97,9 +97,7 @@ def _reached_by_suites() -> set[int]:
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for suite, *bound in SUITES:
-            for _ in itertools.islice(suite.__wrapped__(*bound), OUTCOMES_PER_SUITE):
-                pass
+        run()
     finally:
         sys.setprofile(previous)
     return reached
@@ -109,13 +107,76 @@ def test_every_closed_form_meets_an_oracle_suite():
     # "every closed form keeps an independent oracle" as a checked rule:
     # each public function and method of the five layers runs under some
     # suite, or is on one of the lists above
-    reached = _reached_by_suites()
+    def run():
+        for suite, *bound in SUITES:
+            for _ in itertools.islice(suite.__wrapped__(*bound), OUTCOMES_PER_SUITE):
+                pass
+
+    reached = _reached_by(run)
     public = dict(name_code for module in LAYERS for name_code in _public_code(module))
     allowed = TYPES | RENDERERS | JSON_HELPERS | KNOWN_GAPS
     assert allowed <= set(public), sorted(allowed - set(public))
     unreached = {name for name, code in public.items() if code is None or id(code) not in reached}
     assert unreached <= allowed, sorted(unreached - allowed)
     assert KNOWN_GAPS == set()
+
+
+SPEC = {
+    "n": 3,
+    "blocks": [
+        {"size": 2, "rank": 2, "c1": "e1", "rep": [2]},
+        {"size": 1, "rank": 1, "c1": "e2", "rep": [1]},
+    ],
+    "hom_table": {
+        "hom": [[1, 0], [0, 1]],
+        "ext1": [[2, 0], [0, 4]],
+        "labels": ["A", "B"],
+        "slopes": ["1/2", "1/2"],
+    },
+}
+# The same spec with a table that fails the grouping condition, and one
+# that fails the stability certificate.
+STUCK = json.dumps({**SPEC, "hom_table": {**SPEC["hom_table"], "hom": [[1, 1], [1, 1]]}})
+UNSTABLE = json.dumps({**SPEC, "hom_table": {**SPEC["hom_table"], "labels": ["A", "A"]}})
+GENERATING = ["generating", "--n", "3", "--ranks", "2,1", "--symbols", "e1,e2"]
+# Every command, and every option of it, once.
+CLI_CALLS = (
+    ["chern", "--spec", json.dumps(SPEC)],
+    ["chern", "--spec", json.dumps(SPEC), "--json"],
+    ["rank", "--spec", json.dumps(SPEC)],
+    ["ext", "--spec", json.dumps(SPEC)],
+    ["ext", "--spec", json.dumps(SPEC), "--json"],
+    ["conditions", "--spec", json.dumps(SPEC)],
+    ["conditions", "--spec", STUCK],
+    ["stability", "--spec", json.dumps(SPEC)],
+    ["stability", "--spec", UNSTABLE],
+    ["char", "--n", "4"],
+    ["char", "--n", "4", "--diagram", "2,1,1"],
+    GENERATING,
+    [*GENERATING, "--coeff", "2,1"],
+    [*GENERATING, "--variant", "sign"],
+    ["generating", "--n", "3", "--ranks", "2", "--symbols", "e", "--variant", "regular"],
+    ["verify", "--max-n", "2"],
+    ["verify", "--max-n", "2", "--json"],
+)
+# The library form of `ext`, which the CLI reaches through one private
+# scan; coset_scan_suite checks both.
+LIBRARY_ONLY = {"moduli.equivariant_end_dims", "moduli.moduli_component_dim"}
+
+
+def test_every_public_member_serves_a_cli_command():
+    # a public name that no command reaches is dead weight: each function,
+    # method and constructor of the layers runs under one of the calls above
+    def run():
+        for argv in CLI_CALLS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.dispatch(argv) == cli.EXIT_OK, argv
+
+    reached = _reached_by(run)
+    public = dict(name_code for module in LAYERS for name_code in _public_code(module))
+    unreached = {name for name, code in public.items() if code is None or id(code) not in reached}
+    assert unreached == LIBRARY_ONLY, sorted(unreached ^ LIBRARY_ONLY)
+    assert not (TYPES | RENDERERS | JSON_HELPERS) & unreached
 
 
 def test_verify_all_runs_the_suites_the_tracer_times(monkeypatch):
