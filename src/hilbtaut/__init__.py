@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 
 _NAMES_BY_MODULE = {
     "errors": (
-        "IntegralityError", "ModuliDimensionMismatchError", "ShapeMismatchError",
-        "SizeLimitError", "SpecValidationError",
+        "IntegralityError", "ShapeMismatchError", "SizeLimitError",
+        "SpecValidationError",
     ),
     "partitions": (
         "LabeledComposition", "Partition", "conjugate", "dimension",
@@ -40,7 +40,7 @@ _NAMES_BY_MODULE = {
     "moduli": (
         "ConditionReport", "EndDims", "HomTable", "StabilityCertificate",
         "VanishingReport", "check_conditions", "equivariant_end_dims",
-        "moduli_component_dim", "offdiagonal_ext1_vanishing", "stability_certificate",
+        "offdiagonal_ext1_vanishing", "stability_certificate", "stability_witnesses",
     ),
     "cli": ("SpecDocument", "dispatch", "parse_spec"),
     "verify": (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -22,7 +23,7 @@ from .chern import (
     rank_G,
     regular_checksum,
 )
-from .errors import IntegralityError, ModuliDimensionMismatchError, SpecValidationError, _brief
+from .errors import IntegralityError, SpecValidationError, _brief
 from .partitions import LabeledComposition, Partition, _all_of, _is_int
 
 # characters, moduli and verify are imported by the commands that use them,
@@ -157,7 +158,9 @@ def parse_spec(source: str | Path) -> SpecDocument:
         sizes.append(size)
 
     if sum(sizes) != n:
-        raise SpecValidationError(f"block sizes {_brief(sizes)} sum to {sum(sizes)}, not n = {n}")
+        raise SpecValidationError(
+            f"block sizes {_brief(sizes)} sum to {_brief(sum(sizes))}, not n = {_brief(n)}"
+        )
     spec = BundleSpec(LabeledComposition(sizes), tuple(blocks))
 
     table = None
@@ -210,20 +213,15 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_ext(args) -> int:
-    from .moduli import _ext_dims
+    from .moduli import equivariant_end_dims
 
     doc = parse_spec(args.spec)
-    table = _require_table(doc, "ext")
-    dims, moduli = _ext_dims(doc.spec, table)
-    moduli_dim = None
-    mismatch = None
-    note = None
-    if isinstance(moduli, ModuliDimensionMismatchError):
-        mismatch = (moduli.image_dim, moduli.tangent_dim)
-    elif isinstance(moduli, ValueError):
-        note = str(moduli)
-    else:
-        moduli_dim = moduli
+    dims = equivariant_end_dims(doc.spec, _require_table(doc, "ext"))
+    # the component dimension exists when off-diagonal Ext^1 vanishes and
+    # the image dimension equals the tangent dimension, end1
+    certified = dims.offdiagonal_vanishes
+    moduli_dim = dims.end1 if certified and dims.image_dim == dims.end1 else None
+    mismatch = (dims.image_dim, dims.end1) if certified and moduli_dim is None else None
     if args.json:
         _print_json(
             {
@@ -240,19 +238,22 @@ def _cmd_ext(args) -> int:
         return EXIT_OK
     print(f"end0 = {dims.end0}")
     print(f"end1 = {dims.end1}")
-    if dims.offdiagonal_vanishes:
+    if certified:
         print("offdiagonal_ext1_vanishes = yes")
     else:
         print(
             "offdiagonal_ext1_vanishes = no "
-            f"(coset {tuple(dims.failing_coset)}); end1 is the identity-coset part only"
+            f"(coset {dims.failing_coset}); end1 is the identity-coset part only"
         )
     if moduli_dim is not None:
         print(f"moduli_component_dim = {moduli_dim}")
     elif mismatch:
         print(f"moduli_component_dim = mismatch (image {mismatch[0]}, tangent {mismatch[1]})")
     else:
-        print(f"moduli_component_dim = not certified ({note})")
+        print(
+            f"moduli_component_dim = not certified (off-diagonal Ext^1 survives on coset "
+            f"{dims.failing_coset}; the tangent space is not under control)"
+        )
     return EXIT_OK
 
 
@@ -274,20 +275,20 @@ def _cmd_conditions(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    from .moduli import stability_certificate
+    from .moduli import stability_certificate, stability_witnesses
 
     doc = parse_spec(args.spec)
     table = _require_table(doc, "stability")
     cert = stability_certificate(doc.spec.lam, table)
     if cert.ok:
-        print(f"stability_certificate = yes ({len(cert.witnesses)} nontrivial cosets)")
-        for coset, pos in cert.witnesses[:10]:
-            print(f"coset {tuple(coset)}: witness position {pos}")
-        if len(cert.witnesses) > 10:
-            print(f"... {len(cert.witnesses) - 10} more")
+        print(f"stability_certificate = yes ({cert.witness_count} nontrivial cosets)")
+        for coset, pos in islice(stability_witnesses(doc.spec.lam, table), 10):
+            print(f"coset {coset}: witness position {pos}")
+        if cert.witness_count > 10:
+            print(f"... {cert.witness_count - 10} more")
     else:
         print("stability_certificate = no")
-        print(f"failing_coset = {tuple(cert.failing_coset)}")
+        print(f"failing_coset = {cert.failing_coset}")
     return EXIT_OK
 
 
@@ -304,7 +305,7 @@ def _cmd_char(args) -> int:
         wanted = Partition(args.diagram)
         if wanted.n != args.n:
             raise SpecValidationError(
-                f"--diagram {tuple(wanted)} is not a partition of {args.n}"
+                f"--diagram {_brief(tuple(wanted))} is not a partition of {args.n}"
             )
         labels, rows = (wanted,), (table.row(wanted),)
     # each cell is rendered once; the widths are read off those strings

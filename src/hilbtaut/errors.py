@@ -43,14 +43,3 @@ class SpecValidationError(ValueError):
 class IntegralityError(ArithmeticError):
     """A provably integral quantity evaluated to a non-integer."""
 
-
-class ModuliDimensionMismatchError(ValueError):
-    """Image and tangent dimensions disagree, so no single dimension exists."""
-
-    def __init__(self, image_dim: int, tangent_dim: int):
-        self.image_dim = image_dim
-        self.tangent_dim = tangent_dim
-        super().__init__(
-            f"image dimension {image_dim} != tangent dimension {tangent_dim}; "
-            "the component dimension is not determined"
-        )

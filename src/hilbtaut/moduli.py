@@ -4,27 +4,28 @@ A HomTable records exact dimensions of Hom and Ext^1 between the input
 bundles on the surface.  From it the package checks the ordered-grouping
 vanishing condition, certifies that off-diagonal equivariant Ext^1
 contributions die on every nontrivial coset, sums self-extension
-dimensions into moduli component dimensions, and produces per-coset slope
-certificates for stability.
+dimensions into the image and tangent dimensions of the moduli component,
+and decides slope stability coset by coset.
 
-Neither coset scan enumerates cosets.  The degree-1 dimension of a coset
+Neither verdict enumerates cosets.  The degree-1 dimension of a coset
 depends only on its double coset, a k x k table of (block, label) counts
 (Mackey's formula), so the vanishing check visits tables instead.  The
-stability verdict follows in closed form from slope balance, and its
-witnesses are produced lazily.  The coset-by-coset versions live in
-verify.py as oracles.
+stability verdict and its witness count follow in closed form from slope
+balance; a generator steps the cosets for the witnesses themselves, as far
+as its caller reads.  The coset-by-coset versions live in verify.py as
+oracles.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Mapping, NamedTuple
 
 from .chern import BundleSpec, _Frozen
-from .errors import ModuliDimensionMismatchError, ShapeMismatchError, _brief
+from .errors import ShapeMismatchError, _brief
 from .partitions import (
     LabeledComposition,
     _all_of,
@@ -336,140 +337,65 @@ def offdiagonal_ext1_vanishing(lam: Sequence[int], table: HomTable) -> Vanishing
 
 
 class EndDims(NamedTuple):
-    """Equivariant self-Hom and self-Ext^1 dimensions of an induced bundle.
+    """Equivariant self-Hom and self-Ext^1 dimensions of an induced bundle,
+    and the image dimension of the moduli component it traces out.
 
     end1 is always the identity-coset contribution (per-block multiplicity
-    times self-extension count, summed); offdiagonal_vanishes reports
-    whether that is the whole answer.
+    times self-extension count, summed), the tangent dimension;
+    offdiagonal_vanishes reports whether that is the whole answer.
+    image_dim is the sum of the self-extension counts.  The component
+    dimension is image_dim when off-diagonal Ext^1 vanishes and image_dim
+    equals end1, which holds exactly when every block representation is
+    rectangular.
     """
 
     end0: int
     end1: int
     offdiagonal_vanishes: bool
     failing_coset: tuple[int, ...] | None
-
-
-def _require_simple_diagonal(table: HomTable) -> None:
-    for i in range(table.k):
-        if table.hom[i][i] != 1:
-            raise ValueError(
-                f"block {i + 1} is not simple (hom[{i + 1}][{i + 1}] = {table.hom[i][i]})"
-            )
-
-
-def _ext_dims(spec: BundleSpec, table: HomTable) -> tuple[EndDims, int | ValueError]:
-    # equivariant_end_dims and moduli_component_dim from one coset scan; the
-    # second entry is the component dimension or the error explaining why
-    # there is none
-    if not isinstance(spec, BundleSpec):
-        raise ValueError(f"expected a BundleSpec, got {_brief(spec)}")
-    _require_block_match(spec.lam, table)
-    _require_simple_diagonal(table)
-    tangent_dim = sum(
-        standard_tensor_multiplicity(blk.rep) * table.ext1[i][i]
-        for i, blk in enumerate(spec.blocks)
-    )
-    vanishing = offdiagonal_ext1_vanishing(spec.lam, table)
-    dims = EndDims(1, tangent_dim, vanishing.holds, vanishing.failing_coset)
-    if not vanishing.holds:
-        return dims, ValueError(
-            f"off-diagonal Ext^1 survives on coset {tuple(vanishing.failing_coset)}; "
-            "the tangent space is not under control"
-        )
-    image_dim = sum(table.end1_self)
-    if image_dim != tangent_dim:
-        return dims, ModuliDimensionMismatchError(image_dim, tangent_dim)
-    return dims, image_dim
+    image_dim: int
 
 
 def equivariant_end_dims(spec: BundleSpec, table: HomTable) -> EndDims:
-    """Equivariant End dimensions in degrees 0 and 1.
+    """Equivariant End dimensions in degrees 0 and 1, and the image dimension.
 
     Degree 0 is 1 (simple blocks, one irreducible per block).  Degree 1 from
     the identity coset weighs each block's self-extension count by the
     multiplicity of its representation inside permutation-module times
     itself, which is 1 exactly for rectangular diagrams.  When some
-    off-diagonal coset survives in degree 1 the flag is lowered and the
-    returned end1 is only the identity-coset part.
+    off-diagonal coset survives in degree 1 the flag is lowered, the first
+    such coset is returned, and end1 is only the identity-coset part.
     """
-    return _ext_dims(spec, table)[0]
-
-
-def moduli_component_dim(table: HomTable, spec: BundleSpec) -> int:
-    """Dimension of the moduli component traced out by the construction.
-
-    The image dimension (sum of self-extension counts) must equal the
-    tangent dimension (multiplicity-weighted sum); they agree exactly when
-    every block representation is rectangular, otherwise a mismatch error
-    carrying both numbers is raised.
-    """
-    dim = _ext_dims(spec, table)[1]
-    if isinstance(dim, ValueError):
-        raise dim
-    return dim
-
-
-class _Witnesses(Sequence):
-    """Stability witnesses produced on demand: one (coset, 1-based position)
-    pair per nontrivial coset before the failing one, in coset order.
-
-    Behaves as the read-only tuple of those pairs (length, iteration,
-    indexing, slicing, equality) without holding any of them.
-    """
-
-    def __init__(self, lam: LabeledComposition, table: HomTable, length: int):
-        self._lam = lam
-        self._table = table
-        self._length = length
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self):
-        ident = self._lam.identity_labels()
-        labels_of, slopes = self._table.iso_labels, self._table.slopes
-        cosets = iter_cosets(self._lam)
-        next(cosets)  # the identity coset
-        for labels in islice(cosets, self._length):
-            for p in range(self._lam.n):
-                a, b = ident[p] - 1, labels[p] - 1
-                if labels_of[a] != labels_of[b] and slopes[a] >= slopes[b]:
-                    yield labels, p + 1
-                    break
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            r = range(self._length)[key]
-            if r.step > 0:
-                return tuple(islice(self, r.start, r.stop, r.step))
-            return tuple(islice(self, r[-1], r.start + 1, -r.step))[::-1] if r else ()
-        i = range(self._length)[key]  # IndexError when out of range
-        return next(islice(self, i, None))
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, _Witnesses)):
-            return NotImplemented
-        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"<{self._length} stability witnesses>"
+    if not isinstance(spec, BundleSpec):
+        raise ValueError(f"expected a BundleSpec, got {_brief(spec)}")
+    _require_block_match(spec.lam, table)
+    for i in range(table.k):
+        if table.hom[i][i] != 1:
+            raise ValueError(
+                f"block {i + 1} is not simple (hom[{i + 1}][{i + 1}] = {_brief(table.hom[i][i])})"
+            )
+    tangent_dim = sum(
+        standard_tensor_multiplicity(blk.rep) * table.ext1[i][i]
+        for i, blk in enumerate(spec.blocks)
+    )
+    vanishing = offdiagonal_ext1_vanishing(spec.lam, table)
+    return EndDims(
+        1, tangent_dim, vanishing.holds, vanishing.failing_coset, sum(table.end1_self)
+    )
 
 
 class StabilityCertificate(NamedTuple):
-    """Per-coset witnesses that destabilising maps cannot exist.
+    """Whether destabilising maps are ruled out on every nontrivial coset.
 
     A witness for a coset is a 1-based position whose identity-side factor
     and coset-side factor are non-isomorphic with identity-side slope not
-    smaller.  ok means every nontrivial coset has one.  witnesses is a lazy
-    read-only sequence of (coset, position) pairs for the nontrivial cosets
-    before failing_coset (all of them when ok).
+    smaller.  ok means every nontrivial coset has one.  witness_count is the
+    number of nontrivial cosets before failing_coset (all of them when ok);
+    stability_witnesses yields their witnesses.
     """
 
     ok: bool
-    witnesses: Sequence[tuple[tuple[int, ...], int]]
+    witness_count: int
     failing_coset: tuple[int, ...] | None
 
 
@@ -502,7 +428,7 @@ def stability_certificate(lam: Sequence[int], table: HomTable) -> StabilityCerti
     the identity with the last position of block b1 and the first position
     of block b2 swapped, where b1 < b2 are the last two blocks of a label
     class, taking the class whose b1 is largest.  The witnesses are counted
-    by the failing coset's lexicographic rank and produced lazily.
+    by the failing coset's lexicographic rank.
     """
     lam = LabeledComposition(lam)
     _require_block_match(lam, table)
@@ -512,10 +438,33 @@ def stability_certificate(lam: Sequence[int], table: HomTable) -> StabilityCerti
         blocks_of.setdefault(label, []).append(j)
     last_two = [blocks[-2:] for blocks in blocks_of.values() if len(blocks) > 1]
     if not last_two:
-        return StabilityCertificate(True, _Witnesses(lam, table, count - 1), None)
+        return StabilityCertificate(True, count - 1, None)
     b1, b2 = max(last_two)
     labels = list(lam.identity_labels())
     end_b1, start_b2 = sum(lam[: b1 + 1]) - 1, sum(lam[:b2])
     labels[end_b1], labels[start_b2] = b2 + 1, b1 + 1
-    length = _lex_rank(labels, lam) - 1
-    return StabilityCertificate(False, _Witnesses(lam, table, length), tuple(labels))
+    return StabilityCertificate(False, _lex_rank(labels, lam) - 1, tuple(labels))
+
+
+def stability_witnesses(
+    lam: Sequence[int], table: HomTable
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (coset, 1-based witness position) for each nontrivial coset in
+    coset order, the first witness position of each, and stop at the first
+    coset without one: witness_count pairs in all.  Cosets are stepped one
+    at a time, so taking the first few costs only those; the arguments are
+    checked when the first pair is asked for."""
+    lam = LabeledComposition(lam)
+    _require_block_match(lam, table)
+    ident = lam.identity_labels()
+    labels_of, slopes = table.iso_labels, table.slopes
+    cosets = iter_cosets(lam)
+    next(cosets)  # the identity coset
+    for labels in cosets:
+        for p in range(lam.n):
+            a, b = ident[p] - 1, labels[p] - 1
+            if labels_of[a] != labels_of[b] and slopes[a] >= slopes[b]:
+                yield labels, p + 1
+                break
+        else:
+            return

@@ -15,7 +15,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import comb, factorial, prod
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
@@ -42,7 +42,7 @@ from .chern import (
     regular_checksum,
 )
 from .divisors import DivisorClass
-from .errors import IntegralityError, ModuliDimensionMismatchError, SizeLimitError, _brief
+from .errors import IntegralityError, SizeLimitError, _brief
 from .partitions import (
     LabeledComposition,
     Partition,
@@ -59,7 +59,7 @@ from .partitions import (
 # moduli is imported by the suites that scan cosets, so that verify_all,
 # which runs none of them, never loads it
 if TYPE_CHECKING:
-    from .moduli import HomTable, StabilityCertificate, VanishingReport
+    from .moduli import HomTable, VanishingReport
 
 
 class SuiteResult(NamedTuple):
@@ -569,11 +569,19 @@ def vanishing_by_enumeration(lam: Sequence[int], table: HomTable) -> VanishingRe
     return VanishingReport(True, None, 0)
 
 
-def stability_by_enumeration(lam: Sequence[int], table: HomTable) -> StabilityCertificate:
-    """Oracle for stability_certificate: a slope witness searched on every
-    nontrivial coset in coset order, stopping at the first without one."""
-    from .moduli import StabilityCertificate
+class EnumeratedStability(NamedTuple):
+    """The verdict, every (coset, witness position) pair before the failing
+    coset, and the failing coset, as stability_by_enumeration finds them."""
 
+    ok: bool
+    witnesses: tuple[tuple[tuple[int, ...], int], ...]
+    failing_coset: tuple[int, ...] | None
+
+
+def stability_by_enumeration(lam: Sequence[int], table: HomTable) -> EnumeratedStability:
+    """Oracle for stability_certificate and stability_witnesses: a slope
+    witness searched on every nontrivial coset in coset order, stopping at
+    the first without one."""
     lam = LabeledComposition(lam)
     ident = lam.identity_labels()
     labels_of = table.iso_labels
@@ -589,9 +597,9 @@ def stability_by_enumeration(lam: Sequence[int], table: HomTable) -> StabilityCe
                 found = p + 1
                 break
         if not found:
-            return StabilityCertificate(False, tuple(witnesses), labels)
+            return EnumeratedStability(False, tuple(witnesses), labels)
         witnesses.append((labels, found))
-    return StabilityCertificate(True, tuple(witnesses), None)
+    return EnumeratedStability(True, tuple(witnesses), None)
 
 
 def _compositions(n: int):
@@ -635,32 +643,24 @@ def _coset_scan_tables(k: int, rng: random.Random):
         yield "non-adjacent repeat", table(matrix(0, 2), matrix(0, 2), labels)
 
 
-def _component_dim_or_none(table: HomTable, spec: BundleSpec):
-    # moduli_component_dim as a value: the dimension, (image, tangent) for a
-    # mismatch, or None when off-diagonal Ext^1 is not certified to vanish
-    from .moduli import moduli_component_dim
-
-    try:
-        return moduli_component_dim(table, spec)
-    except ModuliDimensionMismatchError as exc:
-        return exc.image_dim, exc.tangent_dim
-    except ValueError:
-        return None
-
-
 @_suite("double-coset scans vs coset enumeration")
 def coset_scan_suite(max_n: int = 7):
-    """Double-coset vanishing, closed-form stability and the Ext dimensions
-    vs coset enumeration on every composition of n <= max_n, under seeded
-    tables and block representations.
+    """Double-coset vanishing, closed-form stability, its first witnesses
+    and the Ext dimensions vs coset enumeration on every composition of
+    n <= max_n, under seeded tables and block representations.
 
     The Ext dimensions are recomputed from the oracles: end1 weighs each
     self-extension count by the character inner product of its block's
     representation, the flag and the failing coset come from the coset
-    enumeration, and the component dimension is the sum of the
-    self-extension counts when it equals end1.
+    enumeration, and the image dimension is the sum of the self-extension
+    counts.
     """
-    from .moduli import equivariant_end_dims, offdiagonal_ext1_vanishing, stability_certificate
+    from .moduli import (
+        equivariant_end_dims,
+        offdiagonal_ext1_vanishing,
+        stability_certificate,
+        stability_witnesses,
+    )
 
     rng, rep_rng = random.Random(20261017), random.Random(20261019)
     for n in range(1, max_n + 1):
@@ -669,25 +669,20 @@ def coset_scan_suite(max_n: int = 7):
                 fast, slow = offdiagonal_ext1_vanishing(lam, table), vanishing_by_enumeration(lam, table)
                 yield None if fast == slow else f"lam={lam} {kind}: vanishing {fast} vs {slow}"
                 cert, oracle = stability_certificate(lam, table), stability_by_enumeration(lam, table)
-                ok = (cert.ok, cert.failing_coset, len(cert.witnesses)) == (
-                    oracle.ok, oracle.failing_coset, len(oracle.witnesses)
-                ) and tuple(cert.witnesses[:11]) == oracle.witnesses[:11]
+                ok = cert == (oracle.ok, len(oracle.witnesses), oracle.failing_coset) and (
+                    tuple(islice(stability_witnesses(lam, table), 11)) == oracle.witnesses[:11]
+                )
                 yield None if ok else f"lam={lam} {kind}: stability certificates differ"
                 reps = [rep_rng.choice(enumerate_partitions(part)) for part in lam]
                 spec = BundleSpec.build(lam, [(1, "", rep) for rep in reps])
-                image = sum(table.end1_self)
                 end1 = sum(
                     _tensor_multiplicity_by_characters(rep) * count
                     for rep, count in zip(reps, table.end1_self)
                 )
+                expected = (1, end1, slow.holds, slow.failing_coset, sum(table.end1_self))
                 dims = equivariant_end_dims(spec, table)
-                yield None if dims == (1, end1, slow.holds, slow.failing_coset) else (
-                    f"lam={lam} {kind} reps={reps}: end dims {dims}, end1 {end1}"
-                )
-                dim = _component_dim_or_none(table, spec)
-                expected = None if not slow.holds else image if image == end1 else (image, end1)
-                yield None if dim == expected else (
-                    f"lam={lam} {kind} reps={reps}: component dimension {dim} vs {expected}"
+                yield None if dims == expected else (
+                    f"lam={lam} {kind} reps={reps}: end dims {dims} vs {expected}"
                 )
 
 

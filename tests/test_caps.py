@@ -23,11 +23,9 @@ _NO_CAP_PARAMETER = [
     partitions.iter_cosets,
     moduli.check_conditions,
     moduli.offdiagonal_ext1_vanishing,
-    moduli._ext_dims,
     moduli.equivariant_end_dims,
-    moduli.moduli_component_dim,
     moduli.stability_certificate,
-    moduli._Witnesses.__init__,
+    moduli.stability_witnesses,
     verify.invariant_restriction_rank,
     verify._coset_census,
     verify.vanishing_by_enumeration,
@@ -67,7 +65,7 @@ def _names_from_characters(module) -> set[str]:
 def test_chern_closed_forms_need_no_restriction_tables():
     # b_class and r_number take the content sum from partitions, with no
     # pair-index table; the swap-trace oracle that reads characters is in
-    # verify.  Of the product modules only moduli (its lazy witnesses)
+    # verify.  Of the product modules only moduli (its witness generator)
     # walks cosets or permutations; the oracles that do live in verify.
     assert not _names_from_characters(chern)
     assert not hasattr(partitions, "_reduction_indices")

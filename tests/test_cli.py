@@ -322,30 +322,36 @@ def test_hom_table_json_errors_exit_cleanly(tmp_path, capsys, key, value, messag
     assert len(err.encode()) < 200
 
 
-def _chern_on(mutate) -> list[str]:
+def _argv_on(mutate, command: str = "chern") -> list[str]:
     data = json.loads(json.dumps(SPEC))
     mutate(data)
-    return ["chern", "--spec", json.dumps(data)]
+    return [command, "--spec", json.dumps(data)]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         pytest.param(["chern", "--spec", LONG], id="text-neither-path-nor-json"),
-        pytest.param(_chern_on(lambda d: d.update({LONG: 1})), id="unknown-spec-key"),
-        pytest.param(_chern_on(lambda d: d["blocks"][0].update({LONG: 1})), id="unknown-block-key"),
-        pytest.param(_chern_on(lambda d: d["hom_table"].update({LONG: 1})), id="unknown-table-key"),
-        pytest.param(_chern_on(lambda d: d.update(n=LONG)), id="long-n"),
-        pytest.param(_chern_on(lambda d: d["blocks"][0].update(c1="1" + LONG)), id="long-symbol"),
-        pytest.param(_chern_on(lambda d: d["blocks"][0].update(rep=[1] * 50_000)), id="rep-wrong-size"),
+        pytest.param(_argv_on(lambda d: d.update({LONG: 1})), id="unknown-spec-key"),
+        pytest.param(_argv_on(lambda d: d["blocks"][0].update({LONG: 1})), id="unknown-block-key"),
+        pytest.param(_argv_on(lambda d: d["hom_table"].update({LONG: 1})), id="unknown-table-key"),
+        pytest.param(_argv_on(lambda d: d.update(n=LONG)), id="long-n"),
+        pytest.param(_argv_on(lambda d: d["blocks"][0].update(c1="1" + LONG)), id="long-symbol"),
+        pytest.param(_argv_on(lambda d: d["blocks"][0].update(rep=[1] * 50_000)), id="rep-wrong-size"),
         pytest.param(
-            _chern_on(lambda d: d["blocks"][0].update(rep=list(range(1, 50_001)))), id="rep-increasing"
+            _argv_on(lambda d: d["blocks"][0].update(rep=list(range(1, 50_001)))), id="rep-increasing"
         ),
         pytest.param(
-            _chern_on(lambda d: d["hom_table"].update(labels=[LONG, LONG], slopes=[1, 2])),
+            _argv_on(lambda d: d["hom_table"].update(labels=[LONG, LONG], slopes=[1, 2])),
             id="label-two-slopes",
         ),
-        pytest.param(_chern_on(lambda d: d["hom_table"].update(k=10**4000)), id="declared-k-digits"),
+        pytest.param(_argv_on(lambda d: d["hom_table"].update(k=10**4000)), id="declared-k-digits"),
+        pytest.param(_argv_on(lambda d: d.update(n=10**3999)), id="n-digits"),
+        pytest.param(
+            _argv_on(lambda d: d["hom_table"]["hom"][0].__setitem__(0, 10**3999), "ext"),
+            id="not-simple-digits",
+        ),
+        pytest.param(["char", "--n", "4", "--diagram", ",".join(["1"] * 50_000)], id="diagram-wrong-size"),
         pytest.param(
             ["generating", "--n", "2", "--ranks", ",".join(["1"] * 20_000),
              "--symbols", ",".join(["a"] * 20_000), "--coeff", "0" + ",-1" * 19_999],

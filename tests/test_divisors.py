@@ -92,7 +92,6 @@ ONE_BLOCK_TABLE = moduli.HomTable(((1,),), ((0,),), ("A",), (Fraction(0),))
         lambda: r_number(5),
         lambda: c1(5),
         lambda: moduli.equivariant_end_dims(5, ONE_BLOCK_TABLE),
-        lambda: moduli.moduli_component_dim(ONE_BLOCK_TABLE, 5),
         lambda: partitions.iter_cosets(5),
         lambda: CharacterTable(5, 5, 5, 5, 5),
         lambda: verify.c1_via_blowup(5, 5),
@@ -110,7 +109,7 @@ ONE_BLOCK_TABLE = moduli.HomTable(((1,),), ((0,),), ("A",), (Fraction(0),))
         "build-block", "spec-document-int", "dispatch-int",
         "conditions-int", "stability-table-int", "rank-int",
         "b-class-int", "r-number-int", "c1-int", "end-dims-spec-int",
-        "component-dim-spec-int", "labels-int", "table-ints", "blowup-int", "cycle-type-int",
+        "labels-int", "table-ints", "blowup-int", "cycle-type-int",
         "cycle-type-repeat", "inner-product-int", "swap-trace-int", "brute-table-str",
         "brute-table-list",
     ],

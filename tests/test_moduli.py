@@ -16,21 +16,19 @@ import pytest
 
 from hilbtaut import partitions
 from hilbtaut.chern import BundleSpec
-from hilbtaut.errors import (
-    ModuliDimensionMismatchError,
-    ShapeMismatchError,
-    SizeLimitError,
-)
+from hilbtaut.errors import ShapeMismatchError, SizeLimitError
 from hilbtaut.moduli import (
     HomTable,
     check_conditions,
     equivariant_end_dims,
-    moduli_component_dim,
     offdiagonal_ext1_vanishing,
     stability_certificate,
+    stability_witnesses,
 )
 from hilbtaut.partitions import enumerate_partitions, iter_cosets
 from hilbtaut.verify import (
+    _compositions,
+    _coset_scan_tables,
     _grouping_tables,
     coset_scan_suite,
     grouping_suite,
@@ -308,6 +306,7 @@ def test_end_dims_running_example():
     assert dims.end1 == 6
     assert dims.offdiagonal_vanishes
     assert dims.failing_coset is None
+    assert dims.image_dim == 6
 
 
 def test_end_dims_multiplicity():
@@ -326,39 +325,40 @@ def test_end_dims_offdiagonal_failure():
     assert not dims.offdiagonal_vanishes
     assert dims.end1 == 6  # identity-coset part only
     assert tuple(dims.failing_coset) == (1, 2, 1)
-    with pytest.raises(ValueError):
-        moduli_component_dim(t, RUNNING_SPEC)
+    assert dims.image_dim == 6  # no component dimension: the flag is down
 
 
 def test_end_dims_requires_simple():
     t = _table([[2, 0], [0, 1]], [[2, 0], [0, 4]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^block 1 is not simple \(hom\[1\]\[1\] = 2\)$"):
         equivariant_end_dims(RUNNING_SPEC, t)
-    with pytest.raises(ValueError):
-        moduli_component_dim(t, RUNNING_SPEC)
 
 
 def test_moduli_component_dim():
-    assert moduli_component_dim(RUNNING_TABLE, RUNNING_SPEC) == 6
+    # the component dimension is the image dimension when it equals end1
+    dims = equivariant_end_dims(RUNNING_SPEC, RUNNING_TABLE)
+    assert dims.offdiagonal_vanishes and dims.image_dim == dims.end1 == 6
     t20 = _table([[1]], [[20]])
     spec = BundleSpec.build((3,), [(1, "e", (3,))])
-    assert moduli_component_dim(t20, spec) == 20
+    dims = equivariant_end_dims(spec, t20)
+    assert dims.offdiagonal_vanishes and dims.image_dim == dims.end1 == 20
 
 
 def test_moduli_component_dim_mismatch():
     t = _table([[1]], [[2]])
     hook = BundleSpec.build((3,), [(1, "e", (2, 1))])
-    with pytest.raises(ModuliDimensionMismatchError) as exc:
-        moduli_component_dim(t, hook)
-    assert exc.value.image_dim == 2
-    assert exc.value.tangent_dim == 4
+    dims = equivariant_end_dims(hook, t)
+    assert dims.offdiagonal_vanishes
+    assert dims.image_dim == 2
+    assert dims.end1 == 4  # the tangent dimension
 
 
 def test_stability_running_example():
     cert = stability_certificate((2, 1), RUNNING_TABLE)
     assert cert.ok
     assert cert.failing_coset is None
-    assert [(tuple(c), p) for c, p in cert.witnesses] == [
+    assert cert.witness_count == 2
+    assert list(stability_witnesses((2, 1), RUNNING_TABLE)) == [
         ((1, 2, 1), 2),
         ((2, 1, 1), 1),
     ]
@@ -367,7 +367,8 @@ def test_stability_running_example():
 def test_stability_single_block_vacuous():
     t = _table([[1]], [[0]])
     cert = stability_certificate((3,), t)
-    assert cert.ok and cert.witnesses == ()
+    assert cert.ok and cert.witness_count == 0
+    assert list(stability_witnesses((3,), t)) == []
 
 
 def test_stability_duplicate_label_fails():
@@ -391,7 +392,7 @@ def test_stability_iff_distinct_labels():
             ]
             distinct = _table(eye, zero, [f"L{i}" for i in range(k)], slopes)
             assert stability_certificate(lam, distinct).ok, lam
-            assert len(stability_certificate(lam, distinct).witnesses) == (
+            assert stability_certificate(lam, distinct).witness_count == (
                 len(list(iter_cosets(lam))) - 1
             )
             if k >= 2:
@@ -407,53 +408,35 @@ def test_stability_iff_distinct_labels():
 def test_stability_bounds_and_shape(monkeypatch):
     with pytest.raises(ShapeMismatchError):
         stability_certificate((2, 1, 1), RUNNING_TABLE)
+    with pytest.raises(ShapeMismatchError):
+        next(stability_witnesses((2, 1, 1), RUNNING_TABLE))
     monkeypatch.setattr(partitions, "MAX_COSETS", 2)
     with pytest.raises(SizeLimitError):
         stability_certificate((2, 1), RUNNING_TABLE)
+    with pytest.raises(SizeLimitError):
+        next(stability_witnesses((2, 1), RUNNING_TABLE))
 
 
-def test_stability_witnesses_behave_as_tuple():
-    t = _table(
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0] * 3] * 3,
-        ["A", "B", "C"],
-        [2, Fraction(-1, 2), 1],
-    )
-    for lam in [(2, 1, 2), (3, 1, 1), (1, 1, 1)]:
-        lazy = stability_certificate(lam, t).witnesses
-        full = stability_by_enumeration(lam, t).witnesses
-        assert isinstance(full, tuple)
-        assert len(lazy) == len(full) and tuple(lazy) == full
-        assert lazy == full and full == lazy and lazy != list(full)
-        for key in (slice(None, 10), slice(3, None, 4), slice(None, None, -3), slice(-2, 1, -1)):
-            assert lazy[key] == full[key], key
-        assert [lazy[i] for i in (0, 2, -1, -len(full))] == [full[i] for i in (0, 2, -1, -len(full))]
-        with pytest.raises(IndexError):
-            lazy[len(full)]
-        assert hash(stability_certificate(lam, t)) == hash(stability_certificate(lam, t))
-    vacuous = stability_certificate((3,), _table([[1]], [[0]])).witnesses
-    assert vacuous == () and not vacuous and vacuous[:10] == ()
-
-
-def test_stability_witness_slices_match_the_tuple():
-    # every step of +-1, +-2 and +-3 with bounds that are negative, past
-    # either end or missing, on certificates that hold and that fail
+def test_stability_witnesses_match_enumeration():
+    # the generator yields exactly witness_count pairs, the enumeration's
+    # witnesses: on certificates that hold and that fail, and under the
+    # coset-scan tables on every composition of n <= 6
     eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     holds = _table(eye, [[0] * 3] * 3, ["A", "B", "C"], [2, Fraction(-1, 2), 1])
     fails = _table(eye, [[0] * 3] * 3, ["A", "B", "A"], [1, 0, 1])
-    bounds = (None, -30, -7, -2, -1, 0, 1, 3, 8, 30)
-    certs = [
-        stability_certificate(lam, t)
-        for t in (holds, fails)
-        for lam in [(2, 1, 2), (3, 1, 1), (1, 1, 1)]
-    ]
-    assert [cert.ok for cert in certs] == [True] * 3 + [False] * 3
-    for cert in certs:
-        full = tuple(cert.witnesses)
-        for step in (1, 2, 3, -1, -2, -3):
-            for start, stop in itertools.product(bounds, repeat=2):
-                key = slice(start, stop, step)
-                assert cert.witnesses[key] == full[key], (cert.failing_coset, key)
+    cases = [(lam, t) for t in (holds, fails) for lam in [(2, 1, 2), (3, 1, 1), (1, 1, 1)]]
+    rng = random.Random(425)
+    for n in range(1, 7):
+        for lam in _compositions(n):
+            cases += [(lam, t) for _, t in _coset_scan_tables(len(lam), rng)]
+    verdicts = set()
+    for lam, t in cases:
+        cert, oracle = stability_certificate(lam, t), stability_by_enumeration(lam, t)
+        witnesses = tuple(stability_witnesses(lam, t))
+        assert witnesses == oracle.witnesses, (lam, t)
+        assert cert.witness_count == len(witnesses), (lam, t)
+        verdicts.add(cert.ok)
+    assert verdicts == {True, False}
 
 
 def test_coset_scans_match_enumeration_n7():
@@ -473,8 +456,8 @@ def test_coset_scans_memory_bounded():
     try:
         assert offdiagonal_ext1_vanishing(lam, t).holds
         cert = stability_certificate(lam, t)
-        assert cert.ok and len(cert.witnesses) == 840839
-        assert len(cert.witnesses[:10]) == 10
+        assert cert.ok and cert.witness_count == 840839
+        assert len(list(itertools.islice(stability_witnesses(lam, t), 10))) == 10
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

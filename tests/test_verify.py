@@ -159,9 +159,6 @@ CLI_CALLS = (
     ["verify", "--max-n", "2"],
     ["verify", "--max-n", "2", "--json"],
 )
-# The library form of `ext`, which the CLI reaches through one private
-# scan; coset_scan_suite checks both.
-LIBRARY_ONLY = {"moduli.equivariant_end_dims", "moduli.moduli_component_dim"}
 
 
 def test_every_public_member_serves_a_cli_command():
@@ -175,8 +172,7 @@ def test_every_public_member_serves_a_cli_command():
     reached = _reached_by(run)
     public = dict(name_code for module in LAYERS for name_code in _public_code(module))
     unreached = {name for name, code in public.items() if code is None or id(code) not in reached}
-    assert unreached == LIBRARY_ONLY, sorted(unreached ^ LIBRARY_ONLY)
-    assert not (TYPES | RENDERERS | JSON_HELPERS) & unreached
+    assert not unreached, sorted(unreached)
 
 
 def test_verify_all_runs_the_suites_the_tracer_times(monkeypatch):
