@@ -417,6 +417,48 @@ def test_stability_bounds_and_shape(monkeypatch):
         next(stability_witnesses((2, 1), RUNNING_TABLE))
 
 
+def test_stability_witnesses_behave_as_tuple():
+    # the generator is lazy, and what it yields is the enumeration's tuple
+    t = _table(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0] * 3] * 3,
+        ["A", "B", "C"],
+        [2, Fraction(-1, 2), 1],
+    )
+    for lam in [(2, 1, 2), (3, 1, 1), (1, 1, 1)]:
+        lazy = stability_witnesses(lam, t)
+        full = stability_by_enumeration(lam, t).witnesses
+        assert isinstance(full, tuple) and not isinstance(lazy, tuple)
+        assert iter(lazy) is lazy
+        got = tuple(lazy)
+        assert len(got) == len(full) == stability_certificate(lam, t).witness_count
+        assert got == full
+        assert [got[i] for i in (0, 2, -1, -len(full))] == [full[i] for i in (0, 2, -1, -len(full))]
+        assert next(lazy, None) is None  # exhausted
+        assert hash(stability_certificate(lam, t)) == hash(stability_certificate(lam, t))
+    assert tuple(stability_witnesses((3,), _table([[1]], [[0]]))) == ()
+
+
+def test_stability_witness_slices_match_the_tuple():
+    # islice prefixes of the generator, as the stability command takes them,
+    # equal the tuple's slices for every step of 1, 2 and 3 with bounds that
+    # are 0, inside, past the end or missing, on certificates that hold and
+    # that fail
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    holds = _table(eye, [[0] * 3] * 3, ["A", "B", "C"], [2, Fraction(-1, 2), 1])
+    fails = _table(eye, [[0] * 3] * 3, ["A", "B", "A"], [1, 0, 1])
+    bounds = (None, 0, 1, 3, 8, 30)
+    cases = [(lam, t) for t in (holds, fails) for lam in [(2, 1, 2), (3, 1, 1), (1, 1, 1)]]
+    assert [stability_certificate(lam, t).ok for lam, t in cases] == [True] * 3 + [False] * 3
+    for lam, t in cases:
+        full = tuple(stability_witnesses(lam, t))
+        for step in (1, 2, 3):
+            for start, stop in itertools.product(bounds, repeat=2):
+                key = slice(start, stop, step)
+                got = tuple(itertools.islice(stability_witnesses(lam, t), start, stop, step))
+                assert got == full[key], (lam, key)
+
+
 def test_stability_witnesses_match_enumeration():
     # the generator yields exactly witness_count pairs, the enumeration's
     # witnesses: on certificates that hold and that fail, and under the
