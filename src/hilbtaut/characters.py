@@ -98,56 +98,44 @@ def character(d: Sequence[int], c: Sequence[int]) -> int:
 class CharacterTable:
     """Full character table of a symmetric group.
 
-    Rows are Young diagrams, columns cycle types, both in descending
-    lexicographic order; values are exact integers.
+    Rows are Young diagrams and columns cycle types: both are the partitions
+    of the degree in descending lexicographic order, held once as
+    `partitions`.  Class sizes and values are exact integers.
     """
 
-    def __init__(self, degree: int, diagrams, cycle_types, class_sizes, values):
+    def __init__(self, degree: int, class_sizes, values):
         def is_sequence(x) -> bool:
             return isinstance(x, (list, tuple))
 
-        if not _is_int(degree) or not (
-            _all_of((diagrams, cycle_types, class_sizes), is_sequence) and _all_of(values, is_sequence)
-        ):
+        # enumerate_partitions checks the degree
+        self.degree, self.partitions = degree, tuple(enumerate_partitions(degree))
+        if not (is_sequence(class_sizes) and _all_of(values, is_sequence)):
             raise ValueError(
-                "a character table needs an integer degree and lists or tuples of "
-                "diagrams, cycle types, class sizes and value rows"
+                "a character table needs lists or tuples of class sizes and value rows"
             )
-        self.degree = degree
-        self.diagrams = tuple(self._of_degree(d, "diagram") for d in diagrams)
-        self.cycle_types = tuple(self._of_degree(c, "cycle type") for c in cycle_types)
         self.class_sizes = tuple(class_sizes)
         self.values = tuple(tuple(row) for row in values)
-        width = len(self.cycle_types)
-        if len(self.values) != len(self.diagrams):
-            raise ShapeMismatchError(
-                f"{len(self.values)} value rows for {len(self.diagrams)} diagrams"
-            )
+        width = len(self.partitions)
+        if len(self.values) != width:
+            raise ShapeMismatchError(f"{len(self.values)} value rows for {width} diagrams")
         if len(self.class_sizes) != width or not all(map(_is_int, self.class_sizes)):
             raise ShapeMismatchError(
                 f"the table needs one integer class size for each of {width} cycle types"
             )
-        for d, row in zip(self.diagrams, self.values):
+        for d, row in zip(self.partitions, self.values):
             if len(row) != width or not all(map(_is_int, row)):
                 raise ShapeMismatchError(
-                    f"the row of {tuple(d)} needs one integer for each of {width} cycle types"
+                    f"the row of {_brief(d)} needs one integer for each of {width} cycle types"
                 )
-        self._row_index = {d: i for i, d in enumerate(self.diagrams)}
-        self._col_index = {c: i for i, c in enumerate(self.cycle_types)}
-
-    def _of_degree(self, p: Sequence[int], kind: str) -> Partition:
-        p = Partition(p)
-        if p.n != self.degree:
-            raise ShapeMismatchError(f"{kind} {tuple(p)} is not a partition of {self.degree}")
-        return p
+        self._index = {p: i for i, p in enumerate(self.partitions)}
 
     def row(self, d: Sequence[int]) -> tuple[int, ...]:
         d = Partition(d)
-        if d not in self._row_index:
+        if d not in self._index:
             raise ShapeMismatchError(
-                f"diagram {tuple(d)} of {d.n} is not in the table of degree {self.degree}"
+                f"diagram {_brief(d)} is not in the table of degree {self.degree}"
             )
-        return self.values[self._row_index[d]]
+        return self.values[self._index[d]]
 
 
 def character_table(m: int) -> CharacterTable:
@@ -166,25 +154,19 @@ def character_table(m: int) -> CharacterTable:
 
 @lru_cache(maxsize=MAX_PARTITION_N)
 def _character_table(m: int) -> CharacterTable:
-    classes = conjugacy_classes(m)
-    diagrams = enumerate_partitions(m)
-    lengths = sorted({c[0] for c, _ in classes})
-    lower = {length: _character_table(m - length) for length in lengths if length < m}
+    partitions = enumerate_partitions(m)
+    lower = {length: _character_table(m - length) for length in range(1, m)}
     values = []
-    for d in diagrams:
-        strips = {length: _border_strips(d, length) for length in lengths}
+    for d in partitions:
+        strips = {length: _border_strips(d, length) for length in range(1, m + 1)}
         row = []
-        for c, _ in classes:
+        for c in partitions:
             if c[0] == m:
                 # the empty partition is left, whose only value is 1
                 row.append(sum(sign for sign, _ in strips[m]))
                 continue
             table = lower[c[0]]
-            col = table._col_index[c[1:]]
-            row.append(
-                sum(sign * table.values[table._row_index[mu]][col] for sign, mu in strips[c[0]])
-            )
+            col = table._index[c[1:]]
+            row.append(sum(sign * table.values[table._index[mu]][col] for sign, mu in strips[c[0]]))
         values.append(row)
-    return CharacterTable(
-        m, diagrams, [c for c, _ in classes], [s for _, s in classes], values
-    )
+    return CharacterTable(m, [size for _, size in conjugacy_classes(m)], values)

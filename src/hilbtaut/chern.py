@@ -112,7 +112,9 @@ def _raise_for_block(lam: LabeledComposition, blocks: tuple) -> None:
         if not isinstance(blk, BundleBlock):
             raise ValueError(f"block {idx}: {_brief(blk)} is not a BundleBlock")
         if blk.size != size:
-            raise ValueError(f"block {idx}: rep {tuple(blk.rep)} is not a partition of {size}")
+            raise ValueError(
+                f"block {idx}: rep {_brief(blk.rep)} is not a partition of {_brief(size)}"
+            )
 
 
 class BundleSpec(_Frozen):

@@ -149,7 +149,7 @@ def parse_spec(source: str | Path) -> SpecDocument:
             raise SpecValidationError(f"{where}.rep: {exc}") from exc
         if diagram.n != size:
             raise SpecValidationError(
-                f"{where}.rep: {_brief(rep)} is not a partition of {size}"
+                f"{where}.rep: {_brief(rep)} is not a partition of {_brief(size)}"
             )
         try:
             blocks.append(BundleBlock(rank, symbol, diagram))
@@ -300,7 +300,7 @@ def _cmd_char(args) -> int:
     from .characters import character_table
 
     table = character_table(args.n)
-    labels, rows = table.diagrams, table.values
+    labels, rows = table.partitions, table.values
     if args.diagram is not None:
         wanted = Partition(args.diagram)
         if wanted.n != args.n:
@@ -310,7 +310,7 @@ def _cmd_char(args) -> int:
         labels, rows = (wanted,), (table.row(wanted),)
     # each cell is rendered once; the widths are read off those strings
     cells = [[str(v) for v in row] for row in rows]
-    headers = [_ptext(c) for c in table.cycle_types]
+    headers = [_ptext(c) for c in table.partitions]
     widths = [max(len(h), *map(len, column)) for h, column in zip(headers, zip(*cells))]
     labels = [_ptext(d) for d in labels]
     label_width = max(len("sizes"), *map(len, labels))
@@ -467,9 +467,6 @@ def dispatch(argv: Sequence[str]) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except SpecValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (IntegralityError, AssertionError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

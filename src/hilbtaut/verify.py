@@ -255,22 +255,22 @@ def brute_force_character_table(m: int) -> CharacterTable:
 
 @lru_cache(maxsize=_BRUTE_FORCE_MAX)
 def _brute_force_table(m: int) -> CharacterTable:
-    diagrams = enumerate_partitions(m)
+    # the diagrams, which are also the cycle types, in the table's order
+    shapes = enumerate_partitions(m)
     sizes: dict[tuple[int, ...], int] = {}
     for g in permutations(range(m)):
         t = _cycle_lengths(g)
         sizes[t] = sizes.get(t, 0) + 1
-    cycle_types = diagrams  # same enumeration order
     # a class representative g fixes a tabloid when the positions g moves
     # carry the labels of their images; only those positions are read (the
     # identity moves none, so it reads position 0 twice and fixes them all)
     readers = {}
-    for c in cycle_types:
+    for c in shapes:
         g = canonical_permutation(c)
         moved = [p for p in range(m) if g[p] != p] or [0]
         readers[c] = itemgetter(*moved), itemgetter(*(g[p] for p in moved))
     irreducibles: list[dict[CycleType, int]] = []
-    for mu in diagrams:
+    for mu in shapes:
         tabloids = tuple(iter_cosets(mu))
         vals = {
             c: sum(1 for lab in tabloids if at(lab) == image(lab))
@@ -279,16 +279,14 @@ def _brute_force_table(m: int) -> CharacterTable:
         for prev in irreducibles:
             # the sum over all m! permutations, grouped by cycle type; a
             # multiplicity is an integer, so the values stay integers
-            mult, rem = divmod(sum(sizes[c] * vals[c] * prev[c] for c in cycle_types), factorial(m))
+            mult, rem = divmod(sum(sizes[c] * vals[c] * prev[c] for c in shapes), factorial(m))
             if rem:
                 raise ArithmeticError(f"non-integral multiplicity in degree {m}")
             if mult:
-                vals = {c: vals[c] - mult * prev[c] for c in cycle_types}
+                vals = {c: vals[c] - mult * prev[c] for c in shapes}
         irreducibles.append(vals)
-    values = [[vals[c] for c in cycle_types] for vals in irreducibles]
-    return CharacterTable(
-        m, diagrams, cycle_types, [sizes[c] for c in cycle_types], values
-    )
+    values = [[vals[c] for c in shapes] for vals in irreducibles]
+    return CharacterTable(m, [sizes[c] for c in shapes], values)
 
 
 @_suite("characters vs permutation brute force")
@@ -297,7 +295,7 @@ def character_suite(max_m: int = 6):
     for m in range(1, min(max_m, 7) + 1):
         fast = character_table(m)
         slow = brute_force_character_table(m)
-        for row_fast, row_slow, d in zip(fast.values, slow.values, fast.diagrams):
+        for row_fast, row_slow, d in zip(fast.values, slow.values, fast.partitions):
             # the dimension is the value at the identity, the last cycle type
             ok = row_fast == row_slow and dimension(d) == row_slow[-1]
             yield None if ok else (
@@ -334,7 +332,7 @@ def _tensor_multiplicity_by_characters(d: Sequence[int]) -> Fraction:
     # the inner product over the table's classes, weighted by its class sizes
     total = sum(
         size * permutation_character(c) * chi * chi
-        for c, size, chi in zip(table.cycle_types, table.class_sizes, table.row(d))
+        for c, size, chi in zip(table.partitions, table.class_sizes, table.row(d))
     )
     return Fraction(total, factorial(m))
 

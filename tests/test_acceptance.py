@@ -146,18 +146,18 @@ def test_criterion_06_representation_theory_suite():
         assert not result.failures, (result.name, result.failures)
     for m in range(1, 13):
         table = character_table(m)
-        ident = table.cycle_types.index((1,) * m)
-        dims = [table.row(d)[ident] for d in table.diagrams]
+        ident = table.partitions.index((1,) * m)
+        dims = [table.row(d)[ident] for d in table.partitions]
         assert sum(x * x for x in dims) == factorial(m)
         order = factorial(m)
-        for d in table.diagrams:
+        for d in table.partitions:
             row = table.row(d)
             norm = sum(
                 size * v * v for v, size in zip(row, table.class_sizes)
             )
             assert norm == order, d
         if m <= 7:
-            for a, b in zip(table.diagrams, table.diagrams[1:]):
+            for a, b in zip(table.partitions, table.partitions[1:]):
                 mixed = sum(
                     size * u * v
                     for u, v, size in zip(table.row(a), table.row(b), table.class_sizes)
@@ -317,7 +317,7 @@ def test_criterion_10_performance():
     started = time.perf_counter()
     table = character_table(12)
     table_elapsed = time.perf_counter() - started
-    assert len(table.diagrams) == 77
+    assert len(table.partitions) == 77
     assert table_elapsed < 5.0, f"character table of degree 12 took {table_elapsed:.2f}s"
 
     started = time.perf_counter()

@@ -5,7 +5,9 @@ verify.py enumerates for its own sake, only moduli and verify import
 fractions, cli imports the characters, moduli and verify layers only
 inside the commands that use them, every module-level cache is bounded,
 no check is an assert statement, no raise message echoes a value through
-`!r`, and every module reads each name it imports."""
+`!r` or a call such as tuple(...), nor does a long library argument, no
+float is computed outside verify's seven allowed sites, and every module
+reads each name it imports."""
 
 from __future__ import annotations
 
@@ -14,6 +16,8 @@ import importlib
 import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 from hilbtaut import characters, chern, cli, divisors, moduli, partitions, verify
 
@@ -107,6 +111,52 @@ def test_module_caches_are_bounded():
                 assert obj.cache_info().maxsize is not None, f"{module.__name__}.{name}"
 
 
+# the float sites the package allows, by module and enclosing definition:
+# the suite timer's default and the random hom-table generator's rolls
+_FLOAT_SITES = sorted(
+    [
+        ("verify.SuiteResult", "0.0"),
+        ("verify._grouping_tables", "/"),
+        ("verify._grouping_tables", ".random()"),
+        ("verify._grouping_tables", "0.4"),
+        ("verify._grouping_tables", "0.2"),
+        ("verify._grouping_tables", "0.5"),
+        ("verify._grouping_tables", "0.505"),
+    ]
+)
+
+
+def _float_sites(node: ast.AST, scope: str):
+    # (scope, what) for each float literal, true division, float() call and
+    # .random() or .uniform() call under node
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        func = child.func if isinstance(child, ast.Call) else None
+        if isinstance(child, ast.Constant) and isinstance(child.value, (float, complex)):
+            yield scope, repr(child.value)
+        elif isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+            yield scope, "/"
+        elif isinstance(func, ast.Name) and func.id == "float":
+            yield scope, "float()"
+        elif isinstance(func, ast.Attribute) and func.attr in ("random", "uniform"):
+            yield scope, f".{func.attr}()"
+        yield from _float_sites(child, inner)
+
+
+def test_arithmetic_is_exact():
+    # ints and Fractions only: a float rounds, and two routes that round
+    # differently can disagree on an exact answer
+    src = Path(partitions.__file__).parent
+    found = sorted(
+        site
+        for path in src.glob("*.py")
+        for site in _float_sites(ast.parse(path.read_text()), path.stem)
+    )
+    assert found == _FLOAT_SITES
+
+
 def test_readme_caps_match_the_code():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = next(p for p in readme.split("\n\n") if p.startswith("Sizes are capped"))
@@ -139,9 +189,25 @@ def test_no_assert_in_the_package():
     assert found == []
 
 
+# calls whose text grows with their argument
+_ECHOING_CALLS = {"tuple", "list", "set", "sorted", "str", "repr"}
+
+
+def _echoes(part: ast.AST) -> bool:
+    if not isinstance(part, ast.FormattedValue):
+        return False
+    call = part.value
+    return part.conversion == ord("r") or (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id in _ECHOING_CALLS
+    )
+
+
 def test_no_raise_message_echoes_a_repr():
     # a value in an error message goes through errors._brief, which names a
-    # long one by its type and size; `!r` would echo all of it
+    # long one by its type and size; `!r` or a formatted tuple(...) or
+    # str(...) would echo all of it
     src = Path(partitions.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
@@ -149,12 +215,23 @@ def test_no_raise_message_echoes_a_repr():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Raise)
         and node.exc is not None
-        and any(
-            isinstance(part, ast.FormattedValue) and part.conversion == ord("r")
-            for part in ast.walk(node.exc)
-        )
+        and any(map(_echoes, ast.walk(node.exc)))
     ]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: characters.character_table(4).row((1,) * 50_000),
+        lambda: chern.BundleSpec((3,), [chern.BundleBlock(1, "e", (1,) * 50_000)]),
+    ],
+    ids=["table-row", "spec-block"],
+)
+def test_long_library_arguments_give_short_messages(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert len(str(info.value)) < 200, str(info.value)
 
 
 def _unread_imports(path: Path) -> set[str]:

@@ -116,7 +116,8 @@ _V3 = [[1, 1, 1], [-1, 0, 2], [1, -1, 1]]
 
 
 def test_character_table_of_the_right_shape_is_built():
-    table = CharacterTable(3, _D3, _D3, _S3, _V3)
+    table = CharacterTable(3, _S3, _V3)
+    assert table.partitions == tuple(_D3)
     assert table.row((1, 1, 1)) == (1, -1, 1)
     assert table.values == character_table(3).values
 
@@ -124,22 +125,23 @@ def test_character_table_of_the_right_shape_is_built():
 @pytest.mark.parametrize(
     "args",
     [
-        (3, [(3,), (2, 1), (2, 2)], _D3, _S3, _V3),
-        (3, [(3,), (1, 2), (1, 1, 1)], _D3, _S3, _V3),
-        (3, _D3, [(3,), (2, 1), (1, 1)], _S3, _V3),
-        (3, _D3, _D3, [1, 3, 2], [[1]]),
-        (3, _D3, _D3, _S3, _V3[:2]),
-        (3, _D3, _D3, _S3, [[1, 1], [-1, 0], [1, -1]]),
-        (3, _D3, _D3, _S3, [[1, 1, 1, 1], [-1, 0, 2, 0], [1, -1, 1, 0]]),
-        (3, _D3, _D3, _S3, [[1, 1, "a"], [-1, 0, 2], [1, -1, 1]]),
-        (3, _D3, _D3, _S3, [[1, 1, 1.0], [-1, 0, 2], [1, -1, 1]]),
-        (3, _D3, _D3, [2, 3], _V3),
-        (3, _D3, _D3, [2, 3, "1"], _V3),
+        ("3", _S3, _V3),
+        (15, _S3, _V3),
+        (3, [1, 3, 2], [[1]]),
+        (3, _S3, _V3[:2]),
+        (3, _S3, [[1, 1], [-1, 0], [1, -1]]),
+        (3, _S3, [[1, 1, 1, 1], [-1, 0, 2, 0], [1, -1, 1, 0]]),
+        (3, _S3, [[1, 1, "a"], [-1, 0, 2], [1, -1, 1]]),
+        (3, _S3, [[1, 1, 1.0], [-1, 0, 2], [1, -1, 1]]),
+        (3, [2, 3], _V3),
+        (3, [2, 3, "1"], _V3),
+        (3, "231", _V3),
+        (3, _S3, ["111", "-102", "1-11"]),
     ],
     ids=[
-        "diagram-of-4", "diagram-not-a-partition", "type-of-2", "one-row-one-value",
-        "missing-row", "short-rows", "long-rows", "str-value", "float-value",
-        "missing-size", "str-size",
+        "str-degree", "degree-past-the-cap", "one-row-one-value", "missing-row",
+        "short-rows", "long-rows", "str-value", "float-value", "missing-size", "str-size",
+        "str-sizes", "str-rows",
     ],
 )
 def test_character_table_checks_its_shape(args):
@@ -152,7 +154,7 @@ def test_table_agrees_with_single_values(m):
     # the table is built from lower-degree tables, character() by folding
     # the cycles of one type; each checks the other, every cell up to degree 10
     table = character_table(m)
-    cells = [(d, j, c) for d in table.diagrams for j, c in enumerate(table.cycle_types)]
+    cells = [(d, j, c) for d in table.partitions for j, c in enumerate(table.partitions)]
     if m > 10:
         cells = random.Random(m).sample(cells, 200)
     for d, j, c in cells:
@@ -197,8 +199,7 @@ def test_character_tables_retain_little_memory():
 def test_table_vs_brute_force(m):
     table = character_table(m)
     brute = brute_force_character_table(m)
-    assert table.diagrams == brute.diagrams
-    assert table.cycle_types == brute.cycle_types
+    assert table.partitions == brute.partitions
     assert table.class_sizes == brute.class_sizes
     assert table.values == brute.values
 
@@ -215,7 +216,7 @@ def test_brute_force_never_uses_murnaghan_nakayama(monkeypatch):
     verify._brute_force_table.cache_clear()
     for m, table in expected.items():
         brute = brute_force_character_table(m)
-        assert (brute.diagrams, brute.cycle_types) == (table.diagrams, table.cycle_types)
+        assert brute.partitions == table.partitions
         assert (brute.class_sizes, brute.values) == (table.class_sizes, table.values)
 
 
@@ -225,12 +226,12 @@ def test_row_orthonormality(m):
 
     def chi(d):
         # the class function of one row
-        return dict(zip(table.cycle_types, table.row(d))).__getitem__
+        return dict(zip(table.partitions, table.row(d))).__getitem__
 
-    for a in table.diagrams:
+    for a in table.partitions:
         assert inner_product(chi(a), chi(a), m) == 1
     if m <= 6:
-        for a, b in itertools.combinations(table.diagrams, 2):
+        for a, b in itertools.combinations(table.partitions, 2):
             assert inner_product(chi(a), chi(b), m) == 0
 
 

@@ -276,6 +276,18 @@ def test_ext_requires_hom_table(tmp_path):
     assert run_cli("chern", "--spec", str(path))[0] == EXIT_OK
 
 
+def test_hom_table_of_another_size_exits_with_one_line(capsys):
+    data = json.loads(json.dumps(SPEC))
+    data["hom_table"] = {
+        "hom": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "ext1": [[2, 0, 0], [0, 4, 0], [0, 0, 1]],
+        "labels": ["A", "B", "C"],
+        "slopes": ["1/2"] * 3,
+    }
+    assert run_cli("chern", "--spec", json.dumps(data)) == (EXIT_VALIDATION, "")
+    assert capsys.readouterr().err == "error: hom_table: 3 rows for a spec with 2 blocks\n"
+
+
 # a string longer than any message may echo
 LONG = "x" * 100_000
 
@@ -338,6 +350,7 @@ def _argv_on(mutate, command: str = "chern") -> list[str]:
         pytest.param(_argv_on(lambda d: d.update(n=LONG)), id="long-n"),
         pytest.param(_argv_on(lambda d: d["blocks"][0].update(c1="1" + LONG)), id="long-symbol"),
         pytest.param(_argv_on(lambda d: d["blocks"][0].update(rep=[1] * 50_000)), id="rep-wrong-size"),
+        pytest.param(_argv_on(lambda d: d["blocks"][0].update(size=10**3999)), id="size-digits"),
         pytest.param(
             _argv_on(lambda d: d["blocks"][0].update(rep=list(range(1, 50_001)))), id="rep-increasing"
         ),

@@ -93,7 +93,7 @@ ONE_BLOCK_TABLE = moduli.HomTable(((1,),), ((0,),), ("A",), (Fraction(0),))
         lambda: c1(5),
         lambda: moduli.equivariant_end_dims(5, ONE_BLOCK_TABLE),
         lambda: partitions.iter_cosets(5),
-        lambda: CharacterTable(5, 5, 5, 5, 5),
+        lambda: CharacterTable(5, 5, 5),
         lambda: verify.c1_via_blowup(5, 5),
         lambda: verify.cycle_type_of(5),
         lambda: verify.cycle_type_of((0, 0)),
