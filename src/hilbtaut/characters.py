@@ -81,7 +81,7 @@ def character(d: Sequence[int], c: Sequence[int]) -> int:
     d = Partition(d)
     c = CycleType(c)
     if d.n != c.n:
-        raise ShapeMismatchError(f"diagram of {d.n} evaluated at a type of {c.n}")
+        raise ShapeMismatchError(f"diagram of {_brief(d.n)} evaluated at a type of {_brief(c.n)}")
     # Murnaghan-Nakayama, one cycle at a time, longest first: each diagram
     # left after the cycles so far maps to its signed coefficient, so the
     # work follows the number of diagrams reached, never a recursion depth

@@ -168,12 +168,8 @@ def rank_G(spec: BundleSpec) -> int:
     """Rank of the induced bundle: (number of cosets) * s * w."""
     if not isinstance(spec, BundleSpec):
         raise _not_a_spec(spec)
-    return _rank(spec)
-
-
-def _rank(spec: BundleSpec) -> int:
-    # rank_G on a spec the caller built: the coset index is memoised per
-    # composition, so this is one lookup and two products
+    # the coset index is memoised per composition, so this is one lookup
+    # and two products
     return _index(spec.lam) * spec.s * spec.w
 
 
@@ -196,7 +192,7 @@ def c1(spec: BundleSpec) -> DivisorClass:
     memo = spec.__dict__
     if "_c1" in memo:
         return memo["_c1"]
-    n, rank = spec.n, _rank(spec)
+    n, rank = spec.n, rank_G(spec)
     surface: dict[str, int] = {}
     num = rank * comb(n, 2)
     for i, blk in enumerate(spec.blocks, start=1):

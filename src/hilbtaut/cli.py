@@ -467,7 +467,7 @@ def dispatch(argv: Sequence[str]) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (IntegralityError, AssertionError) as exc:
+    except IntegralityError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, IndexError) as exc:

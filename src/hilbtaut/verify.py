@@ -38,7 +38,6 @@ from .chern import (
     c1,
     generating_polynomial,
     r_number,
-    rank_G,
     regular_checksum,
 )
 from .divisors import DivisorClass
@@ -157,21 +156,7 @@ def coset_count_suite(max_n: int = 6):
     for lam in _sweep_compositions(max_n):
         singles, pairs = _reduction_counts(lam)
         index = index_p(lam)
-        # one pass over the cosets, keeping only counts: the identity (the one
-        # non-decreasing labeling) must come first and nowhere else
-        ident = LabeledComposition(lam).identity_labels()
-        count = 0
-        identity_first = True
-        first_counts: dict[int, int] = {}
-        pair_counts: dict[tuple[int, int], int] = {}
-        for coset in iter_cosets(lam):
-            if (coset == ident) != (count == 0):
-                identity_first = False
-            count += 1
-            first_counts[coset[0]] = first_counts.get(coset[0], 0) + 1
-            if len(coset) >= 2:
-                key = (coset[0], coset[1])
-                pair_counts[key] = pair_counts.get(key, 0) + 1
+        count, identity_first, first_counts, pair_counts = _coset_census(lam)
         if count != index:
             yield f"lam={lam}: {count} cosets vs index {index}"
             continue
@@ -184,7 +169,7 @@ def coset_count_suite(max_n: int = 6):
             else None
         )
         for i, expected in singles.items():
-            ok = first_counts.get(i, 0) == expected
+            ok = first_counts[i - 1] == expected
             yield None if ok else f"lam={lam}: position-1 label {i} count mismatch"
         if sum(lam) >= 2:
             ordered_total = 0
@@ -401,17 +386,26 @@ def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
 
 
 @lru_cache(maxsize=256)
-def _coset_census(parts: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int]]:
-    # Brute-force census, in one scan of the enumeration and never by
-    # formula: how many cosets give position 1 the label i (entry i - 1),
-    # and how many give positions 1 and 2 the same label i.
+def _coset_census(parts: tuple[int, ...]) -> tuple[int, bool, tuple[int, ...], dict]:
+    # The one census of the cosets, by enumeration and never by formula: the
+    # count; whether the identity (the one non-decreasing labeling) comes
+    # first and nowhere else; how many cosets give position 1 the label i
+    # (entry i - 1); how many give positions 1 and 2 the labels (i, j), in
+    # order.  coset_count_suite checks it against the multinomials and the
+    # swap-trace checks read it; 256 entries hold all of its largest sweep.
+    ident = LabeledComposition(parts).identity_labels()
+    count = 0
+    identity_first = True
     firsts = [0] * len(parts)
-    same: dict[int, int] = {}
+    pairs: dict[tuple[int, ...], int] = {}
     for labels in iter_cosets(parts):
+        if (labels == ident) != (count == 0):
+            identity_first = False
+        count += 1
         firsts[labels[0] - 1] += 1
-        if labels[0] == labels[1]:
-            same[labels[0]] = same.get(labels[0], 0) + 1
-    return tuple(firsts), same
+        key = labels[:2]
+        pairs[key] = pairs.get(key, 0) + 1
+    return count, identity_first, tuple(firsts), pairs
 
 
 @lru_cache(maxsize=1024)
@@ -426,30 +420,28 @@ def invariant_restriction_rank(spec: BundleSpec) -> int:
     pairwise diagonal, via the trace of the swap.
 
     Independent oracle for r_number: rank = (dim - trace)/2 where dim is the
-    full fibre dimension and the trace gets a contribution only from cosets
-    fixed by swapping positions 1 and 2 (both positions carrying one label i),
-    each worth r_i * (s / r_i^2) * chi_i(transposition) * (w / w_i).
+    full fibre dimension, the counted cosets times s * w, and the trace gets
+    a contribution only from cosets fixed by swapping positions 1 and 2
+    (both positions carrying one label i), each worth
+    r_i * (s / r_i^2) * chi_i(transposition) * (w / w_i).
     Returns 0 when n < 2 (there is no pairwise diagonal).
     """
     if not isinstance(spec, BundleSpec):
         raise ValueError(f"expected a BundleSpec, got {_brief(spec)}")
-    return _swap_trace_rank(spec)
-
-
-def _swap_trace_rank(spec: BundleSpec) -> int:
-    # invariant_restriction_rank on a spec the caller built
     if spec.n < 2:
         return 0
     # the census checks the coset cap when it enumerates; a composition it
     # already counted was within the cap
+    count, _, _, pairs = _coset_census(spec.lam)
     s, w = spec.s, spec.w
     trace = 0
-    for i, cnt in _coset_census(spec.lam)[1].items():
-        blk = spec.blocks[i - 1]
-        # a fixed coset forces at least two copies of label i, so r_i^2 | s
-        chi = _transposition_character(blk.rep)
-        trace += cnt * blk.rank * (s // blk.rank**2) * chi * (w // blk.rep_dim)
-    dim = rank_G(spec)
+    for i, blk in enumerate(spec.blocks, start=1):
+        cnt = pairs.get((i, i))
+        if cnt:
+            # a fixed coset forces at least two copies of label i, so r_i^2 | s
+            chi = _transposition_character(blk.rep)
+            trace += cnt * blk.rank * (s // blk.rank**2) * chi * (w // blk.rep_dim)
+    dim = count * s * w
     if (dim - trace) % 2:
         raise IntegralityError(f"odd swap trace defect: dim {dim}, trace {trace}")
     return (dim - trace) // 2
@@ -460,7 +452,7 @@ def _census_surface(spec: BundleSpec) -> dict[str, int]:
     # cosets that give position 1 the label i, each worth (s / r_i) * w
     s, w = spec.s, spec.w
     surface: dict[str, int] = {}
-    for blk, cnt in zip(spec.blocks, _coset_census(spec.lam)[0]):
+    for blk, cnt in zip(spec.blocks, _coset_census(spec.lam)[2]):
         symbol = blk.c1_symbol
         if symbol not in ("", "0"):
             surface[symbol] = surface.get(symbol, 0) + cnt * (s // blk.rank) * w
@@ -478,7 +470,7 @@ def rank_oracle_suite(max_n: int = 6):
     for n in range(2, max_n + 1):
         for spec in _all_specs(n):
             closed = r_number(spec)
-            oracle = _swap_trace_rank(spec)
+            oracle = invariant_restriction_rank(spec)
             yield None if closed == oracle else (
                 f"lam={tuple(spec.lam)} ranks={[b.rank for b in spec.blocks]} "
                 f"reps={[tuple(b.rep) for b in spec.blocks]}: {closed} vs {oracle}"
@@ -750,12 +742,12 @@ def _grouping_tables(k: int, rng: random.Random, count: int):
         hom, ext1 = zero(), zero()
         for i, j in combinations(range(k), 2):
             a, b = rng.sample((i, j), 2)
-            roll = rng.random() * k / 4
-            if roll < 0.4:  # a must come first
-                (hom if roll < 0.2 else ext1)[a][b] = 1
-            elif roll < 0.5:  # one group
+            roll = rng.randrange(1000 * k)
+            if roll < 1600:  # a must come first
+                (hom if roll < 800 else ext1)[a][b] = 1
+            elif roll < 2000:  # one group
                 ext1[a][b] = ext1[b][a] = 1
-            elif roll < 0.505:  # no arrangement
+            elif roll < 2020:  # no arrangement
                 hom[a][b] = hom[b][a] = 1
         yield "random", table(hom, ext1)
 

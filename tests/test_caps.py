@@ -6,7 +6,7 @@ fractions, cli imports the characters, moduli and verify layers only
 inside the commands that use them, every module-level cache is bounded,
 no check is an assert statement, no raise message echoes a value through
 `!r` or a call such as tuple(...), nor does a long library argument, no
-float is computed outside verify's seven allowed sites, and every module
+float is computed outside verify's one allowed site, and every module
 reads each name it imports."""
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from hilbtaut import characters, chern, cli, divisors, moduli, partitions, verify
+from hilbtaut.errors import ShapeMismatchError
 
 _NO_CAP_PARAMETER = [
     partitions.enumerate_partitions,
@@ -112,18 +113,8 @@ def test_module_caches_are_bounded():
 
 
 # the float sites the package allows, by module and enclosing definition:
-# the suite timer's default and the random hom-table generator's rolls
-_FLOAT_SITES = sorted(
-    [
-        ("verify.SuiteResult", "0.0"),
-        ("verify._grouping_tables", "/"),
-        ("verify._grouping_tables", ".random()"),
-        ("verify._grouping_tables", "0.4"),
-        ("verify._grouping_tables", "0.2"),
-        ("verify._grouping_tables", "0.5"),
-        ("verify._grouping_tables", "0.505"),
-    ]
-)
+# the suite timer's default
+_FLOAT_SITES = [("verify.SuiteResult", "0.0")]
 
 
 def _float_sites(node: ast.AST, scope: str):
@@ -221,15 +212,17 @@ def test_no_raise_message_echoes_a_repr():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "error, call",
     [
-        lambda: characters.character_table(4).row((1,) * 50_000),
-        lambda: chern.BundleSpec((3,), [chern.BundleBlock(1, "e", (1,) * 50_000)]),
+        (ShapeMismatchError, lambda: characters.character_table(4).row((1,) * 50_000)),
+        (ValueError, lambda: chern.BundleSpec((3,), [chern.BundleBlock(1, "e", (1,) * 50_000)])),
+        # a degree past 4,300 digits, which str() of an int refuses
+        (ShapeMismatchError, lambda: characters.character((10**5000,), (1,))),
     ],
-    ids=["table-row", "spec-block"],
+    ids=["table-row", "spec-block", "character-degree"],
 )
-def test_long_library_arguments_give_short_messages(call):
-    with pytest.raises(ValueError) as info:
+def test_long_library_arguments_give_short_messages(error, call):
+    with pytest.raises(error) as info:
         call()
     assert len(str(info.value)) < 200, str(info.value)
 

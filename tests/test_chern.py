@@ -381,7 +381,9 @@ def test_swap_trace_suite_runs_both_routes_on_every_spec(monkeypatch):
 
     monkeypatch.setattr(BundleSpec, "__init__", counted("spec", BundleSpec.__init__))
     monkeypatch.setattr(verify, "r_number", counted("closed", verify.r_number))
-    monkeypatch.setattr(verify, "_swap_trace_rank", counted("oracle", verify._swap_trace_rank))
+    monkeypatch.setattr(
+        verify, "invariant_restriction_rank", counted("oracle", verify.invariant_restriction_rank)
+    )
     result = verify.rank_oracle_suite(6)
     assert result.ok and result.checks == 7116
     assert calls == {"spec": 3558, "closed": 3558, "oracle": 3558}

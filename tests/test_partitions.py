@@ -278,8 +278,14 @@ def test_coset_count_suite_reports_a_misplaced_identity(monkeypatch):
         cosets = list(real(lam))
         return iter(cosets[1:] + cosets[:1])
 
+    # the census is memoised: emptied before, so that it scans the patched
+    # cosets, and after, so that no later test reads what it kept of them
+    verify._coset_census.cache_clear()
     monkeypatch.setattr(verify, "iter_cosets", identity_last)
-    result = verify.coset_count_suite(3)
+    try:
+        result = verify.coset_count_suite(3)
+    finally:
+        verify._coset_census.cache_clear()
     assert result.failures
     assert all(f.endswith("identity coset not unique or not first") for f in result.failures)
     assert len(result.failures) == sum(1 for lam in verify._sweep_compositions(3) if len(lam) > 1)

@@ -17,13 +17,16 @@ import itertools
 import json
 import sys
 from pathlib import Path
+from types import CodeType
 
 import pytest
 
+import hilbtaut
 from hilbtaut import characters, chern, cli, divisors, moduli, partitions, verify
 
 LAYERS = (partitions, characters, chern, divisors, moduli)
-RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+RUN = ROOT / "perfbench" / "run.py"
 
 # Every suite with the bound verify_all gives it at max_n = 6, then the two
 # that only the tests run.
@@ -80,19 +83,19 @@ def _public_code(module):
                     yield f"{layer}.{name}.{attr}", member.__code__
 
 
-def _reached_by(run) -> set[int]:
-    # ids of the code objects called while run() runs; the memo caches are
+def _reached_by(run) -> dict[int, CodeType]:
+    # the code objects called while run() runs, by id; the memo caches are
     # emptied first, so that what an earlier test computed is computed
     # again here
     for module in (*LAYERS, verify):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
-    reached: set[int] = set()
+    reached: dict[int, CodeType] = {}
 
     def profile(frame, event, arg):
         if event == "call":
-            reached.add(id(frame.f_code))
+            reached[id(frame.f_code)] = frame.f_code
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -119,6 +122,36 @@ def test_every_closed_form_meets_an_oracle_suite():
     unreached = {name for name, code in public.items() if code is None or id(code) not in reached}
     assert unreached <= allowed, sorted(unreached - allowed)
     assert KNOWN_GAPS == set()
+
+
+def test_swap_trace_oracle_runs_no_chern_code():
+    # the oracle takes the fibre dimension from its coset census, never from
+    # rank_G, so it shares no code with the closed form it checks; the cap
+    # check before the census scans reads partitions._index, and may
+    spec = chern.BundleSpec.build((2, 1, 2), [(2, "e1", (1, 1)), (1, "e2", (1,)), (3, "e3", (2,))])
+    reached = _reached_by(lambda: verify.invariant_restriction_rank(spec))
+    assert id(verify._coset_census.__wrapped__.__code__) in reached
+    ran_chern = {code.co_name for code in reached.values() if code.co_filename == chern.__file__}
+    assert not ran_chern, sorted(ran_chern)
+
+
+def test_swap_trace_suite_reads_the_censuses_the_coset_count_suite_checked(monkeypatch):
+    # verify_all runs the coset-count suite first; the swap-trace suite then
+    # finds every census it reads in the cache and scans no coset again
+    verify._coset_census.cache_clear()
+    assert verify.coset_count_suite(6).ok
+    scanned = []
+    real = verify.iter_cosets
+    monkeypatch.setattr(verify, "iter_cosets", lambda lam: scanned.append(lam) or real(lam))
+    assert verify.rank_oracle_suite(6).ok
+    assert scanned == []
+
+
+def test_census_cache_holds_the_largest_sweep():
+    # verify --max-n 9 sweeps 169 compositions, all of which stay cached
+    compositions = set(verify._sweep_compositions(9))
+    assert len(compositions) == 169
+    assert len(compositions) <= verify._coset_census.cache_info().maxsize
 
 
 SPEC = {
@@ -159,11 +192,20 @@ CLI_CALLS = (
     ["verify", "--max-n", "2"],
     ["verify", "--max-n", "2", "--json"],
 )
+# The verify exports that no command runs: references, each read by the
+# function named beside it in the file named beside it.
+REFERENCES = {
+    "c1_via_blowup": ("perfbench/workloads.py", "expected_output"),
+    "count_standard_tableaux": ("tests/test_partitions.py", "test_dimension_vs_backtracking_oracle"),
+    "cycle_type_of": ("tests/test_characters.py", "test_class_sizes_vs_enumeration"),
+    "inner_product": ("tests/test_characters.py", "test_row_orthonormality"),
+}
 
 
 def test_every_public_member_serves_a_cli_command():
     # a public name that no command reaches is dead weight: each function,
-    # method and constructor of the layers runs under one of the calls above
+    # method and constructor of the layers, and each verify export but the
+    # references, runs under one of the calls above
     def run():
         for argv in CLI_CALLS:
             with contextlib.redirect_stdout(io.StringIO()):
@@ -173,6 +215,28 @@ def test_every_public_member_serves_a_cli_command():
     public = dict(name_code for module in LAYERS for name_code in _public_code(module))
     unreached = {name for name, code in public.items() if code is None or id(code) not in reached}
     assert not unreached, sorted(unreached)
+    exported = [getattr(hilbtaut, name) for name in hilbtaut.__all__]
+    unserved = {
+        fn.__name__
+        for fn in exported
+        if fn.__module__ == verify.__name__ and id(fn.__code__) not in reached
+    }
+    assert unserved == set(REFERENCES)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_each_reference_export_has_its_reader(name):
+    path, function = REFERENCES[name]
+    tree = ast.parse((ROOT / path).read_text())
+    reader = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+    called = {
+        node.func.id
+        for node in ast.walk(reader)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert name in called
 
 
 def test_verify_all_runs_the_suites_the_tracer_times(monkeypatch):
