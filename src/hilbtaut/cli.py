@@ -12,8 +12,10 @@ import os
 import sys
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
+# lazy modules (see the package root): each runs when a command first reads it
+from . import characters, moduli, verify
 from .chern import (
     BundleBlock,
     BundleSpec,
@@ -25,12 +27,6 @@ from .chern import (
 )
 from .errors import IntegralityError, SpecValidationError, _brief
 from .partitions import LabeledComposition, Partition, _all_of, _is_int
-
-# characters, moduli and verify are imported by the commands that use them,
-# so a chern, rank or generating call never loads them; json likewise, by
-# the functions that read or print it, so a plain verify never loads it
-if TYPE_CHECKING:
-    from .moduli import HomTable
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -51,7 +47,7 @@ class SpecDocument(NamedTuple):
     """A parsed spec file: the bundle data plus an optional hom table."""
 
     spec: BundleSpec
-    hom_table: HomTable | None
+    hom_table: moduli.HomTable | None
 
     def echo(self) -> dict:
         out = {
@@ -72,6 +68,7 @@ class SpecDocument(NamedTuple):
 
 
 def _load_json(source: str | Path) -> object:
+    # json is imported where it is read or printed: a plain verify never loads it
     import json
 
     if isinstance(source, str) and not source.strip():
@@ -137,12 +134,6 @@ def parse_spec(source: str | Path) -> SpecDocument:
         size, rank, symbol, rep = entry["size"], entry["rank"], entry["c1"], entry["rep"]
         if not _is_int(size) or size < 1:
             raise SpecValidationError(f"{where}.size: expected a positive integer")
-        if not _is_int(rank) or rank < 1:
-            raise SpecValidationError(f"{where}.rank: expected a positive integer")
-        if not isinstance(symbol, str):
-            raise SpecValidationError(f"{where}.c1: expected a string symbol")
-        if not isinstance(rep, list) or not all(map(_is_int, rep)):
-            raise SpecValidationError(f"{where}.rep: expected an array of integers")
         try:
             diagram = Partition(rep)
         except ValueError as exc:
@@ -165,10 +156,8 @@ def parse_spec(source: str | Path) -> SpecDocument:
 
     table = None
     if "hom_table" in data:
-        from .moduli import HomTable
-
         try:
-            table = HomTable.from_json_dict(data["hom_table"])
+            table = moduli.HomTable.from_json_dict(data["hom_table"])
         except ValueError as exc:
             raise SpecValidationError(f"hom_table: {exc}") from exc
         if table.k != spec.k:
@@ -178,7 +167,7 @@ def parse_spec(source: str | Path) -> SpecDocument:
     return SpecDocument(spec, table)
 
 
-def _require_table(doc: SpecDocument, command: str) -> HomTable:
+def _require_table(doc: SpecDocument, command: str) -> moduli.HomTable:
     if doc.hom_table is None:
         raise SpecValidationError(f"'{command}' needs a hom_table section in the spec")
     return doc.hom_table
@@ -213,10 +202,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_ext(args) -> int:
-    from .moduli import equivariant_end_dims
-
     doc = parse_spec(args.spec)
-    dims = equivariant_end_dims(doc.spec, _require_table(doc, "ext"))
+    dims = moduli.equivariant_end_dims(doc.spec, _require_table(doc, "ext"))
     # the component dimension exists when off-diagonal Ext^1 vanishes and
     # the image dimension equals the tangent dimension, end1
     certified = dims.offdiagonal_vanishes
@@ -258,11 +245,8 @@ def _cmd_ext(args) -> int:
 
 
 def _cmd_conditions(args) -> int:
-    from .moduli import check_conditions
-
     doc = parse_spec(args.spec)
-    table = _require_table(doc, "conditions")
-    report = check_conditions(table)
+    report = moduli.check_conditions(_require_table(doc, "conditions"))
     print(f"distinct_labels = {'yes' if report.distinct_ok else 'no'}")
     if report.satisfied:
         rendered = " ".join("{" + ",".join(map(str, grp)) + "}" for grp in report.grouping)
@@ -275,14 +259,12 @@ def _cmd_conditions(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    from .moduli import stability_certificate, stability_witnesses
-
     doc = parse_spec(args.spec)
     table = _require_table(doc, "stability")
-    cert = stability_certificate(doc.spec.lam, table)
+    cert = moduli.stability_certificate(doc.spec.lam, table)
     if cert.ok:
         print(f"stability_certificate = yes ({cert.witness_count} nontrivial cosets)")
-        for coset, pos in islice(stability_witnesses(doc.spec.lam, table), 10):
+        for coset, pos in islice(moduli.stability_witnesses(doc.spec.lam, table), 10):
             print(f"coset {coset}: witness position {pos}")
         if cert.witness_count > 10:
             print(f"... {cert.witness_count - 10} more")
@@ -297,17 +279,10 @@ def _ptext(p: Sequence[int]) -> str:
 
 
 def _cmd_char(args) -> int:
-    from .characters import character_table
-
-    table = character_table(args.n)
+    table = characters.character_table(args.n)
     labels, rows = table.partitions, table.values
     if args.diagram is not None:
-        wanted = Partition(args.diagram)
-        if wanted.n != args.n:
-            raise SpecValidationError(
-                f"--diagram {_brief(tuple(wanted))} is not a partition of {args.n}"
-            )
-        labels, rows = (wanted,), (table.row(wanted),)
+        labels, rows = (args.diagram,), (table.row(args.diagram),)
     # each cell is rendered once; the widths are read off those strings
     cells = [[str(v) for v in row] for row in rows]
     headers = [_ptext(c) for c in table.partitions]
@@ -345,10 +320,6 @@ def _cmd_generating(args) -> int:
         return EXIT_OK
     inputs = list(zip(ranks, symbols))
     if args.coeff is not None:
-        if len(args.coeff) != len(ranks):
-            raise SpecValidationError(
-                f"--coeff needs {len(ranks)} exponents, got {len(args.coeff)}"
-            )
         print(_generating_coefficient(args.n, inputs, args.coeff, args.variant).render_text())
     else:
         terms = generating_polynomial(args.n, inputs, args.variant)
@@ -363,9 +334,7 @@ def _monomial(expts: tuple[int, ...]) -> str:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import verify_all
-
-    results = verify_all(args.max_n)
+    results = verify.verify_all(args.max_n)
     ok = all(res.ok for res in results)
     if args.json:
         suites = [
@@ -412,23 +381,27 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hilbtaut", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("chern", "first Chern class of the induced bundle"),
-        ("rank", "rank of the induced bundle"),
-        ("ext", "equivariant End dimensions and moduli component dimension"),
-        ("conditions", "check the ordered-grouping vanishing condition"),
-        ("stability", "per-coset slope certificates"),
+    # each subcommand names its handler, read from the module on every call
+    for name, run, help_text in (
+        ("chern", _cmd_chern, "first Chern class of the induced bundle"),
+        ("rank", _cmd_rank, "rank of the induced bundle"),
+        ("ext", _cmd_ext, "equivariant End dimensions and moduli component dimension"),
+        ("conditions", _cmd_conditions, "check the ordered-grouping vanishing condition"),
+        ("stability", _cmd_stability, "per-coset slope certificates"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--spec", required=True, help="path to a JSON spec file")
         if name in ("chern", "ext"):
             p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("char", help="character table of a symmetric group")
+    p.set_defaults(run=_cmd_char)
     p.add_argument("--n", type=_int, required=True)
     p.add_argument("--diagram", type=_int_list, help="single row, e.g. 2,1")
 
     p = sub.add_parser("generating", help="Chern generating polynomial")
+    p.set_defaults(run=_cmd_generating)
     p.add_argument("--n", type=_int, required=True)
     p.add_argument("--ranks", type=_int_list, required=True)
     p.add_argument("--symbols", type=_symbol_list, required=True)
@@ -438,22 +411,11 @@ def build_parser() -> _Parser:
     p.add_argument("--coeff", type=_int_list, help="extract one coefficient")
 
     p = sub.add_parser("verify", help="run all oracle cross-check suites")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--max-n", type=_int, default=6, dest="max_n")
     p.add_argument("--json", action="store_true", help="emit JSON with per-suite timings")
 
     return parser
-
-
-_COMMANDS = {
-    "chern": _cmd_chern,
-    "rank": _cmd_rank,
-    "ext": _cmd_ext,
-    "conditions": _cmd_conditions,
-    "stability": _cmd_stability,
-    "char": _cmd_char,
-    "generating": _cmd_generating,
-    "verify": _cmd_verify,
-}
 
 
 def dispatch(argv: Sequence[str]) -> int:
@@ -466,7 +428,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except IntegralityError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

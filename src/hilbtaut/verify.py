@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import time
-from fractions import Fraction
 from functools import lru_cache, partial, wraps
 from itertools import combinations, islice, permutations, product
 from math import comb, factorial, prod
@@ -56,8 +55,11 @@ from .partitions import (
 )
 
 # moduli is imported by the suites that scan cosets, so that verify_all,
-# which runs none of them, never loads it
+# which runs none of them, never loads it; fractions likewise, where a
+# Fraction is made
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .moduli import HomTable, VanishingReport
 
 
@@ -299,6 +301,8 @@ def inner_product(
     """Class-function inner product (1/m!) sum over classes of size*f*g."""
     if not (callable(f) and callable(g)):
         raise ValueError(f"f and g must be class functions, got {_brief(f)} and {_brief(g)}")
+    from fractions import Fraction
+
     # exact in int while f and g give ints; one division at the end
     total = sum(size * f(c) * g(c) for c, size in conjugacy_classes(m))
     return Fraction(total, factorial(m))
@@ -309,9 +313,10 @@ def permutation_character(c: Sequence[int]) -> int:
     return sum(1 for length in CycleType(c) if length == 1)
 
 
-def _tensor_multiplicity_by_characters(d: Sequence[int]) -> Fraction:
+def _tensor_multiplicity_by_characters(d: Sequence[int]) -> int | Fraction:
     """Oracle for standard_tensor_multiplicity: the class-function inner
-    product of (permutation character) * chi_d with chi_d."""
+    product of (permutation character) * chi_d with chi_d, an int when m!
+    divides the sum."""
     m = sum(d)
     table = character_table(m)
     # the inner product over the table's classes, weighted by its class sizes
@@ -319,6 +324,11 @@ def _tensor_multiplicity_by_characters(d: Sequence[int]) -> Fraction:
         size * permutation_character(c) * chi * chi
         for c, size, chi in zip(table.partitions, table.class_sizes, table.row(d))
     )
+    quotient, rem = divmod(total, factorial(m))
+    if not rem:
+        return quotient
+    from fractions import Fraction
+
     return Fraction(total, factorial(m))
 
 
@@ -608,6 +618,8 @@ def _coset_scan_tables(k: int, rng: random.Random):
     # identity Hom (every coset scanned), all-nonzero Hom/Ext^1 (first coset
     # fails), random entries and labels, then one adjacent and one
     # non-adjacent repeated label; Hom diagonals are 1, as ext requires
+    from fractions import Fraction
+
     from .moduli import HomTable
 
     def matrix(low: int, high: int):

@@ -2,8 +2,8 @@
 override, the README names exactly those caps, the Ext path needs no
 character tables, the Chern closed forms need no characters at all, only
 verify.py enumerates for its own sake, only moduli and verify import
-fractions, cli imports the characters, moduli and verify layers only
-inside the commands that use them, every module-level cache is bounded,
+fractions, cli binds the characters, moduli and verify layers only as
+the package's lazy modules, every module-level cache is bounded,
 no check is an assert statement, no raise message echoes a value through
 `!r` or a call such as tuple(...), nor does a long library argument, no
 float is computed outside verify's one allowed site, and every module
@@ -97,12 +97,17 @@ def test_only_slopes_and_inner_products_import_fractions():
     assert importers == {"moduli", "verify"}
 
 
-def test_cli_imports_command_layers_per_command():
-    # chern, rank and generating never load characters, moduli or verify
-    deferred = {"characters", "moduli", "verify"}
-    found = {name for name in _imported_names(cli, top_level=True) if deferred & set(name.split("."))}
-    assert not found
-    assert deferred <= {name.split(".")[-1] for name in _imported_names(cli)}
+def test_cli_binds_command_layers_only_as_modules():
+    # `from . import moduli` binds the root's lazy module, which runs when a
+    # command first reads from it; a name imported from it would run the
+    # layer at `import hilbtaut.cli`.  That chern, rank and generating run
+    # none of them is test_package's test_each_command_runs_only_its_layers.
+    layers = {"characters", "moduli", "verify"}
+    everywhere, top = (
+        {name for name in _imported_names(cli, top_level=level) if layers & set(name.split("."))}
+        for level in (False, True)
+    )
+    assert everywhere == top == {f".{layer}" for layer in layers}
 
 
 def test_module_caches_are_bounded():
@@ -116,10 +121,18 @@ def test_module_caches_are_bounded():
 # the suite timer's default
 _FLOAT_SITES = [("verify.SuiteResult", "0.0")]
 
+# the math functions whose value is a float
+_FLOAT_MATH = frozenset(
+    "sqrt cbrt exp exp2 expm1 log log2 log10 log1p pow fsum hypot dist fmod modf frexp"
+    " ldexp fabs copysign sin cos tan asin acos atan atan2 degrees radians sinh cosh"
+    " tanh asinh acosh atanh erf erfc gamma lgamma".split()
+)
+
 
 def _float_sites(node: ast.AST, scope: str):
-    # (scope, what) for each float literal, true division, float() call and
-    # .random() or .uniform() call under node
+    # (scope, what) for each float literal, true division, float() call,
+    # .random() or .uniform() call, and float-valued math function, read as
+    # math.x or imported by name, under node
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -133,6 +146,13 @@ def _float_sites(node: ast.AST, scope: str):
             yield scope, "float()"
         elif isinstance(func, ast.Attribute) and func.attr in ("random", "uniform"):
             yield scope, f".{func.attr}()"
+        elif (
+            isinstance(child, ast.Attribute) and child.attr in _FLOAT_MATH
+            and isinstance(child.value, ast.Name) and child.value.id == "math"
+        ):
+            yield scope, f"math.{child.attr}"
+        elif isinstance(child, ast.ImportFrom) and child.module == "math":
+            yield from ((scope, f"math.{a.name}") for a in child.names if a.name in _FLOAT_MATH)
         yield from _float_sites(child, inner)
 
 
@@ -146,6 +166,11 @@ def test_arithmetic_is_exact():
         for site in _float_sites(ast.parse(path.read_text()), path.stem)
     )
     assert found == _FLOAT_SITES
+
+
+def test_float_valued_math_is_a_float_site():
+    tree = ast.parse("import math\nfrom math import comb, sqrt\ndef f(x):\n    return math.log(x)\n")
+    assert list(_float_sites(tree, "m")) == [("m", "math.sqrt"), ("m.f", "math.log")]
 
 
 def test_readme_caps_match_the_code():

@@ -337,6 +337,8 @@ def test_standard_tensor_multiplicity_frozen():
     assert standard_tensor_multiplicity((2, 2)) == 1
     assert standard_tensor_multiplicity((5,)) == 1
     assert standard_tensor_multiplicity((3, 1)) == 2
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        standard_tensor_multiplicity(())
 
 
 @pytest.mark.parametrize("m", range(1, 13))

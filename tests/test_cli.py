@@ -86,7 +86,7 @@ def test_parse_spec_errors_are_positional():
     assert "sum to" in err(lambda d: d.update(n=5))
     assert "hom_table" in err(lambda d: d["hom_table"].update(k=4))
     assert "hom_table" in err(lambda d: d["hom_table"].pop("slopes"))
-    assert "blocks[0].rank" in err(lambda d: d["blocks"][0].update(rank=0))
+    assert "blocks[0]: rank must be a positive integer" in err(lambda d: d["blocks"][0].update(rank=0))
 
 
 def test_parse_spec_malformed_json():
@@ -378,6 +378,33 @@ def test_long_input_gives_one_short_error_line(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err.encode()) < 200, err
+
+
+def _block_argv(key, value) -> list[str]:
+    return _argv_on(lambda d: d["blocks"][0].update({key: value}))
+
+
+# inputs that BundleBlock, Partition, the exponent check and
+# CharacterTable.row refuse, with no check of their own in the CLI
+@pytest.mark.parametrize(
+    "argv, place",
+    [
+        *[(_block_argv("rank", v), "blocks[0]") for v in (0, True, "2", 2.0)],
+        *[(_block_argv("c1", v), "blocks[0]") for v in (5, ["a"], None)],
+        *[
+            (_block_argv("rep", v), "blocks[0].rep")
+            for v in ("2", 2, {}, [2.0], [True, True], None, [1, 2])
+        ],
+        (["generating", "--n", "3", "--ranks", "2,1", "--symbols", "e1,e2", "--coeff", "2,1,0"],
+         "exponent"),
+        (["char", "--n", "3", "--diagram", "3,1"], "diagram"),
+    ],
+)
+def test_library_checks_refuse_with_one_placed_line(capsys, argv, place):
+    assert run_cli(*argv) == (EXIT_VALIDATION, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert place in err and len(err.encode()) < 200, err
 
 
 @pytest.mark.parametrize(
@@ -716,7 +743,7 @@ def test_unexpected_exception_is_one_line(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "rank", broken)
+    monkeypatch.setattr(cli, "_cmd_rank", broken)
     assert run_cli("rank", "--spec", "{}") == (EXIT_INTERNAL, "")
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
@@ -894,12 +921,31 @@ def test_closed_stdout_pipe_exits_quietly(n, unbuffered):
     assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chern", "--spec", "{}"],
+        ["rank", "--spec", "{}"],
+        ["ext", "--spec", "{}"],
+        ["conditions", "--spec", "{}"],
+        ["stability", "--spec", "{}"],
+        ["char", "--n", "3"],
+        ["generating", "--n", "3", "--ranks", "1", "--symbols", "a"],
+        ["verify"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_subcommand_declares_its_handler(argv):
+    args = cli.build_parser().parse_args(argv)
+    assert args.run is getattr(cli, f"_cmd_{argv[0]}")
+
+
 def test_dispatch_lets_a_broken_pipe_through(monkeypatch):
     # dispatch leaves the process's streams alone; main handles the pipe
     def closed(args):
         raise BrokenPipeError(32, "Broken pipe")
 
-    monkeypatch.setitem(cli._COMMANDS, "char", closed)
+    monkeypatch.setattr(cli, "_cmd_char", closed)
     with pytest.raises(BrokenPipeError):
         dispatch(["char", "--n", "3"])
 

@@ -129,7 +129,8 @@ def test_dimension_frozen():
 
 
 def test_dimension_vs_backtracking_oracle():
-    for m in range(1, 8):
+    # up to degree 10, the largest restriction_suite reads at verify --max-n 6
+    for m in range(1, 11):
         for d in enumerate_partitions(m):
             assert dimension(d) == count_standard_tableaux(d), d
 
