@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Sequence
 
-from .errors import ShapeMismatchError, _brief
+from .errors import ShapeMismatchError, SizeLimitError, _brief
 from .partitions import (
     MAX_PARTITION_N,
     Partition,
@@ -30,9 +30,15 @@ from .partitions import (
 CycleType = Partition
 
 
+def _check_degree(m: int) -> None:
+    if m > MAX_PARTITION_N:
+        raise SizeLimitError(f"degree {_brief(m)} exceeds the partition bound {MAX_PARTITION_N}")
+
+
 def class_size(c: Sequence[int]) -> int:
     """Size of the conjugacy class with the given cycle type."""
     c = CycleType(c)
+    _check_degree(c.n)
     mult: dict[int, int] = {}
     for length in c:
         mult[length] = mult.get(length, 0) + 1
@@ -48,6 +54,7 @@ def conjugacy_classes(m: int) -> list[tuple[CycleType, int]]:
 def transposition_type(m: int) -> CycleType:
     if not _is_int(m) or m < 2:
         raise ValueError(f"no transposition in degree {_brief(m)}")
+    _check_degree(m)
     return CycleType((2,) + (1,) * (m - 2))
 
 

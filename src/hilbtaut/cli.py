@@ -8,6 +8,7 @@ deterministic.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from itertools import islice
@@ -455,6 +456,8 @@ def main() -> None:
         # docs, "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
+    # the interpreter's closing collections would only walk objects the exit frees
+    gc.freeze()
     sys.exit(code)
 
 

@@ -8,6 +8,7 @@ that gives every position 1..n the label of its block.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
@@ -28,6 +29,20 @@ def _all_of(values, check) -> bool:
     return isinstance(values, (list, tuple)) and all(check(v) for v in values)
 
 
+def _int_parts(parts, kind: str) -> tuple[int, ...]:
+    # the entries of parts as a tuple of ints, never coerced
+    try:
+        if isinstance(parts, (str, Mapping)):
+            # it would iterate as its characters or its keys
+            raise TypeError
+        t = tuple(parts)
+    except TypeError:
+        raise ValueError(f"{kind} must be a sequence of integers, got {_brief(parts)}") from None
+    if not all(map(_is_int, t)):
+        raise ValueError(f"{kind} parts must be integers, got {_brief(t)}")
+    return t
+
+
 class Partition(tuple):
     """A partition: non-increasing tuple of positive integers.
 
@@ -41,12 +56,7 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()):
         if type(parts) is cls:
             return parts
-        try:
-            t = tuple(parts)
-        except TypeError:
-            raise ValueError(f"partition must be a sequence of integers, got {_brief(parts)}") from None
-        if not all(map(_is_int, t)):
-            raise ValueError(f"partition parts must be integers, got {_brief(t)}")
+        t = _int_parts(parts, "partition")
         if t and t[-1] < 1:
             raise ValueError(f"partition parts must be positive, got {_brief(t)}")
         for a, b in zip(t, t[1:]):
@@ -72,12 +82,7 @@ class LabeledComposition(tuple):
     def __new__(cls, parts: Iterable[int]):
         if type(parts) is cls:
             return parts
-        try:
-            t = tuple(parts)
-        except TypeError:
-            raise ValueError(f"composition must be a sequence of integers, got {_brief(parts)}") from None
-        if not all(map(_is_int, t)):
-            raise ValueError(f"composition parts must be integers, got {_brief(t)}")
+        t = _int_parts(parts, "composition")
         if any(p < 1 for p in t):
             raise ValueError(f"composition parts must be positive, got {_brief(t)}")
         return super().__new__(cls, t)

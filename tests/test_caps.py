@@ -3,7 +3,8 @@ override, the README names exactly those caps, the Ext path needs no
 character tables, the Chern closed forms need no characters at all, only
 verify.py enumerates for its own sake, only moduli and verify import
 fractions, cli binds the characters, moduli and verify layers only as
-the package's lazy modules, every module-level cache is bounded,
+the package's lazy modules, class sizes and transposition types stop at
+the partition bound, every module-level cache is bounded,
 no check is an assert statement, no raise message echoes a value through
 `!r` or a call such as tuple(...), nor does a long library argument, no
 float is computed outside verify's one allowed site, and every module
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from hilbtaut import characters, chern, cli, divisors, moduli, partitions, verify
-from hilbtaut.errors import ShapeMismatchError
+from hilbtaut.errors import ShapeMismatchError, SizeLimitError
 
 _NO_CAP_PARAMETER = [
     partitions.enumerate_partitions,
@@ -249,6 +250,19 @@ def test_no_raise_message_echoes_a_repr():
 def test_long_library_arguments_give_short_messages(error, call):
     with pytest.raises(error) as info:
         call()
+    assert len(str(info.value)) < 200, str(info.value)
+
+
+@pytest.mark.parametrize("degree", [15, 10**5000], ids=["15", "5000-digits"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda m: characters.class_size((m,)), characters.transposition_type],
+    ids=["class_size", "transposition_type"],
+)
+def test_cycle_types_stop_at_the_partition_bound(call, degree):
+    # refused before an m-tuple or m! is built
+    with pytest.raises(SizeLimitError, match="exceeds the partition bound 14") as info:
+        call(degree)
     assert len(str(info.value)) < 200, str(info.value)
 
 

@@ -407,6 +407,15 @@ def test_library_checks_refuse_with_one_placed_line(capsys, argv, place):
     assert place in err and len(err.encode()) < 200, err
 
 
+@pytest.mark.parametrize("rep", [{}, {"3": 1}, "21", "2"], ids=repr)
+def test_rep_that_is_no_array_is_refused_whole(capsys, rep):
+    # a JSON object or string rep is not read as its keys or its characters
+    assert run_cli(*_block_argv("rep", rep)) == (EXIT_VALIDATION, "")
+    assert capsys.readouterr().err == (
+        f"error: blocks[0].rep: partition must be a sequence of integers, got {rep!r}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [["char", "--n", "2", "--diagram"], ["generating", "--n", "2", "--ranks", "1", "--symbols", "a", "--coeff"]],
@@ -699,18 +708,22 @@ def test_generating_validation():
     assert code == EXIT_USAGE
 
 
-def _run_module(*argv, timeout):
+def _run_python(*args, timeout):
     # a subprocess, so that a call that never returns fails the test; it
     # imports the hilbtaut under test, installed or not
     src = str(Path(hilbtaut.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "hilbtaut", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _run_module(*argv, timeout):
+    return _run_python("-m", "hilbtaut", *argv, timeout=timeout)
 
 
 def test_generating_coeff_is_computed_alone():
@@ -954,6 +967,42 @@ def test_module_entrypoint(spec_file):
     proc = _run_module("chern", "--spec", spec_file, timeout=None)
     assert proc.returncode == 0
     assert proc.stdout == "4*e1 + 4*e2 - 5*delta\n"
+
+
+# main() under an atexit hook that reports, after main has returned
+# control to the interpreter, whether the collector was frozen
+_EXIT_PROBE = """
+import atexit, gc, sys
+from hilbtaut.cli import main
+atexit.register(lambda: print(f"frozen at exit: {gc.get_freeze_count() > 0}", file=sys.stderr))
+main()
+"""
+
+
+@pytest.mark.parametrize(
+    "rank, code, out, err",
+    [
+        (2, EXIT_OK, "12\n", ""),
+        (0, EXIT_VALIDATION, "", "error: blocks[0]: rank must be a positive integer, got 0\n"),
+    ],
+    ids=["answer", "refused"],
+)
+def test_main_freezes_the_collector_and_still_runs_exit_hooks(rank, code, out, err):
+    # the closing collections skip the frozen objects; sys.exit still runs
+    # every atexit hook and the final flush
+    argv = _argv_on(lambda d: d["blocks"][0].update(rank=rank), "rank")
+    proc = _run_python("-c", _EXIT_PROBE, *argv, timeout=None)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert proc.stderr == err + "frozen at exit: True\n"
+
+
+def test_profiler_still_reports_a_cli_run():
+    # cProfile catches main's SystemExit and then prints its table; an
+    # os._exit in main would end the process first, skipping every atexit
+    # hook as well
+    proc = _run_python("-m", "cProfile", "-m", "hilbtaut", "verify", "--max-n", "2", timeout=None)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert "all oracles passed\n" in proc.stdout and " function calls " in proc.stdout
 
 
 def test_cli_module_runs_once_without_a_warning(spec_file):

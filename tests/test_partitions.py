@@ -96,8 +96,24 @@ def test_enumerate_partitions_bounds(monkeypatch):
 @pytest.mark.parametrize("kind", [Partition, LabeledComposition])
 @pytest.mark.parametrize("parts", ["21", (2.7, 1), (2.5, 1), (2.0, 1), (True,), (2, False)])
 def test_parts_are_never_coerced(kind, parts):
-    with pytest.raises(ValueError, match="parts must be integers"):
+    # a string is refused whole, any other value part by part
+    message = "must be a sequence of integers" if isinstance(parts, str) else "parts must be integers"
+    with pytest.raises(ValueError, match=message):
         kind(parts)
+
+
+@pytest.mark.parametrize("kind", [Partition, LabeledComposition])
+@pytest.mark.parametrize("parts", ["", "2", {}, {3: 1}, {"3": 1}], ids=repr)
+def test_strings_and_mappings_are_not_sequences_of_parts(kind, parts):
+    # either would iterate as its characters or its keys
+    with pytest.raises(ValueError, match="must be a sequence of integers, got "):
+        kind(parts)
+
+
+def test_iterators_are_sequences_of_parts():
+    # conjugate builds its result from a generator
+    assert Partition(p for p in (3, 1)) == (3, 1)
+    assert LabeledComposition(iter([1, 2])) == (1, 2)
 
 
 def test_composition_basics():
