@@ -142,7 +142,10 @@ class BundleSpec(_Frozen):
             n += size
             s *= blk.rank**size
             w *= blk.rep_dim
-        vars(self).update(lam=lam, blocks=blocks, n=n, s=s, w=w)
+        # stored item by item: a keyword update would build a dict per spec
+        fields = vars(self)
+        fields["lam"], fields["blocks"] = lam, blocks
+        fields["n"], fields["s"], fields["w"] = n, s, w
 
     @classmethod
     def build(
@@ -190,8 +193,9 @@ def c1(spec: BundleSpec) -> DivisorClass:
     if not isinstance(spec, BundleSpec):
         raise _not_a_spec(spec)
     memo = spec.__dict__
-    if "_c1" in memo:
-        return memo["_c1"]
+    cached = memo.get("_c1")
+    if cached is not None:
+        return cached
     n, rank = spec.n, rank_G(spec)
     surface: dict[str, int] = {}
     num = rank * comb(n, 2)
@@ -209,13 +213,13 @@ def c1(spec: BundleSpec) -> DivisorClass:
     if rem:
         raise IntegralityError(f"r_number: {num}/{n * (n - 1)} is not an integer")
     # the symbols were checked when the blocks were built
-    memo["_c1"] = DivisorClass._trusted(surface, -total)
-    return memo["_c1"]
+    memo["_c1"] = cls = DivisorClass._trusted(surface, -total)
+    return cls
 
 
 def b_class(spec: BundleSpec) -> DivisorClass:
     """The surface part B of the first Chern class (no delta component)."""
-    return DivisorClass._trusted(c1(spec).surface)
+    return DivisorClass._sharing(c1(spec).surface)
 
 
 def r_number(spec: BundleSpec) -> int:

@@ -63,6 +63,16 @@ class DivisorClass:
         return obj
 
     @classmethod
+    def _sharing(cls, surface: dict[str, int], delta: int = 0) -> DivisorClass:
+        # A class over the surface dict of another class, which is already
+        # free of zeros and sorted: it is shared, not scanned or copied, as
+        # no class mutates its surface.
+        obj = cls.__new__(cls)
+        obj.surface = surface
+        obj.delta = delta
+        return obj
+
+    @classmethod
     def zero(cls) -> DivisorClass:
         return cls()
 

@@ -12,8 +12,8 @@ depends only on its double coset, a k x k table of (block, label) counts
 (Mackey's formula), so the vanishing check visits tables instead.  The
 stability verdict and its witness count follow in closed form from slope
 balance; a generator steps the cosets for the witnesses themselves, as far
-as its caller reads.  The coset-by-coset versions live in verify.py as
-oracles.
+as its caller reads.  The coset-by-coset versions live in scan_oracles.py
+as oracles.
 """
 
 from __future__ import annotations

@@ -1,21 +1,23 @@
 """Cross-checks pitting every closed formula against its brute-force oracle.
 
-Every oracle lives here, beside the suite that runs it; the other modules
-hold only closed forms and searches.  Each suite is written as a generator
-of check outcomes, one per comparison: None when the two routes agree, else
-the failure line.  One runner, `_suite`, turns it into the public suite
-function, which counts the outcomes, collects the failures and times the run
-into a `SuiteResult`.  The CLI `verify` subcommand runs seven of them
-through `verify_all`; the acceptance tests reuse them with pinned bounds.
+Every oracle of the suites `verify_all` runs lives here, beside its suite;
+the product modules hold only closed forms and searches, and the two suites
+that only the tests run, with the coset-scan and grouping oracles of the
+Hom/Ext layer, live in `scan_oracles`.  Each suite is written as a
+generator of check outcomes, one per comparison: None when the two routes
+agree, else the failure line.  One runner, `_suite`, turns it into the
+public suite function, which counts the outcomes, collects the failures and
+times the run into a `SuiteResult`.  The CLI `verify` subcommand runs seven
+of them through `verify_all`; the acceptance tests reuse them with pinned
+bounds.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from functools import lru_cache, partial, wraps
-from itertools import combinations, islice, permutations, product
-from math import comb, factorial, prod
+from itertools import permutations, product
+from math import comb, factorial
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -54,13 +56,10 @@ from .partitions import (
     standard_tensor_multiplicity,
 )
 
-# moduli is imported by the suites that scan cosets, so that verify_all,
-# which runs none of them, never loads it; fractions likewise, where a
-# Fraction is made
+# fractions is imported where a Fraction is made, so that verify_all, which
+# makes none, never loads it
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .moduli import HomTable, VanishingReport
 
 
 class SuiteResult(NamedTuple):
@@ -365,10 +364,13 @@ def restriction_suite(max_m: int = 10):
             yield None if ok else f"{tuple(d)}: alpha={alpha} beta={beta} dim={dim}"
 
 
-def _all_specs(n: int):
-    # every spec is still built and validated; the blocks of one position
-    # and rep, one per rank, are built once per call and shared by the specs
-    # that carry them
+def _specs_by_shape(n: int):
+    # every spec of degree n, one generator per composition and choice of
+    # block representations, each in rank-tuple order as product((1, 2, 3),
+    # repeat=k); lazy, as 3^9 specs with their classes would double the
+    # memory of a --max-n 9 sweep.  Every spec is still built and
+    # validated; the blocks of one position and rep, one per rank, are
+    # built once per call and shared by the specs that carry them.
     blocks: dict[tuple, tuple[BundleBlock, ...]] = {}
 
     def position_blocks(i: int, rep) -> tuple[BundleBlock, ...]:
@@ -380,9 +382,8 @@ def _all_specs(n: int):
     for lam in enumerate_partitions(n):
         comp = LabeledComposition(lam)
         for reps in product(*(enumerate_partitions(part) for part in lam)):
-            # in rank-tuple order, as product((1, 2, 3), repeat=k)
-            for chosen in product(*(position_blocks(i, rep) for i, rep in enumerate(reps))):
-                yield BundleSpec(comp, chosen)
+            chosen = product(*(position_blocks(i, rep) for i, rep in enumerate(reps)))
+            yield (BundleSpec(comp, spec_blocks) for spec_blocks in chosen)
 
 
 def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
@@ -392,7 +393,7 @@ def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
         raise ValueError(f"expected a DivisorClass, got {_brief(b)}")
     if not partitions._is_int(invariant_rank):
         raise ValueError(f"the rank must be an integer, got {type(invariant_rank).__name__}")
-    return DivisorClass._trusted(b.surface, b.delta - invariant_rank)
+    return DivisorClass._sharing(b.surface, b.delta - invariant_rank)
 
 
 @lru_cache(maxsize=256)
@@ -440,32 +441,62 @@ def invariant_restriction_rank(spec: BundleSpec) -> int:
         raise ValueError(f"expected a BundleSpec, got {_brief(spec)}")
     if spec.n < 2:
         return 0
-    # the census checks the coset cap when it enumerates; a composition it
-    # already counted was within the cap
-    count, _, _, pairs = _coset_census(spec.lam)
-    s, w = spec.s, spec.w
-    trace = 0
-    for i, blk in enumerate(spec.blocks, start=1):
-        cnt = pairs.get((i, i))
-        if cnt:
-            # a fixed coset forces at least two copies of label i, so r_i^2 | s
-            chi = _transposition_character(blk.rep)
-            trace += cnt * blk.rank * (s // blk.rank**2) * chi * (w // blk.rep_dim)
-    dim = count * s * w
-    if (dim - trace) % 2:
-        raise IntegralityError(f"odd swap trace defect: dim {dim}, trace {trace}")
-    return (dim - trace) // 2
+    return _swap_trace_rank(_swap_trace_shape(spec), spec)
 
 
 def _census_surface(spec: BundleSpec) -> dict[str, int]:
     # the surface part of c1 from the census: block i's symbol counts the
     # cosets that give position 1 the label i, each worth (s / r_i) * w
-    s, w = spec.s, spec.w
+    return _swap_trace_surface(_swap_trace_shape(spec), spec)
+
+
+# (count * w, ((block index, trace term), ...), (position-1 count * w, ...))
+_Shape = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]
+
+
+def _swap_trace_shape(spec: BundleSpec) -> _Shape:
+    # The rank-free half of the swap-trace oracle, read from the census and
+    # the block representations only, so one value serves every spec of the
+    # same composition and representations: the counted cosets times w; for
+    # each label i that positions 1 and 2 can share, its block index and the
+    # fixed cosets' count times chi_i(transposition) times w / w_i; and the
+    # cosets that give position 1 the label i, times w.  The census checks
+    # the coset cap when it enumerates; a composition it already counted was
+    # within the cap.
+    count, _, firsts, pairs = _coset_census(spec.lam)
+    w = spec.w
+    diagonal = []
+    for i, blk in enumerate(spec.blocks):
+        cnt = pairs.get((i + 1, i + 1))
+        if cnt:
+            diagonal.append((i, cnt * _transposition_character(blk.rep) * (w // blk.rep_dim)))
+    return count * w, tuple(diagonal), tuple(cnt * w for cnt in firsts)
+
+
+def _swap_trace_rank(shape: _Shape, spec: BundleSpec) -> int:
+    # the per-spec half: the fibre dimension takes the factor s, and each
+    # fixed coset's term r_i * (s / r_i^2), which is s / r_i because a coset
+    # with label i at positions 1 and 2 forces r_i^2 | s
+    dim_w, diagonal, _ = shape
+    s, blocks = spec.s, spec.blocks
+    dim = dim_w * s
+    trace = 0
+    for i, term in diagonal:
+        trace += term * (s // blocks[i].rank)
+    if (dim - trace) % 2:
+        raise IntegralityError(f"odd swap trace defect: dim {dim}, trace {trace}")
+    return (dim - trace) // 2
+
+
+def _swap_trace_surface(shape: _Shape, spec: BundleSpec) -> dict[str, int]:
+    # the per-spec half of the surface part: block i's position-1 count
+    # times w takes the factor s / r_i
+    s = spec.s
     surface: dict[str, int] = {}
-    for blk, cnt in zip(spec.blocks, _coset_census(spec.lam)[2]):
+    for blk, firsts_w in zip(spec.blocks, shape[2]):
         symbol = blk.c1_symbol
         if symbol not in ("", "0"):
-            surface[symbol] = surface.get(symbol, 0) + cnt * (s // blk.rank) * w
+            surface[symbol] = surface.get(symbol, 0) + firsts_w * (s // blk.rank)
     return surface
 
 
@@ -475,19 +506,25 @@ def rank_oracle_suite(max_n: int = 6):
 
     Two checks per spec, whatever the first one finds: the delta
     coefficient against the swap-trace oracle, then b_class against the
-    surface part counted from the same census.
+    surface part counted from the same census.  The oracle's rank-free half
+    is built once per composition and choice of representations, and its
+    per-spec half is evaluated for each of the 3^k rank tuples.
     """
     for n in range(2, max_n + 1):
-        for spec in _all_specs(n):
-            closed = r_number(spec)
-            oracle = invariant_restriction_rank(spec)
-            yield None if closed == oracle else (
-                f"lam={tuple(spec.lam)} ranks={[b.rank for b in spec.blocks]} "
-                f"reps={[tuple(b.rep) for b in spec.blocks]}: {closed} vs {oracle}"
-            )
-            # compared as stored surfaces, without building a second class
-            ok = b_class(spec).surface == _census_surface(spec)
-            yield None if ok else f"lam={tuple(spec.lam)}: c1 routes disagree"
+        for specs in _specs_by_shape(n):
+            shape = None
+            for spec in specs:
+                closed = r_number(spec)
+                if shape is None:
+                    shape = _swap_trace_shape(spec)
+                oracle = _swap_trace_rank(shape, spec)
+                yield None if closed == oracle else (
+                    f"lam={tuple(spec.lam)} ranks={[b.rank for b in spec.blocks]} "
+                    f"reps={[tuple(b.rep) for b in spec.blocks]}: {closed} vs {oracle}"
+                )
+                # compared as stored surfaces, without building a second class
+                ok = b_class(spec).surface == _swap_trace_surface(shape, spec)
+                yield None if ok else f"lam={tuple(spec.lam)}: c1 routes disagree"
 
 
 # The largest degree whose whole polynomial the generating suite expands:
@@ -539,246 +576,6 @@ def regular_suite(max_n: int = 6):
         for rank in (1, 2, 3):
             ok = regular_checksum(n, rank, "e") == regular_checksum_via_irreps(n, rank, "e")
             yield None if ok else f"n={n} rank={rank}: checksum mismatch"
-
-
-def vanishing_by_enumeration(lam: Sequence[int], table: HomTable) -> VanishingReport:
-    """Oracle for offdiagonal_ext1_vanishing: the degree-1 dimension of
-    every nontrivial coset in coset order, stopping at the first nonzero."""
-    from .moduli import VanishingReport
-
-    lam = LabeledComposition(lam)
-    ident = lam.identity_labels()
-    n = lam.n
-    hom, ext1 = table.hom, table.ext1
-    for labels in iter_cosets(lam):
-        if labels == ident:
-            continue
-        h = [hom[ident[p] - 1][labels[p] - 1] for p in range(n)]
-        zeros = h.count(0)
-        if zeros >= 2:
-            continue
-        e = [ext1[ident[p] - 1][labels[p] - 1] for p in range(n)]
-        if zeros == 1:
-            p0 = h.index(0)
-            deg1 = e[p0] * prod(h[p] for p in range(n) if p != p0)
-        else:
-            full = prod(h)
-            deg1 = sum(e[p] * (full // h[p]) for p in range(n))
-        if deg1:
-            return VanishingReport(False, labels, deg1)
-    return VanishingReport(True, None, 0)
-
-
-class EnumeratedStability(NamedTuple):
-    """The verdict, every (coset, witness position) pair before the failing
-    coset, and the failing coset, as stability_by_enumeration finds them."""
-
-    ok: bool
-    witnesses: tuple[tuple[tuple[int, ...], int], ...]
-    failing_coset: tuple[int, ...] | None
-
-
-def stability_by_enumeration(lam: Sequence[int], table: HomTable) -> EnumeratedStability:
-    """Oracle for stability_certificate and stability_witnesses: a slope
-    witness searched on every nontrivial coset in coset order, stopping at
-    the first without one."""
-    lam = LabeledComposition(lam)
-    ident = lam.identity_labels()
-    labels_of = table.iso_labels
-    slopes = table.slopes
-    witnesses: list[tuple[tuple[int, ...], int]] = []
-    for labels in iter_cosets(lam):
-        if labels == ident:
-            continue
-        found = 0
-        for p in range(lam.n):
-            a, b = ident[p] - 1, labels[p] - 1
-            if labels_of[a] != labels_of[b] and slopes[a] >= slopes[b]:
-                found = p + 1
-                break
-        if not found:
-            return EnumeratedStability(False, tuple(witnesses), labels)
-        witnesses.append((labels, found))
-    return EnumeratedStability(True, tuple(witnesses), None)
-
-
-def _compositions(n: int):
-    # every composition of n, each subset of the n - 1 gaps cut once
-    for cuts in product((False, True), repeat=n - 1):
-        parts = [1]
-        for cut in cuts:
-            if cut:
-                parts.append(1)
-            else:
-                parts[-1] += 1
-        yield tuple(parts)
-
-
-def _coset_scan_tables(k: int, rng: random.Random):
-    # identity Hom (every coset scanned), all-nonzero Hom/Ext^1 (first coset
-    # fails), random entries and labels, then one adjacent and one
-    # non-adjacent repeated label; Hom diagonals are 1, as ext requires
-    from fractions import Fraction
-
-    from .moduli import HomTable
-
-    def matrix(low: int, high: int):
-        return [[rng.randint(low, high) for _ in range(k)] for _ in range(k)]
-
-    def table(hom, ext1, labels):
-        for i in range(k):
-            hom[i][i] = 1
-        slope_of = {name: Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for name in labels}
-        return HomTable(hom, ext1, labels, [slope_of[name] for name in labels])
-
-    distinct = [f"L{i}" for i in range(k)]
-    yield "identity-hom", table(matrix(0, 0), matrix(0, 2), distinct)
-    yield "all-nonzero", table(matrix(1, 2), matrix(1, 2), distinct)
-    yield "random", table(matrix(0, 2), matrix(0, 2), [f"L{rng.randrange(k)}" for _ in range(k)])
-    if k >= 2:
-        a = rng.randrange(k - 1)
-        yield "adjacent repeat", table(matrix(0, 2), matrix(0, 2), distinct[: a + 1] + distinct[a:-1])
-    if k >= 3:
-        a = rng.randrange(k - 2)
-        labels = list(distinct)
-        labels[rng.randrange(a + 2, k)] = labels[a]
-        yield "non-adjacent repeat", table(matrix(0, 2), matrix(0, 2), labels)
-
-
-@_suite("double-coset scans vs coset enumeration")
-def coset_scan_suite(max_n: int = 7):
-    """Double-coset vanishing, closed-form stability, its first witnesses
-    and the Ext dimensions vs coset enumeration on every composition of
-    n <= max_n, under seeded tables and block representations.
-
-    The Ext dimensions are recomputed from the oracles: end1 weighs each
-    self-extension count by the character inner product of its block's
-    representation, the flag and the failing coset come from the coset
-    enumeration, and the image dimension is the sum of the self-extension
-    counts.
-    """
-    from .moduli import (
-        equivariant_end_dims,
-        offdiagonal_ext1_vanishing,
-        stability_certificate,
-        stability_witnesses,
-    )
-
-    rng, rep_rng = random.Random(20261017), random.Random(20261019)
-    for n in range(1, max_n + 1):
-        for lam in _compositions(n):
-            for kind, table in _coset_scan_tables(len(lam), rng):
-                fast, slow = offdiagonal_ext1_vanishing(lam, table), vanishing_by_enumeration(lam, table)
-                yield None if fast == slow else f"lam={lam} {kind}: vanishing {fast} vs {slow}"
-                cert, oracle = stability_certificate(lam, table), stability_by_enumeration(lam, table)
-                ok = cert == (oracle.ok, len(oracle.witnesses), oracle.failing_coset) and (
-                    tuple(islice(stability_witnesses(lam, table), 11)) == oracle.witnesses[:11]
-                )
-                yield None if ok else f"lam={lam} {kind}: stability certificates differ"
-                reps = [rep_rng.choice(enumerate_partitions(part)) for part in lam]
-                spec = BundleSpec.build(lam, [(1, "", rep) for rep in reps])
-                end1 = sum(
-                    _tensor_multiplicity_by_characters(rep) * count
-                    for rep, count in zip(reps, table.end1_self)
-                )
-                expected = (1, end1, slow.holds, slow.failing_coset, sum(table.end1_self))
-                dims = equivariant_end_dims(spec, table)
-                yield None if dims == expected else (
-                    f"lam={lam} {kind} reps={reps}: end dims {dims} vs {expected}"
-                )
-
-
-def grouping_by_search(table: HomTable) -> tuple[tuple[int, ...], ...] | None:
-    """Oracle for check_conditions on tables with a simple diagonal:
-    backtracking over ordered set partitions, groups built left to right and
-    candidate subsets tried by size, then lexicographically.  Returns the
-    first grouping found (1-based) or None; exponential when none exists."""
-
-    def same_ok(i: int, j: int) -> bool:
-        return table.hom[i][j] == 0 and table.hom[j][i] == 0
-
-    def before_ok(i: int, j: int) -> bool:
-        # i in an earlier group than j: maps from j back to i must vanish
-        return table.hom[j][i] == 0 and table.ext1[j][i] == 0
-
-    def search(remaining: tuple[int, ...], earlier: tuple[int, ...], placed):
-        if not remaining:
-            return tuple(placed)
-        for size in range(1, len(remaining) + 1):
-            for subset in combinations(remaining, size):
-                if all(same_ok(a, b) for a, b in combinations(subset, 2)) and all(
-                    before_ok(e, s) for e in earlier for s in subset
-                ):
-                    rest = tuple(x for x in remaining if x not in subset)
-                    found = search(rest, earlier + subset, placed + [subset])
-                    if found:
-                        return found
-        return None
-
-    grouping = search(tuple(range(table.k)), (), [])
-    if grouping is None:
-        return None
-    return tuple(tuple(i + 1 for i in group) for group in grouping)
-
-
-def _grouping_tables(k: int, rng: random.Random, count: int):
-    # identity Hom (any order), a 3-cycle of Homs on the last three blocks
-    # (pairwise fine, no grouping), a chain forcing the reverse order, mutual
-    # Ext^1 pairs that must each share a group, then count random tables
-    # with about k pairwise relations
-    from .moduli import HomTable
-
-    def table(hom, ext1):
-        for i in range(k):
-            hom[i][i] = 1
-        return HomTable(hom, ext1, [f"L{i}" for i in range(k)], [0] * k)
-
-    def zero():
-        return [[0] * k for _ in range(k)]
-
-    yield "identity-hom", table(zero(), zero())
-    if k >= 3:
-        hom = zero()
-        hom[k - 3][k - 2] = hom[k - 2][k - 1] = hom[k - 1][k - 3] = 1
-        yield "3-cycle", table(hom, zero())
-    if k >= 2:
-        hom = zero()
-        for i in range(k - 1):
-            hom[i + 1][i] = 1
-        yield "chain", table(hom, zero())
-    if k >= 4:
-        ext1 = zero()
-        ext1[0][1] = ext1[1][0] = ext1[k - 2][k - 1] = ext1[k - 1][k - 2] = 1
-        yield "mutual pairs", table(zero(), ext1)
-    for _ in range(count):
-        hom, ext1 = zero(), zero()
-        for i, j in combinations(range(k), 2):
-            a, b = rng.sample((i, j), 2)
-            roll = rng.randrange(1000 * k)
-            if roll < 1600:  # a must come first
-                (hom if roll < 800 else ext1)[a][b] = 1
-            elif roll < 2000:  # one group
-                ext1[a][b] = ext1[b][a] = 1
-            elif roll < 2020:  # no arrangement
-                hom[a][b] = hom[b][a] = 1
-        yield "random", table(hom, ext1)
-
-
-@_suite("grouping components vs backtracking search")
-def grouping_suite():
-    """Strongly-connected-component grouping vs the backtracking search on
-    structured and seeded random tables with k <= 7 blocks, fewer of them
-    where the search costs more (1,083 tables in all)."""
-    from .moduli import check_conditions
-
-    rng = random.Random(20261018)
-    for k in range(8):
-        count = min(200, 20 * 3 ** (7 - k)) if k else 0
-        for kind, table in _grouping_tables(k, rng, count):
-            fast, slow = check_conditions(table).grouping, grouping_by_search(table)
-            yield None if fast == slow else (
-                f"k={k} {kind} {table.hom} {table.ext1}: {fast} vs {slow}"
-            )
 
 
 def verify_all(max_n: int = 6) -> list[SuiteResult]:

@@ -1,8 +1,8 @@
 """Size caps are module constants read at each check, with no per-call
 override, the README names exactly those caps, the Ext path needs no
 character tables, the Chern closed forms need no characters at all, only
-verify.py enumerates for its own sake, only moduli and verify import
-fractions, cli binds the characters, moduli and verify layers only as
+verify.py and scan_oracles.py enumerate for their own sake, only moduli,
+verify and scan_oracles import fractions, cli binds the characters, moduli and verify layers only as
 the package's lazy modules, class sizes and transposition types stop at
 the partition bound, every module-level cache is bounded,
 no check is an assert statement, no raise message echoes a value through
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbtaut import characters, chern, cli, divisors, moduli, partitions, verify
+from hilbtaut import characters, chern, cli, divisors, moduli, partitions, scan_oracles, verify
 from hilbtaut.errors import ShapeMismatchError, SizeLimitError
 
 _NO_CAP_PARAMETER = [
@@ -34,8 +34,8 @@ _NO_CAP_PARAMETER = [
     moduli.stability_witnesses,
     verify.invariant_restriction_rank,
     verify._coset_census,
-    verify.vanishing_by_enumeration,
-    verify.stability_by_enumeration,
+    scan_oracles.vanishing_by_enumeration,
+    scan_oracles.stability_by_enumeration,
 ]
 
 
@@ -84,6 +84,7 @@ def test_chern_closed_forms_need_no_restriction_tables():
 def test_only_slopes_and_inner_products_import_fractions():
     # divisor classes hold ints; a Fraction is read only as a hom-table
     # slope (moduli) and made only by the character inner products (verify)
+    # and the seeded slopes of the coset-scan oracle's tables (scan_oracles)
     importers = set()
     for path in Path(divisors.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -95,7 +96,7 @@ def test_only_slopes_and_inner_products_import_fractions():
                 continue
             if "fractions" in names:
                 importers.add(path.stem)
-    assert importers == {"moduli", "verify"}
+    assert importers == {"moduli", "scan_oracles", "verify"}
 
 
 def test_cli_binds_command_layers_only_as_modules():
@@ -112,7 +113,7 @@ def test_cli_binds_command_layers_only_as_modules():
 
 
 def test_module_caches_are_bounded():
-    for module in (partitions, characters, divisors, chern, moduli, cli, verify):
+    for module in (partitions, characters, divisors, chern, moduli, cli, verify, scan_oracles):
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info"):
                 assert obj.cache_info().maxsize is not None, f"{module.__name__}.{name}"

@@ -14,7 +14,7 @@ from math import comb, factorial
 
 import pytest
 
-from hilbtaut import chern, verify
+from hilbtaut import chern, cli, verify
 from hilbtaut.chern import (
     BundleBlock,
     BundleSpec,
@@ -27,7 +27,7 @@ from hilbtaut.chern import (
     regular_checksum,
 )
 from hilbtaut.divisors import DivisorClass
-from hilbtaut.errors import ShapeMismatchError, SizeLimitError
+from hilbtaut.errors import IntegralityError, ShapeMismatchError, SizeLimitError
 from hilbtaut.partitions import content_sum, dimension, enumerate_partitions
 from hilbtaut.verify import (
     c1_via_blowup,
@@ -133,12 +133,17 @@ def test_r_number_closed_form_runs_once_per_spec(monkeypatch):
     assert calls == [(2, 1), (1,)]
 
 
+def _sweep_specs(n: int) -> list[BundleSpec]:
+    # the specs rank_oracle_suite sweeps at degree n, in its order
+    return [spec for specs in verify._specs_by_shape(n) for spec in specs]
+
+
 def test_swap_trace_suite_reports_one_wrong_closed_form(monkeypatch):
     # every spec still reaches the product path: a closed form that is off
     # by one on a single spec is that spec's one failure, and no check is
     # skipped
     clean = verify.rank_oracle_suite(4)
-    target = list(verify._all_specs(4))[40]
+    target = _sweep_specs(4)[40]
     closed_form = verify.r_number
     monkeypatch.setattr(
         verify, "r_number", lambda spec: closed_form(spec) + (spec == target)
@@ -169,6 +174,25 @@ def test_swap_trace_suite_reports_a_wrong_character_value(monkeypatch):
     assert result.checks == clean.checks
 
 
+def test_swap_trace_integrality_guard_stops_the_suite_and_the_command(monkeypatch, capsys):
+    # the 2-cycle value of (2,) moved by 1 makes the first spec's swap trace
+    # defect odd (lam=(2,), rank 1: dim 1, trace 2); a parity defect is no
+    # mismatch to report but a broken theorem, so the suite raises and
+    # `verify` exits 2 with one line on stderr and nothing on stdout
+    value = verify._transposition_character
+    monkeypatch.setattr(
+        verify, "_transposition_character", lambda rep: value(rep) + (rep == (2,))
+    )
+    with pytest.raises(IntegralityError, match="odd swap trace defect"):
+        verify.rank_oracle_suite(3)
+    assert cli.dispatch(["verify", "--max-n", "3"]) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "internal consistency failure: odd swap trace defect: dim 1, trace 2"
+    ]
+
+
 def test_swap_trace_suite_reports_a_c1_surface_off_by_one(monkeypatch):
     # c1 off by one in its surface part, for every caller, b_class and
     # r_number included: only the census of the enumerated cosets can tell,
@@ -183,7 +207,7 @@ def test_swap_trace_suite_reports_a_c1_surface_off_by_one(monkeypatch):
     monkeypatch.setattr(chern, "c1", shifted)
     monkeypatch.setattr(verify, "c1", shifted)
     result = verify.rank_oracle_suite(3)
-    specs = [spec for n in (2, 3) for spec in verify._all_specs(n)]
+    specs = [spec for n in (2, 3) for spec in _sweep_specs(n)]
     assert result.failures == [f"lam={tuple(spec.lam)}: c1 routes disagree" for spec in specs]
     assert (clean.failures, result.checks) == ([], clean.checks)
 
@@ -347,7 +371,7 @@ def test_sweep_yields_the_per_spec_specs():
             for reps in itertools.product(*[enumerate_partitions(part) for part in lam])
             for rank_tuple in itertools.product((1, 2, 3), repeat=len(lam))
         ]
-        assert list(verify._all_specs(n)) == expected, n
+        assert _sweep_specs(n) == expected, n
 
 
 def test_sweep_builds_each_block_once(monkeypatch):
@@ -369,7 +393,8 @@ def test_sweep_builds_each_block_once(monkeypatch):
 
 def test_swap_trace_suite_runs_both_routes_on_every_spec(monkeypatch):
     # every spec of rank_oracle_suite(6) is built through BundleSpec and
-    # meets both the closed form and the oracle: no route is skipped
+    # meets both the closed form and the oracle's per-spec half: no route
+    # is skipped
     calls = {"spec": 0, "closed": 0, "oracle": 0}
 
     def counted(key, fn):
@@ -381,12 +406,25 @@ def test_swap_trace_suite_runs_both_routes_on_every_spec(monkeypatch):
 
     monkeypatch.setattr(BundleSpec, "__init__", counted("spec", BundleSpec.__init__))
     monkeypatch.setattr(verify, "r_number", counted("closed", verify.r_number))
-    monkeypatch.setattr(
-        verify, "invariant_restriction_rank", counted("oracle", verify.invariant_restriction_rank)
-    )
+    monkeypatch.setattr(verify, "_swap_trace_rank", counted("oracle", verify._swap_trace_rank))
     result = verify.rank_oracle_suite(6)
     assert result.ok and result.checks == 7116
     assert calls == {"spec": 3558, "closed": 3558, "oracle": 3558}
+
+
+def test_swap_trace_halves_built_once_per_shape_agree_with_the_per_spec_oracle():
+    # the suite builds the rank-free half from the first spec of each shape
+    # and evaluates it for every rank tuple; on every spec of n = 2..6 that
+    # gives what the oracle and the census surface give spec by spec
+    checked = 0
+    for n in range(2, 7):
+        for specs in map(list, verify._specs_by_shape(n)):
+            shape = verify._swap_trace_shape(specs[0])
+            for spec in specs:
+                assert verify._swap_trace_rank(shape, spec) == invariant_restriction_rank(spec)
+                assert verify._swap_trace_surface(shape, spec) == verify._census_surface(spec)
+                checked += 1
+    assert checked == 3558
 
 
 @pytest.mark.parametrize("max_n", range(2, 10))

@@ -26,7 +26,7 @@ from hilbtaut.moduli import (
     stability_witnesses,
 )
 from hilbtaut.partitions import enumerate_partitions, iter_cosets
-from hilbtaut.verify import (
+from hilbtaut.scan_oracles import (
     _compositions,
     _coset_scan_tables,
     _grouping_tables,

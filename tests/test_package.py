@@ -1,8 +1,10 @@
-"""The package root runs no submodule, and each CLI command runs only the
-submodules it uses and loads neither dataclasses nor inspect.
+"""The package root runs no submodule, each CLI command runs only the
+submodules it uses and loads neither dataclasses nor inspect, and `verify`
+compiles no module it does not run.
 
 Every case runs in a fresh interpreter, so nothing an earlier test imported
-counts; an audit hook records which hilbtaut source files were executed.
+counts; an audit hook records which hilbtaut source files were compiled and
+which were executed.
 """
 
 from __future__ import annotations
@@ -69,23 +71,32 @@ BASE = ["__init__", "chern", "cli", "divisors", "errors", "partitions"]
 
 _PROBE = """
 import json, os, sys
-executed = []
-sys.addaudithook(
-    lambda event, args: event == "exec" and executed.append(getattr(args[0], "co_filename", ""))
-)
+executed, compiled = [], []
+
+def audit(event, args):
+    if event == "exec":
+        executed.append(getattr(args[0], "co_filename", ""))
+    elif event == "compile":
+        compiled.append(str(args[1]))
+
+sys.addaudithook(audit)
 {body}
 import hilbtaut
 package = os.path.dirname(hilbtaut.__file__)
-ran = sorted(os.path.basename(f)[:-3] for f in executed if os.path.dirname(f) == package)
+ran, built = (
+    sorted(os.path.basename(f)[:-3] for f in files if os.path.dirname(f) == package)
+    for files in (executed, compiled)
+)
 # standard-library modules no command needs: dataclasses alone pulls in
 # inspect, ast, dis and tokenize; fractions pulls in decimal and numbers
 stdlib = sorted(name for name in ("dataclasses", "fractions", "inspect") if name in sys.modules)
-print(json.dumps({{"executed": ran, "stdlib": stdlib, "result": result}}))
+print(json.dumps({{"executed": ran, "compiled": built, "stdlib": stdlib, "result": result}}))
 """
 
 
-def _probe(body: str) -> dict:
-    # a fresh interpreter that imports the hilbtaut under test, installed or not
+def _probe(body: str, **env: str) -> dict:
+    # a fresh interpreter that imports the hilbtaut under test, installed or
+    # not, with env added to the environment
     src = str(Path(hilbtaut.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -93,7 +104,7 @@ def _probe(body: str) -> dict:
         capture_output=True,
         text=True,
         timeout=30,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -137,6 +148,24 @@ def test_each_command_runs_only_its_layers(argv, extra):
     assert out["executed"] == sorted(BASE + extra)
     # moduli parses hom-table slopes as Fractions
     assert out["stdlib"] == (["fractions"] if "moduli" in extra else [])
+
+
+def test_verify_compiles_only_the_modules_it_runs(tmp_path):
+    # with no bytecode to read, as in a clean checkout run under
+    # PYTHONDONTWRITEBYTECODE=1, each module a process imports is compiled
+    # from source; `verify` compiles the modules it executes and never
+    # moduli or scan_oracles, the coset-scan and grouping oracles' module
+    out = _probe(
+        "import contextlib, io\n"
+        "from hilbtaut.cli import dispatch\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    result = dispatch(['verify', '--max-n', '2'])",
+        PYTHONDONTWRITEBYTECODE="1",
+        PYTHONPYCACHEPREFIX=str(tmp_path),
+    )
+    assert out["result"] == 0
+    assert out["compiled"] == out["executed"] == sorted(BASE + ["characters", "verify"])
+    assert not {"moduli", "scan_oracles"} & set(out["compiled"])
 
 
 def test_exports_are_the_home_modules_objects():

@@ -22,7 +22,7 @@ from types import CodeType
 import pytest
 
 import hilbtaut
-from hilbtaut import characters, chern, cli, divisors, moduli, partitions, verify
+from hilbtaut import characters, chern, cli, divisors, moduli, partitions, scan_oracles, verify
 
 LAYERS = (partitions, characters, chern, divisors, moduli)
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,8 +38,8 @@ SUITES = (
     (verify.rank_oracle_suite, 6),
     (verify.generating_suite, 6),
     (verify.regular_suite, 6),
-    (verify.coset_scan_suite, 7),
-    (verify.grouping_suite,),
+    (scan_oracles.coset_scan_suite, 7),
+    (scan_oracles.grouping_suite,),
 )
 OUTCOMES_PER_SUITE = 300
 
@@ -199,6 +199,7 @@ REFERENCES = {
     "count_standard_tableaux": ("tests/test_partitions.py", "test_dimension_vs_backtracking_oracle"),
     "cycle_type_of": ("tests/test_characters.py", "test_class_sizes_vs_enumeration"),
     "inner_product": ("tests/test_characters.py", "test_row_orthonormality"),
+    "invariant_restriction_rank": ("perfbench/workloads.py", "expected_output"),
 }
 
 
