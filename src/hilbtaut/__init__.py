@@ -45,7 +45,7 @@ _NAMES_BY_MODULE = {
     "cli": ("SpecDocument", "dispatch", "parse_spec"),
     "verify": (
         "brute_force_character_table", "c1_via_blowup", "canonical_permutation",
-        "count_standard_tableaux", "cycle_type_of", "inner_product",
+        "count_standard_tableaux", "inner_product",
         "invariant_restriction_rank", "permutation_character",
         "regular_checksum_via_irreps", "verify_all",
     ),

@@ -28,7 +28,6 @@ from .characters import (
     _border_strips,
     character,
     character_table,
-    conjugacy_classes,
     transposition_type,
 )
 from .chern import (
@@ -66,7 +65,7 @@ class SuiteResult(NamedTuple):
     name: str
     checks: int
     failures: list[str]
-    seconds: float = 0.0
+    seconds: float
 
     @property
     def ok(self) -> bool:
@@ -187,13 +186,6 @@ def coset_count_suite(max_n: int = 6):
 _BRUTE_FORCE_MAX = 7
 
 
-def cycle_type_of(perm: Sequence[int]) -> CycleType:
-    """Cycle type of a permutation given as a 0-based image tuple."""
-    if not partitions._all_of(perm, partitions._is_int) or sorted(perm) != list(range(len(perm))):
-        raise ValueError(f"expected a 0-based permutation as a list or tuple, got {_brief(perm)}")
-    return CycleType(_cycle_lengths(perm))
-
-
 def _cycle_lengths(perm: Sequence[int]) -> tuple[int, ...]:
     # the cycle type of a permutation the caller built, as a plain tuple
     seen = [False] * len(perm)
@@ -231,16 +223,10 @@ def brute_force_character_table(m: int) -> CharacterTable:
     previously extracted constituents), with inner products weighted by
     those counted class sizes.  Exact and slow; degree <= 7.
     """
-    # checked before the cache, which would hash the argument first
     if not partitions._is_int(m) or m < 1:
         raise ValueError(f"degree must be a positive integer, got {_brief(m)}")
     if m > _BRUTE_FORCE_MAX:
         raise SizeLimitError(f"brute-force table capped at degree {_BRUTE_FORCE_MAX}")
-    return _brute_force_table(m)
-
-
-@lru_cache(maxsize=_BRUTE_FORCE_MAX)
-def _brute_force_table(m: int) -> CharacterTable:
     # the diagrams, which are also the cycle types, in the table's order
     shapes = enumerate_partitions(m)
     sizes: dict[tuple[int, ...], int] = {}
@@ -296,14 +282,20 @@ def inner_product(
     f: Callable[[CycleType], int | Fraction],
     g: Callable[[CycleType], int | Fraction],
     m: int,
-) -> Fraction:
-    """Class-function inner product (1/m!) sum over classes of size*f*g."""
+) -> int | Fraction:
+    """Class-function inner product (1/m!) sum over classes of size*f*g,
+    an int when m! divides the sum."""
     if not (callable(f) and callable(g)):
         raise ValueError(f"f and g must be class functions, got {_brief(f)} and {_brief(g)}")
+    # the class sizes of the cached table: conjugacy_classes(m) would
+    # recompute each one at every call
+    table = character_table(m)
+    total = sum(size * f(c) * g(c) for c, size in zip(table.partitions, table.class_sizes))
+    quotient, rem = divmod(total, factorial(m))
+    if not rem:
+        return quotient
     from fractions import Fraction
 
-    # exact in int while f and g give ints; one division at the end
-    total = sum(size * f(c) * g(c) for c, size in conjugacy_classes(m))
     return Fraction(total, factorial(m))
 
 
@@ -314,21 +306,11 @@ def permutation_character(c: Sequence[int]) -> int:
 
 def _tensor_multiplicity_by_characters(d: Sequence[int]) -> int | Fraction:
     """Oracle for standard_tensor_multiplicity: the class-function inner
-    product of (permutation character) * chi_d with chi_d, an int when m!
-    divides the sum."""
+    product of (permutation character) * chi_d with chi_d."""
     m = sum(d)
     table = character_table(m)
-    # the inner product over the table's classes, weighted by its class sizes
-    total = sum(
-        size * permutation_character(c) * chi * chi
-        for c, size, chi in zip(table.partitions, table.class_sizes, table.row(d))
-    )
-    quotient, rem = divmod(total, factorial(m))
-    if not rem:
-        return quotient
-    from fractions import Fraction
-
-    return Fraction(total, factorial(m))
+    chi = dict(zip(table.partitions, table.row(d))).__getitem__
+    return inner_product(lambda c: permutation_character(c) * chi(c), chi, m)
 
 
 @_suite("rectangularity vs tensor multiplicity")
@@ -442,12 +424,6 @@ def invariant_restriction_rank(spec: BundleSpec) -> int:
     if spec.n < 2:
         return 0
     return _swap_trace_rank(_swap_trace_shape(spec), spec)
-
-
-def _census_surface(spec: BundleSpec) -> dict[str, int]:
-    # the surface part of c1 from the census: block i's symbol counts the
-    # cosets that give position 1 the label i, each worth (s / r_i) * w
-    return _swap_trace_surface(_swap_trace_shape(spec), spec)
 
 
 # (count * w, ((block index, trace term), ...), (position-1 count * w, ...))

@@ -7,8 +7,9 @@ the package's lazy modules, class sizes and transposition types stop at
 the partition bound, every module-level cache is bounded,
 no check is an assert statement, no raise message echoes a value through
 `!r` or a call such as tuple(...), nor does a long library argument, no
-float is computed outside verify's one allowed site, and every module
-reads each name it imports."""
+float is computed anywhere, every module reads each name it imports, and
+every source and test file parses as the oldest Python that pyproject.toml
+declares."""
 
 from __future__ import annotations
 
@@ -83,7 +84,7 @@ def test_chern_closed_forms_need_no_restriction_tables():
 
 def test_only_slopes_and_inner_products_import_fractions():
     # divisor classes hold ints; a Fraction is read only as a hom-table
-    # slope (moduli) and made only by the character inner products (verify)
+    # slope (moduli) and made only by the character inner product (verify)
     # and the seeded slopes of the coset-scan oracle's tables (scan_oracles)
     importers = set()
     for path in Path(divisors.__file__).parent.glob("*.py"):
@@ -120,8 +121,8 @@ def test_module_caches_are_bounded():
 
 
 # the float sites the package allows, by module and enclosing definition:
-# the suite timer's default
-_FLOAT_SITES = [("verify.SuiteResult", "0.0")]
+# none
+_FLOAT_SITES: list[tuple[str, str]] = []
 
 # the math functions whose value is a float
 _FLOAT_MATH = frozenset(
@@ -168,6 +169,16 @@ def test_arithmetic_is_exact():
         for site in _float_sites(ast.parse(path.read_text()), path.stem)
     )
     assert found == _FLOAT_SITES
+
+
+def test_sources_parse_as_the_oldest_declared_python():
+    # only one interpreter runs the tests, so syntax newer than the declared
+    # floor would otherwise pass them and fail on an install that pip allows
+    root = Path(partitions.__file__).resolve().parents[2]
+    declared = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (root / "pyproject.toml").read_text())
+    floor = (int(declared[1]), int(declared[2]))
+    for path in [*(root / "src" / "hilbtaut").glob("*.py"), *(root / "tests").glob("*.py")]:
+        ast.parse(path.read_text(), str(path), feature_version=floor)
 
 
 def test_float_valued_math_is_a_float_site():

@@ -28,7 +28,7 @@ from hilbtaut.chern import (
 )
 from hilbtaut.divisors import DivisorClass
 from hilbtaut.errors import IntegralityError, ShapeMismatchError, SizeLimitError
-from hilbtaut.partitions import content_sum, dimension, enumerate_partitions
+from hilbtaut.partitions import MAX_PARTITION_N, content_sum, dimension, enumerate_partitions
 from hilbtaut.verify import (
     c1_via_blowup,
     invariant_restriction_rank,
@@ -415,14 +415,15 @@ def test_swap_trace_suite_runs_both_routes_on_every_spec(monkeypatch):
 def test_swap_trace_halves_built_once_per_shape_agree_with_the_per_spec_oracle():
     # the suite builds the rank-free half from the first spec of each shape
     # and evaluates it for every rank tuple; on every spec of n = 2..6 that
-    # gives what the oracle and the census surface give spec by spec
+    # gives what both halves give when built from the spec itself
     checked = 0
     for n in range(2, 7):
         for specs in map(list, verify._specs_by_shape(n)):
             shape = verify._swap_trace_shape(specs[0])
             for spec in specs:
                 assert verify._swap_trace_rank(shape, spec) == invariant_restriction_rank(spec)
-                assert verify._swap_trace_surface(shape, spec) == verify._census_surface(spec)
+                rebuilt = verify._swap_trace_surface(verify._swap_trace_shape(spec), spec)
+                assert verify._swap_trace_surface(shape, spec) == rebuilt
                 checked += 1
     assert checked == 3558
 
@@ -625,7 +626,9 @@ def test_regular_checksum():
     assert regular_checksum(3, 2, "e") == DivisorClass({"e": 24}, -24)
     with pytest.raises(ValueError):
         regular_checksum(1, 1, "e")
-    for n in range(2, 6):
+    # the dimension-weighted sum over irreducibles at every degree the CLI
+    # answers, up to the partition bound; verify stops at degree 9
+    for n in range(2, MAX_PARTITION_N + 1):
         for r in range(1, 4):
             direct = regular_checksum(n, r, "e")
             summed = regular_checksum_via_irreps(n, r, "e")

@@ -527,6 +527,26 @@ def test_conditions_unsatisfied(tmp_path):
     assert "witness:" in out
 
 
+def test_conditions_names_the_block_that_is_not_simple():
+    # three blocks, the second at fault: the witness counts blocks from 1
+    doc = {
+        "n": 3,
+        "blocks": [{"size": 1, "rank": 1, "c1": f"e{i}", "rep": [1]} for i in (1, 2, 3)],
+        "hom_table": {
+            "hom": [[1, 0, 0], [0, 2, 0], [0, 0, 1]],
+            "ext1": [[0] * 3 for _ in range(3)],
+            "labels": ["A", "B", "C"],
+            "slopes": ["0", "0", "0"],
+        },
+    }
+    assert run_cli("conditions", "--spec", json.dumps(doc)) == (
+        EXIT_OK,
+        "distinct_labels = yes\n"
+        "vanishing_grouping = none\n"
+        "witness: block 2 is not simple: hom[2][2] = 2\n",
+    )
+
+
 def test_stability_text(spec_file):
     code, out = run_cli("stability", "--spec", spec_file)
     assert code == EXIT_OK
@@ -761,6 +781,17 @@ def test_unexpected_exception_is_one_line(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
+def test_index_error_is_an_internal_error(monkeypatch, capsys):
+    # no input check raises IndexError, so one raised inside a command is a
+    # bug in the program, never the input's fault: exit 2, not 1
+    def broken(args):
+        return ()[0]
+
+    monkeypatch.setattr(cli, "_cmd_char", broken)
+    assert run_cli("char", "--n", "3") == (EXIT_INTERNAL, "")
+    assert capsys.readouterr().err == "internal error: IndexError: tuple index out of range\n"
+
+
 _JUNK = (
     None, True, False, 0, -1, 2, 3, 1.5, 1e300, "x", "1/0", "", "1e30000000", "1.5", " 1/2",
     [], [1], [[1.9]], [None, [2]], {}, {"n": 1},
@@ -866,7 +897,7 @@ def test_verify_json_reports_each_suite():
 
 def test_verify_json_keeps_the_failure_exit_code(monkeypatch, capsys):
     def failing(max_n):
-        return verify.SuiteResult("broken suite", 2, ["first", "second"])
+        return verify.SuiteResult("broken suite", 2, ["first", "second"], 0)
 
     monkeypatch.setattr(verify, "regular_suite", failing)
     code, out = run_cli("verify", "--max-n", "2", "--json")

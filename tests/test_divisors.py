@@ -95,8 +95,6 @@ ONE_BLOCK_TABLE = moduli.HomTable(((1,),), ((0,),), ("A",), (Fraction(0),))
         lambda: partitions.iter_cosets(5),
         lambda: CharacterTable(5, 5, 5),
         lambda: verify.c1_via_blowup(5, 5),
-        lambda: verify.cycle_type_of(5),
-        lambda: verify.cycle_type_of((0, 0)),
         lambda: verify.inner_product(5, 5, 5),
         lambda: verify.invariant_restriction_rank(5),
         lambda: verify.brute_force_character_table("3"),
@@ -109,9 +107,8 @@ ONE_BLOCK_TABLE = moduli.HomTable(((1,),), ((0,),), ("A",), (Fraction(0),))
         "build-block", "spec-document-int", "dispatch-int",
         "conditions-int", "stability-table-int", "rank-int",
         "b-class-int", "r-number-int", "c1-int", "end-dims-spec-int",
-        "labels-int", "table-ints", "blowup-int", "cycle-type-int",
-        "cycle-type-repeat", "inner-product-int", "swap-trace-int", "brute-table-str",
-        "brute-table-list",
+        "labels-int", "table-ints", "blowup-int", "inner-product-int", "swap-trace-int",
+        "brute-table-str", "brute-table-list",
     ],
 )
 def test_library_entry_points_reject_wrong_types_with_value_error(call):

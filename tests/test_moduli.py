@@ -334,6 +334,13 @@ def test_end_dims_requires_simple():
         equivariant_end_dims(RUNNING_SPEC, t)
 
 
+def test_table_names_the_block_without_an_identity_map():
+    # three blocks, the second at fault: the message counts blocks from 1
+    hom = [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match=r"^hom\[2\]\[2\] must be >= 1 \(identity map\)$"):
+        _table(hom, [[0] * 3 for _ in range(3)])
+
+
 def test_moduli_component_dim():
     # the component dimension is the image dimension when it equals end1
     dims = equivariant_end_dims(RUNNING_SPEC, RUNNING_TABLE)
