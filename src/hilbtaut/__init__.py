@@ -42,7 +42,8 @@ _NAMES_BY_MODULE = {
         "VanishingReport", "check_conditions", "equivariant_end_dims",
         "offdiagonal_ext1_vanishing", "stability_certificate", "stability_witnesses",
     ),
-    "cli": ("SpecDocument", "dispatch", "parse_spec"),
+    "specs": ("SpecDocument", "parse_spec"),
+    "cli": ("dispatch",),
     "verify": (
         "brute_force_character_table", "c1_via_blowup", "canonical_permutation",
         "count_standard_tableaux", "inner_product",

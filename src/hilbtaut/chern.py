@@ -35,11 +35,23 @@ _ZERO_SYMBOLS = ("", "0")
 
 # Largest full generating-polynomial expansion, in monomials.
 MAX_MONOMIALS = 25_000
+# Largest degree n of a generating polynomial, coefficient or regular
+# checksum.  A rank-1 regular checksum is about n!, which stays under the
+# 4,300 digits that Python prints (1000! has 2,568).
+MAX_GENERATING_N = 1_000
 
 
 def _check_c1_symbol(symbol: str) -> None:
     if symbol not in _ZERO_SYMBOLS:
         _check_symbol(symbol)
+
+
+def _check_degree(n: int) -> None:
+    # read before any factorial of n is taken
+    if not _is_int(n) or n < 2:
+        raise ValueError(f"n must be >= 2, got {_brief(n)}")
+    if n > MAX_GENERATING_N:
+        raise SizeLimitError(f"n = {_brief(n)} exceeds the generating bound {MAX_GENERATING_N}")
 
 
 def _check_rank(rank: int) -> None:
@@ -129,10 +141,14 @@ class BundleSpec(_Frozen):
     _fields = ("lam", "blocks")
 
     def __init__(self, lam: LabeledComposition, blocks: tuple[BundleBlock, ...]):
-        lam = LabeledComposition(lam)
-        if not isinstance(blocks, (tuple, list)):
-            raise ValueError(f"blocks must be a list or tuple, got {_brief(blocks)}")
-        blocks = tuple(blocks)
+        # a LabeledComposition or a tuple is taken as it is: a sweep passes
+        # the same composition to thousands of specs
+        if type(lam) is not LabeledComposition:
+            lam = LabeledComposition(lam)
+        if type(blocks) is not tuple:
+            if not isinstance(blocks, (tuple, list)):
+                raise ValueError(f"blocks must be a list or tuple, got {_brief(blocks)}")
+            blocks = tuple(blocks)
         if len(blocks) != len(lam):
             raise ValueError(f"{len(blocks)} blocks for a composition with {lam.k} parts")
         n, s, w = 0, 1, 1
@@ -196,10 +212,11 @@ def c1(spec: BundleSpec) -> DivisorClass:
     cached = memo.get("_c1")
     if cached is not None:
         return cached
-    n, rank = spec.n, rank_G(spec)
+    # rank_G(spec), read inline: the spec is already checked
+    n, rank = spec.n, _index(spec.lam) * spec.s * spec.w
     surface: dict[str, int] = {}
-    num = rank * comb(n, 2)
-    for i, blk in enumerate(spec.blocks, start=1):
+    num = rank * (n * (n - 1) // 2)
+    for blk in spec.blocks:
         share = rank // blk.rank
         num -= share * blk.rep_content
         symbol = blk.c1_symbol
@@ -207,6 +224,9 @@ def c1(spec: BundleSpec) -> DivisorClass:
             term = share * blk.size
             coeff, rem = divmod(term, n)
             if rem:
+                # an equal block before this one has the same term, and
+                # would have raised first
+                i = spec.blocks.index(blk) + 1
                 raise IntegralityError(f"b_class: block {i} term {term}/{n} is not an integer")
             surface[symbol] = surface.get(symbol, 0) + coeff
     total, rem = divmod(num, n * (n - 1)) if n > 1 else (0, 0)
@@ -238,8 +258,7 @@ def _generating_inputs(n: int, inputs, variant: str) -> tuple[list[tuple[int, st
     # the validated inputs, and the sign of sum r_i t_i^2 in the pair rank
     if variant not in ("trivial", "sign"):
         raise ValueError(f"variant must be 'trivial' or 'sign', got {_brief(variant)}")
-    if not _is_int(n) or n < 2:
-        raise ValueError(f"n must be >= 2, got {_brief(n)}")
+    _check_degree(n)
     if not _all_of(inputs, _tuples_of(2)):
         raise ValueError(f"inputs must be a list or tuple of pairs, got {_brief(inputs)}")
     inputs = list(inputs)
@@ -293,8 +312,8 @@ def generating_polynomial(
     multinomial coefficient (0 if some b_i < 0) and r^b = prod r_i^{b_i},
     coef(a) = sum_i M(n-1; a-e_i) r^{a-e_i} c_i - (M(n; a) r^a
     -+ sum_i r_i M(n-2; a-2e_i) r^{a-2e_i}) / 2 * delta, - for 'trivial'.
-    More than MAX_MONOMIALS monomials raise SizeLimitError.  Each call
-    builds a new dict.
+    More than MAX_MONOMIALS monomials, or n past MAX_GENERATING_N, raise
+    SizeLimitError.  Each call builds a new dict.
     """
     inputs, sign = _generating_inputs(n, inputs, variant)
     k = len(inputs)
@@ -329,8 +348,7 @@ def regular_checksum(n: int, rank: int, symbol: str) -> DivisorClass:
     Equals n! * rank^(n-1) * c1 - (n!/2) * rank^n * delta, which the
     dimension-weighted sum of c1 over all irreducibles must reproduce.
     """
-    if not _is_int(n) or n < 2:
-        raise ValueError(f"n must be >= 2, got {_brief(n)}")
+    _check_degree(n)
     _check_rank(rank)
     _check_c1_symbol(symbol)
     surface = {} if symbol in _ZERO_SYMBOLS else {symbol: factorial(n) * rank ** (n - 1)}

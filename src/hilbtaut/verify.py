@@ -15,10 +15,11 @@ bounds.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from functools import lru_cache, partial, wraps
 from itertools import permutations, product
 from math import comb, factorial
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import partitions
@@ -38,6 +39,7 @@ from .chern import (
     c1,
     generating_polynomial,
     r_number,
+    rank_G,
     regular_checksum,
 )
 from .divisors import DivisorClass
@@ -229,10 +231,7 @@ def brute_force_character_table(m: int) -> CharacterTable:
         raise SizeLimitError(f"brute-force table capped at degree {_BRUTE_FORCE_MAX}")
     # the diagrams, which are also the cycle types, in the table's order
     shapes = enumerate_partitions(m)
-    sizes: dict[tuple[int, ...], int] = {}
-    for g in permutations(range(m)):
-        t = _cycle_lengths(g)
-        sizes[t] = sizes.get(t, 0) + 1
+    sizes = Counter(map(_cycle_lengths, permutations(range(m))))
     # a class representative g fixes a tabloid when the positions g moves
     # carry the labels of their images; only those positions are read (the
     # identity moves none, so it reads position 0 twice and fixes them all)
@@ -245,7 +244,7 @@ def brute_force_character_table(m: int) -> CharacterTable:
     for mu in shapes:
         tabloids = tuple(iter_cosets(mu))
         vals = {
-            c: sum(1 for lab in tabloids if at(lab) == image(lab))
+            c: sum(map(eq, map(at, tabloids), map(image, tabloids)))
             for c, (at, image) in readers.items()
         }
         for prev in irreducibles:
@@ -347,7 +346,7 @@ def restriction_suite(max_m: int = 10):
 
 
 def _specs_by_shape(n: int):
-    # every spec of degree n, one generator per composition and choice of
+    # every spec of degree n, one iterator per composition and choice of
     # block representations, each in rank-tuple order as product((1, 2, 3),
     # repeat=k); lazy, as 3^9 specs with their classes would double the
     # memory of a --max-n 9 sweep.  Every spec is still built and
@@ -365,7 +364,7 @@ def _specs_by_shape(n: int):
         comp = LabeledComposition(lam)
         for reps in product(*(enumerate_partitions(part) for part in lam)):
             chosen = product(*(position_blocks(i, rep) for i, rep in enumerate(reps)))
-            yield (BundleSpec(comp, spec_blocks) for spec_blocks in chosen)
+            yield map(partial(BundleSpec, comp), chosen)
 
 
 def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
@@ -423,83 +422,89 @@ def invariant_restriction_rank(spec: BundleSpec) -> int:
         raise ValueError(f"expected a BundleSpec, got {_brief(spec)}")
     if spec.n < 2:
         return 0
-    return _swap_trace_rank(_swap_trace_shape(spec), spec)
+    return _swap_trace(_swap_trace_shape(spec), spec)[1]
 
 
-# (count * w, ((block index, trace term), ...), (position-1 count * w, ...))
-_Shape = tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]
+# (count * w, ((trace term, c1 symbol or None, position-1 count * w) per block))
+_Shape = tuple[int, tuple[tuple[int, str | None, int], ...]]
 
 
 def _swap_trace_shape(spec: BundleSpec) -> _Shape:
     # The rank-free half of the swap-trace oracle, read from the census and
-    # the block representations only, so one value serves every spec of the
-    # same composition and representations: the counted cosets times w; for
-    # each label i that positions 1 and 2 can share, its block index and the
-    # fixed cosets' count times chi_i(transposition) times w / w_i; and the
-    # cosets that give position 1 the label i, times w.  The census checks
-    # the coset cap when it enumerates; a composition it already counted was
-    # within the cap.
+    # the blocks only, so one value serves every spec of the same
+    # composition, representations and symbols: the counted cosets times w;
+    # and per block i, the cosets fixed by the swap (labels i at positions 1
+    # and 2) times chi_i(transposition) times w / w_i, its c1 symbol (None
+    # for a zero symbol), and the cosets that give position 1 the label i,
+    # times w.  The census checks the coset cap when it enumerates; a
+    # composition it already counted was within the cap.
     count, _, firsts, pairs = _coset_census(spec.lam)
     w = spec.w
-    diagonal = []
-    for i, blk in enumerate(spec.blocks):
-        cnt = pairs.get((i + 1, i + 1))
-        if cnt:
-            diagonal.append((i, cnt * _transposition_character(blk.rep) * (w // blk.rep_dim)))
-    return count * w, tuple(diagonal), tuple(cnt * w for cnt in firsts)
+    blocks = []
+    for i, (blk, first) in enumerate(zip(spec.blocks, firsts), start=1):
+        fixed = pairs.get((i, i))
+        term = fixed * _transposition_character(blk.rep) * (w // blk.rep_dim) if fixed else 0
+        symbol = None if blk.c1_symbol in ("", "0") else blk.c1_symbol
+        blocks.append((term, symbol, first * w))
+    return count * w, tuple(blocks)
 
 
-def _swap_trace_rank(shape: _Shape, spec: BundleSpec) -> int:
-    # the per-spec half: the fibre dimension takes the factor s, and each
-    # fixed coset's term r_i * (s / r_i^2), which is s / r_i because a coset
-    # with label i at positions 1 and 2 forces r_i^2 | s
-    dim_w, diagonal, _ = shape
-    s, blocks = spec.s, spec.blocks
-    dim = dim_w * s
+def _swap_trace(shape: _Shape, spec: BundleSpec) -> tuple[int, int, dict[str, int]]:
+    # the per-spec half, in one pass over the blocks: the fibre dimension,
+    # the rank of the invariants and the surface part.  The fibre dimension
+    # takes the factor s; block i's fixed-coset term takes r_i * (s / r_i^2),
+    # which is s / r_i because a coset with label i at positions 1 and 2
+    # forces r_i^2 | s; its position-1 count takes s / r_i too.
+    dim_w, blocks = shape
+    s = spec.s
     trace = 0
-    for i, term in diagonal:
-        trace += term * (s // blocks[i].rank)
+    surface: dict[str, int] = {}
+    for blk, (term, symbol, first_w) in zip(spec.blocks, blocks):
+        share = s // blk.rank
+        trace += term * share
+        if symbol is not None:
+            surface[symbol] = surface.get(symbol, 0) + first_w * share
+    dim = dim_w * s
     if (dim - trace) % 2:
         raise IntegralityError(f"odd swap trace defect: dim {dim}, trace {trace}")
-    return (dim - trace) // 2
-
-
-def _swap_trace_surface(shape: _Shape, spec: BundleSpec) -> dict[str, int]:
-    # the per-spec half of the surface part: block i's position-1 count
-    # times w takes the factor s / r_i
-    s = spec.s
-    surface: dict[str, int] = {}
-    for blk, firsts_w in zip(spec.blocks, shape[2]):
-        symbol = blk.c1_symbol
-        if symbol not in ("", "0"):
-            surface[symbol] = surface.get(symbol, 0) + firsts_w * (s // blk.rank)
-    return surface
+    return dim, (dim - trace) // 2, surface
 
 
 @_suite("chern delta coefficient vs swap-trace oracle")
 def rank_oracle_suite(max_n: int = 6):
-    """Closed-form c1 vs the coset census, full sweep.
+    """Closed-form rank and c1 vs the coset census, full sweep.
 
     Two checks per spec, whatever the first one finds: the delta
     coefficient against the swap-trace oracle, then b_class against the
     surface part counted from the same census.  The oracle's rank-free half
     is built once per composition and choice of representations, and its
-    per-spec half is evaluated for each of the 3^k rank tuples.
+    per-spec half is evaluated for each of the 3^k rank tuples.  The first
+    check of the spec that builds the half also compares rank_G with the
+    fibre dimension that the oracle counts.
     """
     for n in range(2, max_n + 1):
         for specs in _specs_by_shape(n):
             shape = None
             for spec in specs:
                 closed = r_number(spec)
+                # rank_G meets the fibre dimension on the spec that builds the
+                # shape; c1 repeats its product inline on every spec
+                rank = None
                 if shape is None:
                     shape = _swap_trace_shape(spec)
-                oracle = _swap_trace_rank(shape, spec)
-                yield None if closed == oracle else (
-                    f"lam={tuple(spec.lam)} ranks={[b.rank for b in spec.blocks]} "
-                    f"reps={[tuple(b.rep) for b in spec.blocks]}: {closed} vs {oracle}"
-                )
+                    rank = rank_G(spec)
+                dim, oracle, surface = _swap_trace(shape, spec)
+                if closed != oracle:
+                    yield (
+                        f"lam={tuple(spec.lam)} ranks={[b.rank for b in spec.blocks]} "
+                        f"reps={[tuple(b.rep) for b in spec.blocks]}: {closed} vs {oracle}"
+                    )
+                elif rank is not None and rank != dim:
+                    yield f"lam={tuple(spec.lam)}: rank {rank} vs fibre dimension {dim}"
+                else:
+                    yield None
                 # compared as stored surfaces, without building a second class
-                ok = b_class(spec).surface == _swap_trace_surface(shape, spec)
+                ok = b_class(spec).surface == surface
                 yield None if ok else f"lam={tuple(spec.lam)}: c1 routes disagree"
 
 

@@ -2,14 +2,15 @@
 override, the README names exactly those caps, the Ext path needs no
 character tables, the Chern closed forms need no characters at all, only
 verify.py and scan_oracles.py enumerate for their own sake, only moduli,
-verify and scan_oracles import fractions, cli binds the characters, moduli and verify layers only as
-the package's lazy modules, class sizes and transposition types stop at
-the partition bound, every module-level cache is bounded,
-no check is an assert statement, no raise message echoes a value through
-`!r` or a call such as tuple(...), nor does a long library argument, no
-float is computed anywhere, every module reads each name it imports, and
-every source and test file parses as the oldest Python that pyproject.toml
-declares."""
+verify and scan_oracles import fractions, cli binds the characters, specs
+and verify modules and specs binds moduli only as the package's lazy
+modules, class sizes and transposition types stop at the partition bound,
+every module-level cache is bounded, no check is an assert statement, no
+raise message echoes a value through `!r` or a call such as tuple(...),
+nor does a long library argument, no float is computed but the clock
+reads that time verify's suites, every module reads each name it imports,
+and every source and test file parses as the oldest Python that
+pyproject.toml declares."""
 
 from __future__ import annotations
 
@@ -21,7 +22,17 @@ from pathlib import Path
 
 import pytest
 
-from hilbtaut import characters, chern, cli, divisors, moduli, partitions, scan_oracles, verify
+from hilbtaut import (
+    characters,
+    chern,
+    cli,
+    divisors,
+    moduli,
+    partitions,
+    scan_oracles,
+    specs,
+    verify,
+)
 from hilbtaut.errors import ShapeMismatchError, SizeLimitError
 
 _NO_CAP_PARAMETER = [
@@ -77,7 +88,7 @@ def test_chern_closed_forms_need_no_restriction_tables():
     assert not _names_from_characters(chern)
     assert not hasattr(partitions, "_reduction_indices")
     enumerators = {"iter_cosets", "permutations"}
-    for module in (partitions, characters, divisors, chern, cli):
+    for module in (partitions, characters, divisors, chern, cli, specs):
         found = {name for name in _imported_names(module) if name.split(".")[-1] in enumerators}
         assert not found, (module.__name__, found)
 
@@ -103,26 +114,34 @@ def test_only_slopes_and_inner_products_import_fractions():
 def test_cli_binds_command_layers_only_as_modules():
     # `from . import moduli` binds the root's lazy module, which runs when a
     # command first reads from it; a name imported from it would run the
-    # layer at `import hilbtaut.cli`.  That chern, rank and generating run
-    # none of them is test_package's test_each_command_runs_only_its_layers.
-    layers = {"characters", "moduli", "verify"}
-    everywhere, top = (
-        {name for name in _imported_names(cli, top_level=level) if layers & set(name.split("."))}
-        for level in (False, True)
-    )
-    assert everywhere == top == {f".{layer}" for layer in layers}
+    # layer at `import hilbtaut.cli`, or at the first spec command's import
+    # of specs.  That chern, rank and generating run none of them is
+    # test_package's test_each_command_runs_only_its_layers.
+    for module, layers in ((cli, {"characters", "specs", "verify"}), (specs, {"moduli"})):
+        everywhere, top = (
+            {name for name in _imported_names(module, top_level=level) if layers & set(name.split("."))}
+            for level in (False, True)
+        )
+        assert everywhere == top == {f".{layer}" for layer in layers}, module.__name__
 
 
 def test_module_caches_are_bounded():
-    for module in (partitions, characters, divisors, chern, moduli, cli, verify, scan_oracles):
+    for module in (partitions, characters, divisors, chern, moduli, cli, specs, verify, scan_oracles):
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info"):
                 assert obj.cache_info().maxsize is not None, f"{module.__name__}.{name}"
 
 
 # the float sites the package allows, by module and enclosing definition:
-# none
-_FLOAT_SITES: list[tuple[str, str]] = []
+# verify._suite's clock read, the wall time that `verify --json` reports
+_FLOAT_SITES: list[tuple[str, str]] = [
+    ("verify", "import time"),
+    ("verify._suite.runner.suite", "time.perf_counter()"),
+    ("verify._suite.runner.suite", "time.perf_counter()"),
+]
+
+# the standard-library modules whose every reading is a float
+_FLOAT_MODULES = ("time", "statistics")
 
 # the math functions whose value is a float
 _FLOAT_MATH = frozenset(
@@ -134,8 +153,9 @@ _FLOAT_MATH = frozenset(
 
 def _float_sites(node: ast.AST, scope: str):
     # (scope, what) for each float literal, true division, float() call,
-    # .random() or .uniform() call, and float-valued math function, read as
-    # math.x or imported by name, under node
+    # .random() or .uniform() call, float-valued math function, read as
+    # math.x or imported by name, and import or call of time or statistics,
+    # under node
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -156,6 +176,15 @@ def _float_sites(node: ast.AST, scope: str):
             yield scope, f"math.{child.attr}"
         elif isinstance(child, ast.ImportFrom) and child.module == "math":
             yield from ((scope, f"math.{a.name}") for a in child.names if a.name in _FLOAT_MATH)
+        elif isinstance(child, ast.Import):
+            yield from ((scope, f"import {a.name}") for a in child.names if a.name in _FLOAT_MODULES)
+        elif isinstance(child, ast.ImportFrom) and child.module in _FLOAT_MODULES:
+            yield from ((scope, f"{child.module}.{a.name}") for a in child.names)
+        elif (
+            isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and func.value.id in _FLOAT_MODULES
+        ):
+            yield scope, f"{func.value.id}.{func.attr}()"
         yield from _float_sites(child, inner)
 
 
@@ -184,6 +213,17 @@ def test_sources_parse_as_the_oldest_declared_python():
 def test_float_valued_math_is_a_float_site():
     tree = ast.parse("import math\nfrom math import comb, sqrt\ndef f(x):\n    return math.log(x)\n")
     assert list(_float_sites(tree, "m")) == [("m", "math.sqrt"), ("m.f", "math.log")]
+
+
+def test_clock_and_statistics_are_float_sites():
+    tree = ast.parse(
+        "import os, time\nfrom statistics import mean\n"
+        "def f(x):\n    return time.time() - statistics.median(x)\n"
+    )
+    assert list(_float_sites(tree, "m")) == [
+        ("m", "import time"), ("m", "statistics.mean"),
+        ("m.f", "time.time()"), ("m.f", "statistics.median()"),
+    ]
 
 
 def test_readme_caps_match_the_code():

@@ -157,6 +157,21 @@ def test_swap_trace_suite_reports_one_wrong_closed_form(monkeypatch):
     assert (clean.failures, result.checks) == ([], clean.checks)
 
 
+def test_swap_trace_suite_reports_a_wrong_rank(monkeypatch):
+    # rank_G meets the fibre dimension the oracle counts on the first spec
+    # of each shape: off by one there, it is that spec's one failure, in
+    # its first check
+    clean = verify.rank_oracle_suite(4)
+    target = [next(specs) for specs in verify._specs_by_shape(4)][3]
+    monkeypatch.setattr(verify, "rank_G", lambda spec: rank_G(spec) + (spec == target))
+    result = verify.rank_oracle_suite(4)
+    rank = rank_G(target)
+    assert result.failures == [
+        f"lam={tuple(target.lam)}: rank {rank + 1} vs fibre dimension {rank}"
+    ]
+    assert result.checks == clean.checks
+
+
 def test_swap_trace_suite_reports_a_wrong_character_value(monkeypatch):
     # the oracle's 2-cycle value of (2, 1) is 0; moved by 2, the swap trace
     # keeps its parity and every spec with a (2, 1) block on a repeated
@@ -406,7 +421,7 @@ def test_swap_trace_suite_runs_both_routes_on_every_spec(monkeypatch):
 
     monkeypatch.setattr(BundleSpec, "__init__", counted("spec", BundleSpec.__init__))
     monkeypatch.setattr(verify, "r_number", counted("closed", verify.r_number))
-    monkeypatch.setattr(verify, "_swap_trace_rank", counted("oracle", verify._swap_trace_rank))
+    monkeypatch.setattr(verify, "_swap_trace", counted("oracle", verify._swap_trace))
     result = verify.rank_oracle_suite(6)
     assert result.ok and result.checks == 7116
     assert calls == {"spec": 3558, "closed": 3558, "oracle": 3558}
@@ -421,9 +436,9 @@ def test_swap_trace_halves_built_once_per_shape_agree_with_the_per_spec_oracle()
         for specs in map(list, verify._specs_by_shape(n)):
             shape = verify._swap_trace_shape(specs[0])
             for spec in specs:
-                assert verify._swap_trace_rank(shape, spec) == invariant_restriction_rank(spec)
-                rebuilt = verify._swap_trace_surface(verify._swap_trace_shape(spec), spec)
-                assert verify._swap_trace_surface(shape, spec) == rebuilt
+                dim, rank, surface = verify._swap_trace(shape, spec)
+                assert (dim, rank) == (rank_G(spec), invariant_restriction_rank(spec))
+                assert surface == verify._swap_trace(verify._swap_trace_shape(spec), spec)[2]
                 checked += 1
     assert checked == 3558
 
@@ -619,6 +634,20 @@ def test_generating_polynomial_monomial_cap(monkeypatch):
     assert _generating_coefficient(4, inputs, (2, 1, 1)) == c1(
         BundleSpec.build((2, 1, 1), [(1, "a", (2,)), (2, "b", (1,)), (3, "c", (1,))])
     )
+
+
+def test_generating_degree_cap():
+    # every generating entry point reads the bound before any factorial of n
+    bound = chern.MAX_GENERATING_N
+    assert len(str(regular_checksum(bound, 1, "e").surface["e"])) == 2568
+    message = f"^n = {bound + 1} exceeds the generating bound {bound}$"
+    for call in (
+        lambda: generating_polynomial(bound + 1, [(1, "a")]),
+        lambda: _generating_coefficient(bound + 1, [(1, "a"), (1, "b")], (bound, 1)),
+        lambda: regular_checksum(bound + 1, 1, "e"),
+    ):
+        with pytest.raises(SizeLimitError, match=message):
+            call()
 
 
 def test_regular_checksum():

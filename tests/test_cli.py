@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import hilbtaut
-from hilbtaut import cli, moduli, partitions, verify
+from hilbtaut import cli, moduli, partitions, specs, verify
 from hilbtaut.characters import character_table
 from hilbtaut.chern import BundleSpec, c1, rank_G
 from hilbtaut.cli import (
@@ -27,9 +27,9 @@ from hilbtaut.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     dispatch,
-    parse_spec,
 )
 from hilbtaut.errors import SpecValidationError
+from hilbtaut.specs import parse_spec
 
 SPEC = {
     "n": 3,
@@ -772,11 +772,33 @@ def test_generating_expansion_is_capped():
     assert proc.stderr == "error: 1221759 monomials exceed the bound 25000\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            ["generating", "--n", str(2**63), "--ranks", "1", "--symbols", "a", "--variant", variant]
+            for variant in ("trivial", "sign", "regular")
+        ),
+        [
+            "generating", "--n", str(2**63 - 1), "--ranks", "1,1", "--symbols", "a,b",
+            "--coeff", f"{2**63 - 2},1",
+        ],
+    ],
+    ids=["trivial", "sign", "regular", "coeff"],
+)
+def test_generating_degree_is_capped(argv):
+    # refused before any factorial of n: at 2**63 a factorial overflows an
+    # index, and one coefficient of degree 2**63 - 1 would not finish
+    proc = _run_module(*argv, timeout=2)
+    assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
+    assert proc.stderr == f"error: n = {argv[2]} exceeds the generating bound 1000\n"
+
+
 def test_unexpected_exception_is_one_line(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "_cmd_rank", broken)
+    monkeypatch.setattr(specs, "_cmd_rank", broken)
     assert run_cli("rank", "--spec", "{}") == (EXIT_INTERNAL, "")
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
@@ -979,9 +1001,16 @@ def test_closed_stdout_pipe_exits_quietly(n, unbuffered):
     ],
     ids=lambda argv: argv[0],
 )
-def test_each_subcommand_declares_its_handler(argv):
+def test_each_subcommand_declares_its_handler(argv, monkeypatch):
+    # a handler is read from its home module when the parser is built (cli's
+    # own) or when it runs (a spec command's, in specs), so a patched handler
+    # is the one its command runs
+    home = cli if argv[0] in ("char", "generating", "verify") else specs
+    handler = f"_cmd_{argv[0]}"
+    assert handler in vars(home)
+    monkeypatch.setattr(home, handler, lambda parsed: ("ran", parsed))
     args = cli.build_parser().parse_args(argv)
-    assert args.run is getattr(cli, f"_cmd_{argv[0]}")
+    assert args.run(args) == ("ran", args)
 
 
 def test_dispatch_lets_a_broken_pipe_through(monkeypatch):

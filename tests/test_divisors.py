@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbtaut import cli, moduli, partitions, verify
+from hilbtaut import cli, moduli, partitions, specs, verify
 from hilbtaut.characters import (
     CharacterTable,
     character_table,
@@ -83,7 +83,7 @@ ONE_BLOCK_TABLE = moduli.HomTable(((1,),), ((0,),), ("A",), (Fraction(0),))
         lambda: BundleSpec((1,), 5),
         lambda: BundleSpec((1,), [5]),
         lambda: BundleSpec.build((1,), [5]),
-        lambda: cli.parse_spec(5),
+        lambda: specs.parse_spec(5),
         lambda: cli.dispatch(5),
         lambda: moduli.check_conditions(5),
         lambda: moduli.stability_certificate((1, 1), 5),

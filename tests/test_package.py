@@ -1,10 +1,10 @@
-"""The package root runs no submodule, each CLI command runs only the
-submodules it uses and loads neither dataclasses nor inspect, and `verify`
-compiles no module it does not run.
+"""The package root runs no submodule, each CLI command compiles and runs
+only the submodules it uses and loads neither dataclasses nor inspect, and
+`verify` compiles few lines that it never runs.
 
 Every case runs in a fresh interpreter, so nothing an earlier test imported
 counts; an audit hook records which hilbtaut source files were compiled and
-which were executed.
+which were executed, and a profile hook which functions were called.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ EXPORTS = {
         "VanishingReport", "check_conditions", "equivariant_end_dims",
         "offdiagonal_ext1_vanishing", "stability_certificate", "stability_witnesses",
     ],
-    "cli": ["SpecDocument", "dispatch", "parse_spec"],
+    "specs": ["SpecDocument", "parse_spec"],
+    "cli": ["dispatch"],
     "verify": [
         "brute_force_character_table", "c1_via_blowup", "canonical_permutation",
         "count_standard_tableaux", "inner_product",
@@ -71,7 +72,7 @@ BASE = ["__init__", "chern", "cli", "divisors", "errors", "partitions"]
 
 _PROBE = """
 import json, os, sys
-executed, compiled = [], []
+executed, compiled, called = [], [], set()
 
 def audit(event, args):
     if event == "exec":
@@ -79,18 +80,46 @@ def audit(event, args):
     elif event == "compile":
         compiled.append(str(args[1]))
 
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        called.add((code.co_filename, code.co_firstlineno, code.co_name))
+
 sys.addaudithook(audit)
+sys.setprofile(profile)
 {body}
+sys.setprofile(None)
 import hilbtaut
 package = os.path.dirname(hilbtaut.__file__)
 ran, built = (
     sorted(os.path.basename(f)[:-3] for f in files if os.path.dirname(f) == package)
     for files in (executed, compiled)
 )
+
+def unrun_lines(code):
+    # the source lines of each function, class body, lambda or comprehension
+    # under code that was never called, nested ones counted with their owner
+    total = 0
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            if (const.co_filename, const.co_firstlineno, const.co_name) in called:
+                total += unrun_lines(const)
+            else:
+                last = max(line for _, _, line in const.co_lines() if line is not None)
+                total += last - const.co_firstlineno + 1
+    return total
+
+unrun = {{}}
+for name in built:
+    path = os.path.join(package, name + ".py")
+    with open(path) as source:
+        unrun[name] = unrun_lines(compile(source.read(), path, "exec"))
 # standard-library modules no command needs: dataclasses alone pulls in
 # inspect, ast, dis and tokenize; fractions pulls in decimal and numbers
 stdlib = sorted(name for name in ("dataclasses", "fractions", "inspect") if name in sys.modules)
-print(json.dumps({{"executed": ran, "compiled": built, "stdlib": stdlib, "result": result}}))
+print(json.dumps({{
+    "executed": ran, "compiled": built, "unrun": unrun, "stdlib": stdlib, "result": result,
+}}))
 """
 
 
@@ -126,35 +155,48 @@ def test_import_runs_no_submodule():
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["chern", "--spec", json.dumps(SPEC)], []),
-        (["rank", "--spec", json.dumps(SPEC)], []),
+        (["chern", "--spec", json.dumps(SPEC)], ["specs"]),
+        (["rank", "--spec", json.dumps(SPEC)], ["specs"]),
         (["generating", "--n", "3", "--ranks", "2,1", "--symbols", "a,b"], []),
         (["char", "--n", "3"], ["characters"]),
-        (["conditions", "--spec", json.dumps({**SPEC, "hom_table": TABLE})], ["moduli"]),
-        (["ext", "--spec", json.dumps({**SPEC, "hom_table": TABLE})], ["moduli"]),
-        (["stability", "--spec", json.dumps({**SPEC, "hom_table": TABLE})], ["moduli"]),
+        (["conditions", "--spec", json.dumps({**SPEC, "hom_table": TABLE})], ["moduli", "specs"]),
+        (["ext", "--spec", json.dumps({**SPEC, "hom_table": TABLE})], ["moduli", "specs"]),
+        (["stability", "--spec", json.dumps({**SPEC, "hom_table": TABLE})], ["moduli", "specs"]),
         (["verify", "--max-n", "2"], ["characters", "verify"]),
     ],
     ids=["chern", "rank", "generating", "char", "conditions", "ext", "stability", "verify"],
 )
-def test_each_command_runs_only_its_layers(argv, extra):
+def test_each_command_runs_only_its_layers(argv, extra, tmp_path):
+    # with no bytecode to read, as in a clean checkout run under
+    # PYTHONDONTWRITEBYTECODE=1, each module a process imports is compiled
+    # from source: a command compiles exactly the modules it runs.  Only
+    # the spec commands compile specs; `verify` never compiles moduli or
+    # scan_oracles, the coset-scan and grouping oracles' module.
     out = _probe(
         "import contextlib, io\n"
         "from hilbtaut.cli import dispatch\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    result = dispatch({argv!r})"
+        f"    result = dispatch({argv!r})",
+        PYTHONDONTWRITEBYTECODE="1",
+        PYTHONPYCACHEPREFIX=str(tmp_path),
     )
     assert out["result"] == 0
-    assert out["executed"] == sorted(BASE + extra)
+    assert out["compiled"] == out["executed"] == sorted(BASE + extra)
     # moduli parses hom-table slopes as Fractions
     assert out["stdlib"] == (["fractions"] if "moduli" in extra else [])
 
 
+# The most source lines that a `verify --max-n 2` process may compile in
+# functions, class bodies, lambdas and comprehensions that it never calls.
+# 86 of the 228 are in cli: the other commands' handlers and argument
+# types, and main, which dispatch does not call.
+UNRUN_LINES_MAX = 228
+
+
 def test_verify_compiles_only_the_modules_it_runs(tmp_path):
-    # with no bytecode to read, as in a clean checkout run under
-    # PYTHONDONTWRITEBYTECODE=1, each module a process imports is compiled
-    # from source; `verify` compiles the modules it executes and never
-    # moduli or scan_oracles, the coset-scan and grouping oracles' module
+    # after the suites, compiling is the largest share of a cold verify
+    # process that the program decides: verify compiles only the modules
+    # it runs, and in them little that it does not run
     out = _probe(
         "import contextlib, io\n"
         "from hilbtaut.cli import dispatch\n"
@@ -164,8 +206,8 @@ def test_verify_compiles_only_the_modules_it_runs(tmp_path):
         PYTHONPYCACHEPREFIX=str(tmp_path),
     )
     assert out["result"] == 0
-    assert out["compiled"] == out["executed"] == sorted(BASE + ["characters", "verify"])
-    assert not {"moduli", "scan_oracles"} & set(out["compiled"])
+    assert not {"moduli", "scan_oracles", "specs"} & set(out["compiled"])
+    assert sum(out["unrun"].values()) <= UNRUN_LINES_MAX, out["unrun"]
 
 
 def test_exports_are_the_home_modules_objects():

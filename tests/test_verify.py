@@ -23,9 +23,19 @@ from types import CodeType
 import pytest
 
 import hilbtaut
-from hilbtaut import characters, chern, cli, divisors, moduli, partitions, scan_oracles, verify
+from hilbtaut import (
+    characters,
+    chern,
+    cli,
+    divisors,
+    moduli,
+    partitions,
+    scan_oracles,
+    specs,
+    verify,
+)
 
-LAYERS = (partitions, characters, chern, divisors, moduli)
+LAYERS = (partitions, characters, chern, divisors, moduli, specs)
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ROOT / "perfbench" / "run.py"
 
@@ -51,12 +61,15 @@ TYPES = {
     "moduli.ConditionReport.satisfied",
     "moduli.EndDims",
     "moduli.HomTable.end1_self",
+    "specs.SpecDocument",
 }
 RENDERERS = {"divisors.DivisorClass.render_text"}
 JSON_HELPERS = {
     "divisors.DivisorClass.to_json_dict",
     "moduli.HomTable.to_json_dict",
     "moduli.HomTable.from_json_dict",
+    "specs.SpecDocument.echo",
+    "specs.parse_spec",
 }
 # Closed forms with no oracle yet.  Empty, and kept empty: a new closed form
 # comes with the suite that checks it.
@@ -109,8 +122,8 @@ def _reached_by(run) -> dict[int, CodeType]:
 
 def test_every_closed_form_meets_an_oracle_suite():
     # "every closed form keeps an independent oracle" as a checked rule:
-    # each public function and method of the five layers runs under some
-    # suite, or is on one of the lists above
+    # each public function and method of the five layers and of specs runs
+    # under some suite, or is on one of the lists above
     def run():
         for suite, *bound in SUITES:
             for _ in itertools.islice(suite.__wrapped__(*bound), OUTCOMES_PER_SUITE):
