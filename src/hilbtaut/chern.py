@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .divisors import DivisorClass, _check_symbol
+from .divisors import _ZERO_SYMBOLS, DivisorClass, _check_symbol
 from .errors import IntegralityError, ShapeMismatchError, SizeLimitError, _brief
 from .partitions import (
     LabeledComposition,
@@ -30,8 +30,6 @@ from .partitions import (
     content_sum,
     dimension,
 )
-
-_ZERO_SYMBOLS = ("", "0")
 
 # Largest full generating-polynomial expansion, in monomials.
 MAX_MONOMIALS = 25_000
@@ -118,17 +116,6 @@ class BundleBlock(_Frozen):
         )
 
 
-def _raise_for_block(lam: LabeledComposition, blocks: tuple) -> None:
-    # the first block that is not a BundleBlock of its part's size
-    for idx, (size, blk) in enumerate(zip(lam, blocks), start=1):
-        if not isinstance(blk, BundleBlock):
-            raise ValueError(f"block {idx}: {_brief(blk)} is not a BundleBlock")
-        if blk.size != size:
-            raise ValueError(
-                f"block {idx}: rep {_brief(blk.rep)} is not a partition of {_brief(size)}"
-            )
-
-
 class BundleSpec(_Frozen):
     """Composition of n together with one BundleBlock per part.
 
@@ -152,9 +139,13 @@ class BundleSpec(_Frozen):
         if len(blocks) != len(lam):
             raise ValueError(f"{len(blocks)} blocks for a composition with {lam.k} parts")
         n, s, w = 0, 1, 1
-        for size, blk in zip(lam, blocks):
-            if not isinstance(blk, BundleBlock) or blk.size != size:
-                _raise_for_block(lam, blocks)
+        for idx, (size, blk) in enumerate(zip(lam, blocks), start=1):
+            if not isinstance(blk, BundleBlock):
+                raise ValueError(f"block {idx}: {_brief(blk)} is not a BundleBlock")
+            if blk.size != size:
+                raise ValueError(
+                    f"block {idx}: rep {_brief(blk.rep)} is not a partition of {_brief(size)}"
+                )
             n += size
             s *= blk.rank**size
             w *= blk.rep_dim
@@ -239,7 +230,7 @@ def c1(spec: BundleSpec) -> DivisorClass:
 
 def b_class(spec: BundleSpec) -> DivisorClass:
     """The surface part B of the first Chern class (no delta component)."""
-    return DivisorClass._sharing(c1(spec).surface)
+    return DivisorClass._trusted(c1(spec).surface)
 
 
 def r_number(spec: BundleSpec) -> int:

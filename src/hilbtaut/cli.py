@@ -16,15 +16,18 @@ from typing import Sequence
 # lazy modules (see the package root): each runs when a command first reads it
 from . import characters, specs, verify
 from .chern import _generating_coefficient, generating_polynomial, regular_checksum
-from .errors import IntegralityError, SpecValidationError, _brief
+from .errors import (
+    EXIT_BROKEN_PIPE,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VALIDATION,
+    IntegralityError,
+    SpecValidationError,
+    _brief,
+    _print_json,
+)
 from .partitions import _all_of
-
-EXIT_OK = 0
-EXIT_VALIDATION = 1
-EXIT_INTERNAL = 2
-EXIT_USAGE = 64
-# 128 + SIGPIPE, the status a shell reports for a writer its reader left
-EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,12 +35,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _print_json(payload: dict) -> None:
-    import json
-
-    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _ptext(p: Sequence[int]) -> str:

@@ -14,6 +14,11 @@ from .errors import _brief
 from .partitions import _is_int
 
 
+# The first-Chern symbols of a block that name the zero class: such a block
+# adds nothing to the surface part.
+_ZERO_SYMBOLS = ("", "0")
+
+
 def _check_symbol(name: str) -> None:
     # an ASCII identifier, [A-Za-z_][A-Za-z0-9_]*, and nothing after it
     if not (isinstance(name, str) and name.isascii() and name.isidentifier()) or name == "delta":
@@ -29,8 +34,9 @@ def _as_int(value) -> int:
 class DivisorClass:
     """Formal class sum(coeff_s * s for surface symbols s) + coeff * delta.
 
-    Immutable by convention: do not mutate `surface` after construction;
-    every constructor leaves it sorted by symbol.
+    Immutable by convention: do not mutate `surface` after construction.
+    `surface` holds no zero coefficient and has no order: equality and
+    hashing ignore it, and the text and JSON forms list the symbols sorted.
     Symbol names must be identifiers and must not be named 'delta'.
     """
 
@@ -39,10 +45,11 @@ class DivisorClass:
     def __init__(self, surface: Mapping[str, int] | None = None, delta: int = 0):
         if not isinstance(surface, (Mapping, type(None))):
             raise ValueError(f"surface must be a mapping, got {_brief(surface)}")
-        for name in surface or {}:  # before sorting, which needs comparable names
+        surface = surface or {}
+        for name in surface:  # every symbol before any coefficient
             _check_symbol(name)
         clean: dict[str, int] = {}
-        for name, coeff in sorted((surface or {}).items()):
+        for name, coeff in surface.items():
             coeff = _as_int(coeff)
             if coeff:
                 clean[name] = coeff
@@ -52,23 +59,10 @@ class DivisorClass:
     @classmethod
     def _trusted(cls, surface: dict[str, int], delta: int = 0) -> DivisorClass:
         # A class from checked symbols and int coefficients, in a dict the
-        # caller hands over: the zeros are dropped and the symbols sorted,
-        # each only when needed.
+        # caller hands over and no one mutates: only the zeros are dropped,
+        # so the surface of another class is shared, not copied.
         obj = cls.__new__(cls)
-        if 0 in surface.values():
-            surface = {name: coeff for name, coeff in surface.items() if coeff}
-        names = list(surface)
-        obj.surface = surface if names == sorted(names) else dict(sorted(surface.items()))
-        obj.delta = delta
-        return obj
-
-    @classmethod
-    def _sharing(cls, surface: dict[str, int], delta: int = 0) -> DivisorClass:
-        # A class over the surface dict of another class, which is already
-        # free of zeros and sorted: it is shared, not scanned or copied, as
-        # no class mutates its surface.
-        obj = cls.__new__(cls)
-        obj.surface = surface
+        obj.surface = {n: c for n, c in surface.items() if c} if 0 in surface.values() else surface
         obj.delta = delta
         return obj
 
@@ -106,7 +100,7 @@ class DivisorClass:
         return self.surface == other.surface and self.delta == other.delta
 
     def __hash__(self) -> int:
-        return hash((tuple(self.surface.items()), self.delta))
+        return hash((frozenset(self.surface.items()), self.delta))
 
     def __repr__(self) -> str:
         return f"DivisorClass({self.render_text()!r})"
@@ -116,8 +110,9 @@ class DivisorClass:
         return not self.surface and not self.delta
 
     def render_text(self) -> str:
-        """Deterministic text form, e.g. '4*e1 + 4*e2 - 5*delta'."""
-        items = list(self.surface.items())
+        """Deterministic text form, e.g. '4*e1 + 4*e2 - 5*delta': the
+        symbols sorted, delta last."""
+        items = sorted(self.surface.items())
         if self.delta:
             items.append(("delta", self.delta))
         if not items:
@@ -129,4 +124,4 @@ class DivisorClass:
         return " ".join(pieces)
 
     def to_json_dict(self) -> dict:
-        return {"surface": dict(self.surface), "delta": self.delta}
+        return {"surface": dict(sorted(self.surface.items())), "delta": self.delta}

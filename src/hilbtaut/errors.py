@@ -1,14 +1,22 @@
-"""Exception types shared across the package.
+"""Exception types and command exit codes shared across the package.
 
 Validation-style errors subclass ValueError so callers can catch broadly;
 IntegralityError signals an internal consistency failure (a quantity that
 is an integer by theorem came out fractional) and is deliberately not a
-ValueError, since it indicates a bug rather than bad input.
+ValueError, since it indicates a bug rather than bad input.  The exit codes
+and the JSON printer serve every command, whichever module defines it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sized
+
+EXIT_OK = 0
+EXIT_VALIDATION = 1
+EXIT_INTERNAL = 2
+EXIT_USAGE = 64
+# 128 + SIGPIPE, the status a shell reports for a writer its reader left
+EXIT_BROKEN_PIPE = 141
 
 # The longest repr an error message echoes.
 _BRIEF_MAX = 60
@@ -26,6 +34,13 @@ def _brief(value) -> str:
         return text
     size = f" of length {len(value)}" if isinstance(value, Sized) else ""
     return f"<{type(value).__name__}{size}>"
+
+
+def _print_json(payload: dict) -> None:
+    # json is imported where it is printed: a plain verify never loads it
+    import json
+
+    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 class SizeLimitError(ValueError):

@@ -17,10 +17,7 @@ from typing import NamedTuple
 # lazy module (see the package root): it runs when a command first reads it
 from . import moduli
 from .chern import BundleBlock, BundleSpec, c1, rank_G
-# the handlers report as the other commands do; cli is loaded whenever one
-# runs, as its dispatch is what calls them
-from .cli import EXIT_OK, _print_json
-from .errors import SpecValidationError, _brief
+from .errors import EXIT_OK, SpecValidationError, _brief, _print_json
 from .partitions import LabeledComposition, Partition, _is_int
 
 

@@ -42,7 +42,7 @@ from .chern import (
     rank_G,
     regular_checksum,
 )
-from .divisors import DivisorClass
+from .divisors import _ZERO_SYMBOLS, DivisorClass
 from .errors import IntegralityError, SizeLimitError, _brief
 from .partitions import (
     LabeledComposition,
@@ -262,8 +262,10 @@ def brute_force_character_table(m: int) -> CharacterTable:
 
 @_suite("characters vs permutation brute force")
 def character_suite(max_m: int = 6):
-    """Recursive characters and hook-length dimensions vs the tabloid oracle."""
-    for m in range(1, min(max_m, 7) + 1):
+    """Recursive characters and hook-length dimensions vs the tabloid oracle,
+    for each degree up to max_m; past _BRUTE_FORCE_MAX the oracle raises
+    SizeLimitError."""
+    for m in range(1, max_m + 1):
         fast = character_table(m)
         slow = brute_force_character_table(m)
         for row_fast, row_slow, d in zip(fast.values, slow.values, fast.partitions):
@@ -374,7 +376,7 @@ def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
         raise ValueError(f"expected a DivisorClass, got {_brief(b)}")
     if not partitions._is_int(invariant_rank):
         raise ValueError(f"the rank must be an integer, got {type(invariant_rank).__name__}")
-    return DivisorClass._sharing(b.surface, b.delta - invariant_rank)
+    return DivisorClass._trusted(b.surface, b.delta - invariant_rank)
 
 
 @lru_cache(maxsize=256)
@@ -444,7 +446,7 @@ def _swap_trace_shape(spec: BundleSpec) -> _Shape:
     for i, (blk, first) in enumerate(zip(spec.blocks, firsts), start=1):
         fixed = pairs.get((i, i))
         term = fixed * _transposition_character(blk.rep) * (w // blk.rep_dim) if fixed else 0
-        symbol = None if blk.c1_symbol in ("", "0") else blk.c1_symbol
+        symbol = None if blk.c1_symbol in _ZERO_SYMBOLS else blk.c1_symbol
         blocks.append((term, symbol, first * w))
     return count * w, tuple(blocks)
 

@@ -26,7 +26,7 @@ from hilbtaut.characters import (
     conjugacy_classes,
     transposition_type,
 )
-from hilbtaut.errors import ShapeMismatchError
+from hilbtaut.errors import ShapeMismatchError, SizeLimitError
 from hilbtaut.partitions import (
     content_sum,
     dimension,
@@ -318,6 +318,13 @@ def test_character_suite_reports_a_dimension_off_by_one(monkeypatch):
     assert [f.split(":")[0] for f in result.failures] == [
         f"m={sum(d)} diagram {tuple(d)}" for d in diagrams
     ]
+
+
+def test_character_suite_refuses_a_bound_past_the_brute_force_table():
+    # the bound is never shrunk to what the oracle reaches: a larger one is
+    # refused, not reported as passed with fewer checks
+    with pytest.raises(SizeLimitError, match="^brute-force table capped at degree 7$"):
+        verify.character_suite(8)
 
 
 def test_standard_tensor_multiplicity_frozen():

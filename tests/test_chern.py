@@ -7,6 +7,7 @@ recounts invariants directly over the enumerated cosets.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -111,8 +112,13 @@ def test_one_memo_keeps_both_parts_in_stored_form(sizes, blocks):
     before = set(vars(spec))
     b, r, full = b_class(spec), r_number(spec), c1(spec)
     assert full.surface == b.surface
-    assert list(b.surface) == sorted(b.surface)
     assert all(type(coeff) is int and coeff for coeff in b.surface.values())
+    # the blocks' order is the stored order; the same terms in the reverse
+    # order are the same class, printed the same
+    reverse = DivisorClass(dict(reversed(b.surface.items())))
+    assert reverse == b and hash(reverse) == hash(b)
+    assert reverse.render_text() == b.render_text()
+    assert repr(reverse.to_json_dict()) == repr(b.to_json_dict())
     assert b.delta == 0 and type(r) is int and r == -full.delta
     assert set(vars(spec)) - before == {"_c1"}
     # the memo is the class itself, and b_class and r_number read it
@@ -601,6 +607,36 @@ def test_generating_polynomial_vs_block_formula(n, variant):
                 spec = BundleSpec.build(lam, blocks)
                 assert poly.get(expts, DivisorClass.zero()) == c1(spec), (lam, variant)
                 assert _generating_coefficient(n, inputs[:k], expts, variant) == c1(spec)
+
+
+def test_c1_meets_the_generating_coefficient_past_the_oracles_sizes():
+    # all-trivial and all-sign specs of up to MAX_GENERATING_N points against
+    # the one-coefficient closed form, with shared and zero symbols, unused
+    # inputs and the blocks in another order than the inputs: the two routes
+    # store their surfaces in different orders, and print them alike
+    rng = random.Random(3301)
+    checks = reordered = 0
+    for _ in range(120):
+        k = rng.randint(1, 4)
+        inputs = [(rng.randint(1, 3), rng.choice(("e1", "e2", "h", "", "0"))) for _ in range(k)]
+        n = rng.randint(2, chern.MAX_GENERATING_N)
+        used = rng.sample(range(k), rng.randint(1, min(k, n)))
+        cuts = sorted(rng.sample(range(1, n), len(used) - 1))
+        expts = [0] * k
+        for i, a, b in zip(used, (0, *cuts), (*cuts, n)):
+            expts[i] = b - a
+        for variant, rep in (("trivial", lambda e: (e,)), ("sign", lambda e: (1,) * e)):
+            spec = BundleSpec.build(
+                [expts[i] for i in used], [(*inputs[i], rep(expts[i])) for i in used]
+            )
+            closed = c1(spec)
+            coefficient = _generating_coefficient(n, inputs, expts, variant)
+            assert closed == coefficient and hash(closed) == hash(coefficient), (n, inputs, expts)
+            assert closed.render_text() == coefficient.render_text()
+            assert json.dumps(closed.to_json_dict()) == json.dumps(coefficient.to_json_dict())
+            checks += 1
+            reordered += list(closed.surface) != list(coefficient.surface)
+    assert checks == 240 and reordered > 0
 
 
 def test_generating_polynomial_validation():

@@ -1067,14 +1067,20 @@ def test_profiler_still_reports_a_cli_run():
 
 def test_cli_module_runs_once_without_a_warning(spec_file):
     # the package root does not register hilbtaut.cli, so runpy finds it
-    # unimported and gives no RuntimeWarning
+    # unimported and gives no RuntimeWarning; and no module the command
+    # runs (specs, for a spec command) imports it again as hilbtaut.cli,
+    # which would run the whole file a second time
     src = str(Path(hilbtaut.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "hilbtaut.cli", "rank", "--spec", spec_file],
+        [sys.executable, "-X", "importtime", "-m", "hilbtaut.cli", "rank", "--spec", spec_file],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    timings = proc.stderr.splitlines()
+    assert proc.returncode == EXIT_OK
+    assert all(line.startswith("import time:") for line in timings), proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in timings}
+    assert "hilbtaut" in imported and "hilbtaut.cli" not in imported
     assert proc.stdout == _run_module("rank", "--spec", spec_file, timeout=None).stdout == "12\n"

@@ -3,8 +3,10 @@ refusal of wrong argument types."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -117,10 +119,19 @@ def test_library_entry_points_reject_wrong_types_with_value_error(call):
 
 
 def _assert_canonical(d: DivisorClass) -> None:
-    # one stored form per value: a plain int, never zero on a symbol
+    # one stored value per class: a plain int, never zero on a symbol, in
+    # any order; the same terms in the reverse order are the same class
     for coeff in (d.delta, *d.surface.values()):
         assert type(coeff) is int, d
-    assert 0 not in d.surface.values() and list(d.surface) == sorted(d.surface), d
+    assert 0 not in d.surface.values(), d
+    _assert_same_class(d, DivisorClass(dict(reversed(d.surface.items())), d.delta))
+
+
+def _assert_same_class(a: DivisorClass, b: DivisorClass) -> None:
+    # equal, with equal hashes and the same text and JSON, byte for byte
+    assert a == b and hash(a) == hash(b), (a, b)
+    assert a.render_text() == b.render_text()
+    assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
 def test_stored_coefficients_are_canonical():
@@ -218,14 +229,34 @@ def test_arithmetic_results_are_normalised():
     b = DivisorClass({"e2": -1, "f": 3})
     total = a + b
     assert total == DivisorClass({"e1": 1, "f": 3}, 1)
-    assert list(total.surface) == ["e1", "f"]
-    assert list((b + a).surface) == ["e1", "f"]
+    # the stored order follows the operands; the value does not
+    assert total.surface == {"e1": 1, "f": 3} and list((b + a).surface) == ["f", "e1"]
+    _assert_same_class(total, b + a)
+    assert total.render_text() == "1*e1 + 3*f + 1*delta"
     assert type(total.surface["e1"]) is int and type(total.surface["f"]) is int
     assert type(total.delta) is int
     assert (a - a).surface == {}  # the cancelled symbols are dropped
     scaled = a * 0
     assert scaled.is_zero and scaled.surface == {} and type(scaled.delta) is int
     assert hash(2 * a) == hash(DivisorClass({"e1": 2, "e2": 2}, 2))
+
+
+def test_insertion_order_is_not_part_of_the_value():
+    # every order of the same terms, through each constructor and the sum of
+    # one-term classes, gives one class: the output methods sort the symbols
+    terms = [("e2", 3), ("Zq", -1), ("f_0", 2), ("e1", 5)]
+    first = DivisorClass(dict(terms), -4)
+    assert first.render_text() == "-1*Zq + 5*e1 + 3*e2 + 2*f_0 - 4*delta"
+    assert list(first.to_json_dict()["surface"]) == ["Zq", "e1", "e2", "f_0"]
+    for order in permutations(terms):
+        built = [
+            DivisorClass(dict(order), -4),
+            DivisorClass._trusted(dict(order), -4),
+            DivisorClass._trusted({**dict(order), "h": 0}, -4),
+            sum((DivisorClass({name: coeff}) for name, coeff in order), DivisorClass(delta=-4)),
+        ]
+        for d in built:
+            _assert_same_class(first, d)
 
 
 def test_render_frozen():
