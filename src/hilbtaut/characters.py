@@ -58,28 +58,33 @@ def transposition_type(m: int) -> CycleType:
     return CycleType((2,) + (1,) * (m - 2))
 
 
-def _beta_to_parts(beta: list[int]) -> tuple[int, ...]:
-    # beta ascending and distinct; recover the partition and strip zero parts.
-    r = len(beta)
-    parts = tuple(beta[r - 1 - i] - (r - 1 - i) for i in range(r))
-    return tuple(p for p in parts if p)
-
-
-def _border_strips(parts: tuple[int, ...], length: int) -> list[tuple[int, tuple[int, ...]]]:
-    # (sign, what is left) for each border strip of the given length, on
-    # first-column beta numbers: removing a strip of length l moves one beta
-    # number down by l, with sign given by the number of beta numbers jumped
-    # over.
+def _border_strips(parts: tuple[int, ...], length: int) -> list[tuple[int, Partition]]:
+    # (sign, what is left) for each border strip of the given length, in
+    # ascending order of the beta number it moves.  The first-column beta
+    # numbers beta_i = parts[i] + r - 1 - i are read in place, descending:
+    # the strip whose top row is i moves beta_i down by the length, to a
+    # free value between beta_{j-1} and beta_j, and its sign is the parity
+    # of the j - i - 1 numbers jumped over.  What is left keeps the rows
+    # before i and from j on; rows i+1 .. j-1 move up a row with one cell
+    # fewer, row j - 1 gets moved - (r - j) cells, and rows emptied at the
+    # bottom are dropped.  Each leftover is a Partition by construction.
     r = len(parts)
-    beta = sorted(parts[i] + r - 1 - i for i in range(r))
-    bset = set(beta)
+    beta = [p + r - 1 - i for i, p in enumerate(parts)]
+    new = tuple.__new__
     strips = []
-    for b in beta:
-        nb = b - length
-        if nb < 0 or nb in bset:
+    for i in range(r - 1, -1, -1):
+        moved = beta[i] - length
+        if moved < 0:
             continue
-        height = sum(1 for x in beta if nb < x < b)
-        strips.append((-1 if height % 2 else 1, _beta_to_parts(sorted(bset - {b} | {nb}))))
+        j = i + 1
+        while j < r and beta[j] > moved:
+            j += 1
+        if j < r and beta[j] == moved:
+            continue
+        rest = [*parts[:i], *[p - 1 for p in parts[i + 1 : j]], moved + j - r, *parts[j:]]
+        while rest and not rest[-1]:
+            rest.pop()
+        strips.append((-1 if (j - i - 1) % 2 else 1, new(Partition, rest)))
     return strips
 
 

@@ -316,21 +316,17 @@ def generating_polynomial(
     return {a: coeff for a, coeff in terms if not coeff.is_zero}
 
 
-def _check_exponents(nvars: int, expts: Sequence[int]) -> tuple[int, ...]:
-    if not _all_of(expts, _is_int):
-        raise ValueError(f"exponents must be integers, got {_brief(expts)}")
-    t = tuple(expts)
-    if len(t) != nvars:
-        raise ShapeMismatchError(f"exponent tuple {_brief(t)} does not have arity {nvars}")
-    if any(e < 0 for e in t):
-        raise ValueError(f"negative exponent in {_brief(t)}")
-    return t
-
-
 def _generating_coefficient(n: int, inputs, expts, variant: str = "trivial") -> DivisorClass:
     # generating_polynomial(...).get(expts, zero) without the expansion
     inputs, sign = _generating_inputs(n, inputs, variant)
-    return _coefficient(n, inputs, _check_exponents(len(inputs), expts), sign)
+    if not _all_of(expts, _is_int):
+        raise ValueError(f"exponents must be integers, got {_brief(expts)}")
+    expts = tuple(expts)
+    if len(expts) != len(inputs):
+        raise ShapeMismatchError(f"exponent tuple {_brief(expts)} does not have arity {len(inputs)}")
+    if any(e < 0 for e in expts):
+        raise ValueError(f"negative exponent in {_brief(expts)}")
+    return _coefficient(n, inputs, expts, sign)
 
 
 def regular_checksum(n: int, rank: int, symbol: str) -> DivisorClass:

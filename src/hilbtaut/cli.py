@@ -52,18 +52,15 @@ def _cmd_char(args) -> int:
     widths = [max(len(h), *map(len, column)) for h, column in zip(headers, zip(*cells))]
     labels = [_ptext(d) for d in labels]
     label_width = max(len("sizes"), *map(len, labels))
+
+    def line(label: str, texts) -> str:
+        return " ".join([label.ljust(label_width)] + [t.rjust(w) for t, w in zip(texts, widths)])
     lines = [
         f"character table of degree {args.n}",
-        " ".join([" " * label_width] + [h.rjust(w) for h, w in zip(headers, widths)]),
-        " ".join(
-            ["sizes".ljust(label_width)]
-            + [str(s).rjust(w) for s, w in zip(table.class_sizes, widths)]
-        ),
+        line("", headers),
+        line("sizes", map(str, table.class_sizes)),
+        *map(line, labels, cells),
     ]
-    for label, row in zip(labels, cells):
-        lines.append(
-            " ".join([label.ljust(label_width)] + [c.rjust(w) for c, w in zip(row, widths)])
-        )
     print("\n".join(lines))
     return EXIT_OK
 

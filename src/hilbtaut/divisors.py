@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .errors import _brief
+from .errors import _brief, _check_digits
 from .partitions import _is_int
 
 
@@ -37,7 +37,9 @@ class DivisorClass:
     Immutable by convention: do not mutate `surface` after construction.
     `surface` holds no zero coefficient and has no order: equality and
     hashing ignore it, and the text and JSON forms list the symbols sorted.
-    Symbol names must be identifiers and must not be named 'delta'.
+    Symbol names must be identifiers and must not be named 'delta'.  Both
+    forms refuse a coefficient past errors.MAX_DIGITS digits with
+    SizeLimitError.
     """
 
     __slots__ = ("surface", "delta")
@@ -112,6 +114,7 @@ class DivisorClass:
     def render_text(self) -> str:
         """Deterministic text form, e.g. '4*e1 + 4*e2 - 5*delta': the
         symbols sorted, delta last."""
+        _check_digits(self.delta, *self.surface.values())
         items = sorted(self.surface.items())
         if self.delta:
             items.append(("delta", self.delta))
@@ -124,4 +127,5 @@ class DivisorClass:
         return " ".join(pieces)
 
     def to_json_dict(self) -> dict:
+        _check_digits(self.delta, *self.surface.values())
         return {"surface": dict(sorted(self.surface.items())), "delta": self.delta}

@@ -3,8 +3,9 @@
 Validation-style errors subclass ValueError so callers can catch broadly;
 IntegralityError signals an internal consistency failure (a quantity that
 is an integer by theorem came out fractional) and is deliberately not a
-ValueError, since it indicates a bug rather than bad input.  The exit codes
-and the JSON printer serve every command, whichever module defines it.
+ValueError, since it indicates a bug rather than bad input.  The exit codes,
+the digit cap and the JSON printer serve every command, whichever module
+defines it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ EXIT_INTERNAL = 2
 EXIT_USAGE = 64
 # 128 + SIGPIPE, the status a shell reports for a writer its reader left
 EXIT_BROKEN_PIPE = 141
+
+# The most decimal digits an integer of a command's answer may have: under
+# the 4,300 past which Python refuses to convert an int to text.
+MAX_DIGITS = 4_000
 
 # The longest repr an error message echoes.
 _BRIEF_MAX = 60
@@ -41,6 +46,14 @@ def _print_json(payload: dict) -> None:
     import json
 
     print(json.dumps(payload, sort_keys=True, indent=2))
+
+
+# Checked before an answer is rendered.  Exact, and cheap for the common
+# case: an int of at most 3 * MAX_DIGITS bits is below 10**MAX_DIGITS, so
+# the power of ten is built only for a longer one.
+def _check_digits(*values: int) -> None:
+    if any(v.bit_length() > 3 * MAX_DIGITS and abs(v) >= 10**MAX_DIGITS for v in values):
+        raise SizeLimitError(f"an integer of the answer exceeds the digit bound {MAX_DIGITS}")
 
 
 class SizeLimitError(ValueError):

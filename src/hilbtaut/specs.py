@@ -17,7 +17,7 @@ from typing import NamedTuple
 # lazy module (see the package root): it runs when a command first reads it
 from . import moduli
 from .chern import BundleBlock, BundleSpec, c1, rank_G
-from .errors import EXIT_OK, SpecValidationError, _brief, _print_json
+from .errors import EXIT_OK, SpecValidationError, _brief, _check_digits, _print_json
 from .partitions import LabeledComposition, Partition, _is_int
 
 
@@ -155,10 +155,12 @@ def _cmd_chern(args) -> int:
     doc = parse_spec(args.spec)
     cls = c1(doc.spec)
     if args.json:
+        rank = rank_G(doc.spec)
+        _check_digits(rank)
         _print_json(
             {
                 "class": cls.to_json_dict(),
-                "rank": rank_G(doc.spec),
+                "rank": rank,
                 "spec_echo": doc.echo(),
             }
         )
@@ -168,14 +170,16 @@ def _cmd_chern(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    doc = parse_spec(args.spec)
-    print(rank_G(doc.spec))
+    rank = rank_G(parse_spec(args.spec).spec)
+    _check_digits(rank)
+    print(rank)
     return EXIT_OK
 
 
 def _cmd_ext(args) -> int:
     doc = parse_spec(args.spec)
     dims = moduli.equivariant_end_dims(doc.spec, _require_table(doc, "ext"))
+    _check_digits(dims.end0, dims.end1, dims.image_dim)
     # the component dimension exists when off-diagonal Ext^1 vanishes and
     # the image dimension equals the tangent dimension, end1
     certified = dims.offdiagonal_vanishes

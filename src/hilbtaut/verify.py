@@ -232,21 +232,18 @@ def brute_force_character_table(m: int) -> CharacterTable:
     # the diagrams, which are also the cycle types, in the table's order
     shapes = enumerate_partitions(m)
     sizes = Counter(map(_cycle_lengths, permutations(range(m))))
-    # a class representative g fixes a tabloid when the positions g moves
-    # carry the labels of their images; only those positions are read (the
-    # identity moves none, so it reads position 0 twice and fixes them all)
-    readers = {}
-    for c in shapes:
-        g = canonical_permutation(c)
-        moved = [p for p in range(m) if g[p] != p] or [0]
-        readers[c] = itemgetter(*moved), itemgetter(*(g[p] for p in moved))
+    # a class representative g fixes a tabloid t when t read through g,
+    # (t[g(0)], ..., t[g(m - 1)]), is t itself; at degree 1 itemgetter of
+    # one index would return the label alone, and the one permutation there,
+    # the identity, reads t whole
+    images = {
+        c: itemgetter(*canonical_permutation(c)) if m > 1 else itemgetter(slice(None))
+        for c in shapes
+    }
     irreducibles: list[dict[CycleType, int]] = []
     for mu in shapes:
         tabloids = tuple(iter_cosets(mu))
-        vals = {
-            c: sum(map(eq, map(at, tabloids), map(image, tabloids)))
-            for c, (at, image) in readers.items()
-        }
+        vals = {c: sum(map(eq, tabloids, map(image, tabloids))) for c, image in images.items()}
         for prev in irreducibles:
             # the sum over all m! permutations, grouped by cycle type; a
             # multiplicity is an integer, so the values stay integers
@@ -353,7 +350,9 @@ def _specs_by_shape(n: int):
     # repeat=k); lazy, as 3^9 specs with their classes would double the
     # memory of a --max-n 9 sweep.  Every spec is still built and
     # validated; the blocks of one position and rep, one per rank, are
-    # built once per call and shared by the specs that carry them.
+    # built once per call and shared by the specs that carry them.  An
+    # iterator reads `comp` as its specs are drawn, so they are drawn
+    # before the next iterator is asked for.
     blocks: dict[tuple, tuple[BundleBlock, ...]] = {}
 
     def position_blocks(i: int, rep) -> tuple[BundleBlock, ...]:
@@ -366,7 +365,7 @@ def _specs_by_shape(n: int):
         comp = LabeledComposition(lam)
         for reps in product(*(enumerate_partitions(part) for part in lam)):
             chosen = product(*(position_blocks(i, rep) for i, rep in enumerate(reps)))
-            yield map(partial(BundleSpec, comp), chosen)
+            yield (BundleSpec(comp, b) for b in chosen)
 
 
 def c1_via_blowup(b: DivisorClass, invariant_rank: int) -> DivisorClass:
@@ -477,24 +476,26 @@ def rank_oracle_suite(max_n: int = 6):
     """Closed-form rank and c1 vs the coset census, full sweep.
 
     Two checks per spec, whatever the first one finds: the delta
-    coefficient against the swap-trace oracle, then b_class against the
-    surface part counted from the same census.  The oracle's rank-free half
-    is built once per composition and choice of representations, and its
-    per-spec half is evaluated for each of the 3^k rank tuples.  The first
-    check of the spec that builds the half also compares rank_G with the
-    fibre dimension that the oracle counts.
+    coefficient against the swap-trace oracle, then the surface part of c1
+    against the one counted from the same census.  The oracle's rank-free
+    half is built once per composition and choice of representations, and
+    its per-spec half is evaluated for each of the 3^k rank tuples.  The
+    spec that builds the half also compares rank_G with the fibre dimension
+    that the oracle counts, and reads its surface part through b_class.
     """
     for n in range(2, max_n + 1):
         for specs in _specs_by_shape(n):
             shape = None
             for spec in specs:
                 closed = r_number(spec)
-                # rank_G meets the fibre dimension on the spec that builds the
-                # shape; c1 repeats its product inline on every spec
-                rank = None
+                # rank_G and b_class are read on the spec that builds the
+                # shape; every other spec reads the class r_number memoised,
+                # whose surface is the dict b_class would share
                 if shape is None:
                     shape = _swap_trace_shape(spec)
-                    rank = rank_G(spec)
+                    rank, closed_surface = rank_G(spec), b_class(spec).surface
+                else:
+                    rank, closed_surface = None, c1(spec).surface
                 dim, oracle, surface = _swap_trace(shape, spec)
                 if closed != oracle:
                     yield (
@@ -506,7 +507,7 @@ def rank_oracle_suite(max_n: int = 6):
                 else:
                     yield None
                 # compared as stored surfaces, without building a second class
-                ok = b_class(spec).surface == surface
+                ok = closed_surface == surface
                 yield None if ok else f"lam={tuple(spec.lam)}: c1 routes disagree"
 
 

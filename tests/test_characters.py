@@ -28,6 +28,7 @@ from hilbtaut.characters import (
 )
 from hilbtaut.errors import ShapeMismatchError, SizeLimitError
 from hilbtaut.partitions import (
+    Partition,
     content_sum,
     dimension,
     enumerate_partitions,
@@ -149,6 +150,50 @@ def test_table_agrees_with_single_values(m):
         cells = random.Random(m).sample(cells, 200)
     for d, j, c in cells:
         assert table.row(d)[j] == character(d, c), (d, c)
+
+
+def _rim_hooks(d, length):
+    # independent of beta numbers: every diagram mu inside d with `length`
+    # fewer cells whose skew d/mu is a rim hook (edge-connected, with no 2x2
+    # square), as (sign, mu), the sign (-1)^(rows - 1), lowest top row first
+    cells = {(i, j) for i, row in enumerate(d) for j in range(row)}
+    left = sum(d) - length
+    hooks = []
+    for mu in enumerate_partitions(left) if left else [Partition()]:
+        inner = {(i, j) for i, row in enumerate(mu) for j in range(row)}
+        if not inner <= cells:
+            continue
+        skew = cells - inner
+        if any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= skew for i, j in skew):
+            continue
+        seen, todo = set(), [min(skew)]
+        while todo:
+            i, j = todo.pop()
+            if (i, j) in skew and (i, j) not in seen:
+                seen.add((i, j))
+                todo += [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
+        if seen != skew:
+            continue
+        rows = {i for i, _ in skew}
+        hooks.append((min(rows), (-1) ** (len(rows) - 1), tuple(mu)))
+    return [(sign, mu) for _, sign, mu in sorted(hooks, reverse=True)]
+
+
+def test_border_strips_vs_rim_hooks_of_cells():
+    # _border_strips moves one beta number and lists the strips in
+    # ascending order of the number moved, which is the order of the top
+    # rows, lowest first; every diagram of degree <= 10 and every length.
+    # What is left is a Partition already, so dimension() does not check it
+    # again.
+    checked = 0
+    for m in range(1, 11):
+        for d in enumerate_partitions(m):
+            for length in range(1, m + 1):
+                strips = characters._border_strips(d, length)
+                assert [(sign, tuple(rest)) for sign, rest in strips] == _rim_hooks(d, length)
+                assert all(type(rest) is Partition for _, rest in strips)
+                checked += 1
+    assert checked == 1106
 
 
 def test_character_answers_deep_inputs():

@@ -415,8 +415,10 @@ def test_sweep_builds_each_block_once(monkeypatch):
 def test_swap_trace_suite_runs_both_routes_on_every_spec(monkeypatch):
     # every spec of rank_oracle_suite(6) is built through BundleSpec and
     # meets both the closed form and the oracle's per-spec half: no route
-    # is skipped
-    calls = {"spec": 0, "closed": 0, "oracle": 0}
+    # is skipped.  b_class runs once per shape, on the spec that builds the
+    # oracle's rank-free half; every other spec reads the surface part of
+    # the class that r_number memoised
+    calls = {"spec": 0, "closed": 0, "oracle": 0, "surface": 0}
 
     def counted(key, fn):
         def call(*args):
@@ -428,9 +430,12 @@ def test_swap_trace_suite_runs_both_routes_on_every_spec(monkeypatch):
     monkeypatch.setattr(BundleSpec, "__init__", counted("spec", BundleSpec.__init__))
     monkeypatch.setattr(verify, "r_number", counted("closed", verify.r_number))
     monkeypatch.setattr(verify, "_swap_trace", counted("oracle", verify._swap_trace))
+    monkeypatch.setattr(verify, "b_class", counted("surface", verify.b_class))
     result = verify.rank_oracle_suite(6)
     assert result.ok and result.checks == 7116
-    assert calls == {"spec": 3558, "closed": 3558, "oracle": 3558}
+    shapes = sum(1 for n in range(2, 7) for _ in verify._specs_by_shape(n))
+    assert shapes == 118
+    assert calls == {"spec": 3558, "closed": 3558, "oracle": 3558, "surface": shapes}
 
 
 def test_swap_trace_halves_built_once_per_shape_agree_with_the_per_spec_oracle():

@@ -153,6 +153,53 @@ def test_integer_past_the_digit_limit_is_malformed_json(tmp_path, inline):
     assert err.getvalue().count("\n") == 1 and len(err.getvalue().encode()) < 200
 
 
+# rank 2 on one block of 20,000 points: a rank of 2^20000, 6,021 digits
+HUGE_RANK = json.dumps(
+    {"n": 20000, "blocks": [{"size": 20000, "rank": 2, "c1": "e1", "rep": [20000]}]}
+)
+# self-extension counts of 4,300 digits, the most a JSON integer may have,
+# whose sum end1 has 4,301
+HUGE_EXT = json.dumps(
+    {**SPEC, "hom_table": {**SPEC["hom_table"], "ext1": [[int("9" * 4300)] * 2] * 2}}
+)
+HUGE_GENERATING = ["generating", "--n", "1000", "--ranks", "1000000", "--symbols", "a"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chern", "--spec", HUGE_RANK],
+        ["chern", "--spec", HUGE_RANK, "--json"],
+        ["rank", "--spec", HUGE_RANK],
+        [*HUGE_GENERATING, "--coeff", "1000"],
+        HUGE_GENERATING,
+        [*HUGE_GENERATING, "--variant", "regular"],
+        ["ext", "--spec", HUGE_EXT],
+        ["ext", "--spec", HUGE_EXT, "--json"],
+    ],
+    ids=["chern", "chern-json", "rank", "coeff", "polynomial", "regular", "ext", "ext-json"],
+)
+def test_an_answer_past_the_digit_cap_is_refused_before_output(argv):
+    # Python refuses to print an int of more than 4,300 digits; each answer
+    # is checked against the documented cap of 4,000 before any of it is
+    # printed, and the command exits 1 with one line naming the cap
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run_cli(*argv) == (EXIT_VALIDATION, "")
+    assert err.getvalue() == "error: an integer of the answer exceeds the digit bound 4000\n"
+
+
+@pytest.mark.parametrize("size, printed", [(3999, True), (4000, False)])
+def test_digit_cap_is_exact(size, printed):
+    # rank 10 on one block of `size` points has the rank 10^size: 4,000
+    # digits print, 4,001 do not
+    spec = json.dumps(
+        {"n": size, "blocks": [{"size": size, "rank": 10, "c1": "e", "rep": [size]}]}
+    )
+    code, out = run_cli("rank", "--spec", spec)
+    assert (code, out) == ((EXIT_OK, f"{10**size}\n") if printed else (EXIT_VALIDATION, ""))
+
+
 @pytest.mark.parametrize("blank", ["", "  ", "\n"])
 def test_blank_spec_is_refused(blank):
     # "" used to be read as the path ".", a directory

@@ -27,6 +27,7 @@ from hilbtaut.chern import (
     regular_checksum,
 )
 from hilbtaut.divisors import DivisorClass
+from hilbtaut.errors import SizeLimitError
 from hilbtaut.partitions import LabeledComposition, Partition, enumerate_partitions, index_p
 from hilbtaut.verify import verify_all
 
@@ -266,6 +267,22 @@ def test_render_frozen():
     assert DivisorClass(delta=1).render_text() == "1*delta"
     # surface symbols sorted, delta always last
     assert DivisorClass({"z": 1, "a": 1}, 7).render_text() == "1*a + 1*z + 7*delta"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("where", ["surface", "delta"])
+def test_both_forms_stop_at_the_digit_cap(sign, where):
+    # a coefficient of 4,000 digits is rendered, one of 4,001 refused, on
+    # either side of zero; the class itself holds any int
+    refused = "^an integer of the answer exceeds the digit bound 4000$"
+    for coeff, ok in ((sign * (10**4000 - 1), True), (sign * 10**4000, False)):
+        d = DivisorClass({"e": coeff}) if where == "surface" else DivisorClass(delta=coeff)
+        for render in (d.render_text, d.to_json_dict):
+            if ok:
+                render()
+            else:
+                with pytest.raises(SizeLimitError, match=refused):
+                    render()
 
 
 def test_json_output():

@@ -188,7 +188,7 @@ def test_each_command_runs_only_its_layers(argv, extra, tmp_path):
 
 # The most source lines that a `verify --max-n 2` process may compile in
 # functions, class bodies, lambdas and comprehensions that it never calls.
-# 82 of the 222 are in cli: the other commands' handlers and argument
+# 79 of the 222 are in cli: the other commands' handlers and argument
 # types, and main, which dispatch does not call.
 UNRUN_LINES_MAX = 222
 

@@ -8,6 +8,7 @@ the enumerated cosets.
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -149,6 +150,21 @@ def test_dimension_vs_backtracking_oracle():
     for m in range(1, 11):
         for d in enumerate_partitions(m):
             assert dimension(d) == count_standard_tableaux(d), d
+
+
+def test_dimension_vs_frobenius_formula():
+    # Frobenius's determinant formula, independent of hook lengths: for a
+    # diagram of k rows, n! * prod_{i<j} (l_i - l_j) / prod_i l_i!, with
+    # l_i = d_i + k - i (1-based), on every partition the cap allows
+    checked = 0
+    for n in range(1, partitions.MAX_PARTITION_N + 1):
+        for d in enumerate_partitions(n):
+            ell = [part + len(d) - i for i, part in enumerate(d, start=1)]
+            num = math.factorial(n) * math.prod(a - b for a, b in itertools.combinations(ell, 2))
+            quotient, rem = divmod(num, math.prod(map(math.factorial, ell)))
+            assert rem == 0 and dimension(d) == quotient, d
+            checked += 1
+    assert checked == 507
 
 
 def test_hook_product_remainder_raises_without_assert(monkeypatch):
