@@ -46,8 +46,7 @@ _NAMES_BY_MODULE = {
     "cli": ("dispatch",),
     "verify": (
         "brute_force_character_table", "c1_via_blowup", "canonical_permutation",
-        "count_standard_tableaux", "inner_product",
-        "invariant_restriction_rank", "permutation_character",
+        "inner_product", "invariant_restriction_rank", "permutation_character",
         "regular_checksum_via_irreps", "verify_all",
     ),
 }

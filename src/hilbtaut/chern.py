@@ -218,11 +218,13 @@ def c1(spec: BundleSpec) -> DivisorClass:
                 # an equal block before this one has the same term, and
                 # would have raised first
                 i = spec.blocks.index(blk) + 1
-                raise IntegralityError(f"b_class: block {i} term {term}/{n} is not an integer")
+                raise IntegralityError(
+                    f"b_class: block {i} term {_brief(term)}/{_brief(n)} is not an integer"
+                )
             surface[symbol] = surface.get(symbol, 0) + coeff
     total, rem = divmod(num, n * (n - 1)) if n > 1 else (0, 0)
     if rem:
-        raise IntegralityError(f"r_number: {num}/{n * (n - 1)} is not an integer")
+        raise IntegralityError(f"r_number: {_brief(num)}/{_brief(n * (n - 1))} is not an integer")
     # the symbols were checked when the blocks were built
     memo["_c1"] = cls = DivisorClass._trusted(surface, -total)
     return cls
@@ -263,7 +265,8 @@ def _generating_inputs(n: int, inputs, variant: str) -> tuple[list[tuple[int, st
 
 def _coefficient(n: int, inputs, expts: tuple[int, ...], sign: int) -> DivisorClass:
     # X = M(n; a) r^a; then M(n-1; a-e_i) r^{a-e_i} = X a_i / (n r_i) and
-    # r_i M(n-2; a-2e_i) r^{a-2e_i} = X a_i (a_i-1) / (n (n-1) r_i), exactly
+    # r_i M(n-2; a-2e_i) r^{a-2e_i} = X a_i (a_i-1) / (n (n-1) r_i), each
+    # exact or an IntegralityError
     if sum(expts) != n:
         return DivisorClass.zero()
     x = _multinomial(expts)
@@ -271,17 +274,24 @@ def _coefficient(n: int, inputs, expts: tuple[int, ...], sign: int) -> DivisorCl
         x *= rank**e
     surface: dict[str, int] = {}
     pairs = 0
-    for (rank, symbol), e in zip(inputs, expts):
-        if e and symbol not in _ZERO_SYMBOLS:
-            surface[symbol] = surface.get(symbol, 0) + x * e // (n * rank)
-        pairs += x * e * (e - 1) // (n * (n - 1) * rank)
+    for i, ((rank, symbol), e) in enumerate(zip(inputs, expts), start=1):
+        # the second quotient is the first times (e - 1) / (n - 1)
+        share, rem = divmod(x * e, n * rank)
+        pair, rem_pair = divmod(share * (e - 1), n - 1)
+        if rem or rem_pair:
+            raise IntegralityError(
+                f"generating coefficient {_brief(expts)}: input {i} leaves a remainder"
+            )
+        if share and symbol not in _ZERO_SYMBOLS:
+            surface[symbol] = surface.get(symbol, 0) + share
+        pairs += pair
     # twice delta is -(x - pairs) or -(x - pairs) - 2 * pairs, and x - pairs
     # counts the coloured words whose first two letters differ, which the
     # swap of positions 1 and 2 pairs off: it is even.  The symbols were
     # checked by _generating_inputs.
     delta, rem = divmod(-(x + sign * pairs), 2)
     if rem:
-        raise IntegralityError(f"generating coefficient {expts}: delta is not an integer")
+        raise IntegralityError(f"generating coefficient {_brief(expts)}: delta is not an integer")
     return DivisorClass._trusted(surface, delta)
 
 

@@ -1,7 +1,7 @@
 """Integer partitions, labeled compositions and Young-subgroup cosets.
 
 The combinatorial layer everything else sits on: partitions of n in a fixed
-deterministic order, Young diagrams with their hook-length dimension, and the
+deterministic order, Young diagrams with their dimension, and the
 right cosets of a Young subgroup of the symmetric group, each a plain tuple
 that gives every position 1..n the label of its block.
 """
@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from math import factorial, prod
+from itertools import combinations
+from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import SizeLimitError, _brief
+from .errors import IntegralityError, SizeLimitError, _brief
 
 # Safety bounds, read at each check; there is no per-call override.
 MAX_PARTITION_N = 14
@@ -154,23 +155,25 @@ def standard_tensor_multiplicity(d: Sequence[int]) -> int:
 
 
 def dimension(d: Sequence[int]) -> int:
-    """Number of standard tableaux of the shape, by the hook-length formula."""
-    return _hook_dimension(Partition(d))
+    """Number of standard tableaux of the shape, by Frobenius's formula."""
+    return _dimension(Partition(d))
 
 
 @lru_cache(maxsize=1024)
-def _hook_dimension(d: Partition) -> int:
+def _dimension(d: Partition) -> int:
     # memoised: every BundleSpec of a sweep asks again for the few shapes
-    # its blocks carry
-    if d.n == 0:
-        return 1
-    conj = conjugate(d)
-    hooks = prod(
-        (row - j) + (conj[j] - i) - 1 for i, row in enumerate(d) for j in range(row)
-    )
-    q, rem = divmod(factorial(d.n), hooks)
+    # its blocks carry.  With k rows and l_i = d_i + k - i, Frobenius's
+    # n! prod_{i<j} (l_i - l_j) / prod_i l_i! is, as sum l = n + C(k, 2),
+    # multinomial(l) prod_{i<j} (l_i - l_j) / prod_{t=1..C(k,2)} (n + t).
+    # A diagram and its conjugate have one dimension, so the formula reads
+    # the one with fewer rows: a row or a column costs what its answer does.
+    rows = conjugate(d) if d and d[0] < len(d) else d
+    k, n = len(rows), d.n
+    ell = [part + k - i for i, part in enumerate(rows, start=1)]
+    num = _multinomial(ell) * prod(a - b for a, b in combinations(ell, 2))
+    q, rem = divmod(num, prod(range(n + 1, n + comb(k, 2) + 1)))
     if rem:
-        raise ArithmeticError(f"hook product {hooks} does not divide {d.n}!")
+        raise IntegralityError(f"Frobenius's formula leaves a remainder on {_brief(d)}")
     return q
 
 
@@ -181,8 +184,13 @@ def content_sum(d: Sequence[int]) -> int:
 
 
 def _multinomial(parts: Sequence[int]) -> int:
-    # (sum parts)! / prod(parts!), on non-negative parts the caller checked
-    return factorial(sum(parts)) // prod(factorial(p) for p in parts)
+    # (sum parts)! / prod(parts!), on non-negative parts the caller checked,
+    # as a running product of binomials, with no factorial of the sum
+    total, count = 0, 1
+    for p in parts:
+        total += p
+        count *= comb(total, p)
+    return count
 
 
 def index_p(lam: Sequence[int]) -> int:

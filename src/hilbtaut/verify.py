@@ -20,7 +20,7 @@ from functools import lru_cache, partial, wraps
 from itertools import permutations, product
 from math import comb, factorial
 from operator import eq, itemgetter
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import partitions
 from .characters import (
@@ -56,11 +56,6 @@ from .partitions import (
     iter_cosets,
     standard_tensor_multiplicity,
 )
-
-# fractions is imported where a Fraction is made, so that verify_all, which
-# makes none, never loads it
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class SuiteResult(NamedTuple):
@@ -104,30 +99,6 @@ def _sweep_compositions(max_n: int):
             rev = tuple(reversed(part))
             if rev != tuple(part):
                 yield rev
-
-
-def count_standard_tableaux(d: Sequence[int]) -> int:
-    """Count standard tableaux by brute-force growth of the shape.
-
-    Independent of the hook-length formula: cells are added one at a time,
-    keeping row lengths weakly decreasing, and complete growth paths are
-    counted.  Meant for small shapes (the call count equals the answer).
-    """
-    d = Partition(d)
-    rows = [0] * len(d)
-
-    def grow(placed: int) -> int:
-        if placed == d.n:
-            return 1
-        total = 0
-        for i in range(len(d)):
-            if rows[i] < d[i] and (i == 0 or rows[i] < rows[i - 1]):
-                rows[i] += 1
-                total += grow(placed + 1)
-                rows[i] -= 1
-        return total
-
-    return grow(0)
 
 
 def _reduction_counts(lam: tuple[int, ...]) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
@@ -249,7 +220,7 @@ def brute_force_character_table(m: int) -> CharacterTable:
             # multiplicity is an integer, so the values stay integers
             mult, rem = divmod(sum(sizes[c] * vals[c] * prev[c] for c in shapes), factorial(m))
             if rem:
-                raise ArithmeticError(f"non-integral multiplicity in degree {m}")
+                raise IntegralityError(f"non-integral multiplicity in degree {_brief(m)}")
             if mult:
                 vals = {c: vals[c] - mult * prev[c] for c in shapes}
         irreducibles.append(vals)
@@ -276,13 +247,9 @@ def character_suite(max_m: int = 6):
         )
 
 
-def inner_product(
-    f: Callable[[CycleType], int | Fraction],
-    g: Callable[[CycleType], int | Fraction],
-    m: int,
-) -> int | Fraction:
-    """Class-function inner product (1/m!) sum over classes of size*f*g,
-    an int when m! divides the sum."""
+def inner_product(f: Callable[[CycleType], int], g: Callable[[CycleType], int], m: int) -> int:
+    """Class-function inner product (1/m!) sum over classes of size*f*g;
+    IntegralityError when m! does not divide the sum."""
     if not (callable(f) and callable(g)):
         raise ValueError(f"f and g must be class functions, got {_brief(f)} and {_brief(g)}")
     # the class sizes of the cached table: conjugacy_classes(m) would
@@ -290,11 +257,9 @@ def inner_product(
     table = character_table(m)
     total = sum(size * f(c) * g(c) for c, size in zip(table.partitions, table.class_sizes))
     quotient, rem = divmod(total, factorial(m))
-    if not rem:
-        return quotient
-    from fractions import Fraction
-
-    return Fraction(total, factorial(m))
+    if rem:
+        raise IntegralityError(f"inner product in degree {_brief(m)} is not an integer")
+    return quotient
 
 
 def permutation_character(c: Sequence[int]) -> int:
@@ -302,7 +267,7 @@ def permutation_character(c: Sequence[int]) -> int:
     return sum(1 for length in CycleType(c) if length == 1)
 
 
-def _tensor_multiplicity_by_characters(d: Sequence[int]) -> int | Fraction:
+def _tensor_multiplicity_by_characters(d: Sequence[int]) -> int:
     """Oracle for standard_tensor_multiplicity: the class-function inner
     product of (permutation character) * chi_d with chi_d."""
     m = sum(d)
@@ -467,7 +432,7 @@ def _swap_trace(shape: _Shape, spec: BundleSpec) -> tuple[int, int, dict[str, in
             surface[symbol] = surface.get(symbol, 0) + first_w * share
     dim = dim_w * s
     if (dim - trace) % 2:
-        raise IntegralityError(f"odd swap trace defect: dim {dim}, trace {trace}")
+        raise IntegralityError(f"odd swap trace defect: dim {_brief(dim)}, trace {_brief(trace)}")
     return dim, (dim - trace) // 2, surface
 
 

@@ -1,13 +1,14 @@
 """Size caps are module constants read at each check, with no per-call
 override, the README names exactly those caps, the Ext path needs no
 character tables, the Chern closed forms need no characters at all, only
-verify.py and scan_oracles.py enumerate for their own sake, only moduli,
-verify and scan_oracles import fractions, cli binds the characters, specs
+verify.py and scan_oracles.py enumerate for their own sake, only moduli
+and scan_oracles import fractions, cli binds the characters, specs
 and verify modules and specs binds moduli only as the package's lazy
 modules, class sizes and transposition types stop at the partition bound,
 every module-level cache is bounded, no check is an assert statement, no
 raise message echoes a value through `!r` or a call such as tuple(...),
-nor does a long library argument, no float is computed but the clock
+nor does a long library argument, an integrality guard formats only short
+values and no bare ArithmeticError is raised, no float is computed but the clock
 reads that time verify's suites, every module reads each name it imports,
 and every source and test file parses as the oldest Python that
 pyproject.toml declares."""
@@ -94,9 +95,9 @@ def test_chern_closed_forms_need_no_restriction_tables():
 
 
 def test_only_slopes_and_inner_products_import_fractions():
-    # divisor classes hold ints; a Fraction is read only as a hom-table
-    # slope (moduli) and made only by the character inner product (verify)
-    # and the seeded slopes of the coset-scan oracle's tables (scan_oracles)
+    # divisor classes and inner products are ints; a Fraction is read only
+    # as a hom-table slope (moduli) and made only as the seeded slopes of
+    # the coset-scan oracle's tables (scan_oracles)
     importers = set()
     for path in Path(divisors.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -108,7 +109,7 @@ def test_only_slopes_and_inner_products_import_fractions():
                 continue
             if "fractions" in names:
                 importers.add(path.stem)
-    assert importers == {"moduli", "scan_oracles", "verify"}
+    assert importers == {"moduli", "scan_oracles"}
 
 
 def test_cli_binds_command_layers_only_as_modules():
@@ -285,6 +286,91 @@ def test_no_raise_message_echoes_a_repr():
         if isinstance(node, ast.Raise)
         and node.exc is not None
         and any(map(_echoes, ast.walk(node.exc)))
+    ]
+    assert found == []
+
+
+def _called(node: ast.AST, names) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+
+
+def _index_names(fn: ast.AST) -> set[str]:
+    # the names fn binds to a position: the counter of a loop over
+    # enumerate(...), or an assignment from a .index(...) call
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.For) and _called(node.iter, {"enumerate"}):
+            target = node.target.elts[0] if isinstance(node.target, ast.Tuple) else node.target
+            if isinstance(target, ast.Name):
+                names.add(target.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "index"
+            for call in ast.walk(node.value)
+        ):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def _integrality_guards(tree: ast.AST, scope: str) -> tuple[set[str], list[str]]:
+    # the functions under tree that build an IntegralityError, and each
+    # value formatted in its message that is not a _brief(...), a len(...)
+    # or an index name of the function
+    guards, found = set(), []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        indices = _index_names(fn)
+        for call in ast.walk(fn):
+            if _called(call, {"IntegralityError"}):
+                guards.add(f"{scope}.{fn.name}")
+                found += [
+                    f"{scope}.{fn.name}:{part.lineno}"
+                    for part in ast.walk(call)
+                    if isinstance(part, ast.FormattedValue)
+                    and not _called(part.value, {"_brief", "len"})
+                    and not (isinstance(part.value, ast.Name) and part.value.id in indices)
+                ]
+    return guards, found
+
+
+def test_integrality_messages_format_only_short_values():
+    # a guard reports a bug, and its line must survive a 6,000-digit
+    # numerator, which str() of an int refuses past 4,300 digits
+    guards, found = set(), []
+    for path in sorted(Path(partitions.__file__).parent.glob("*.py")):
+        more, bad = _integrality_guards(ast.parse(path.read_text()), path.stem)
+        guards |= more
+        found += bad
+    assert found == []
+    assert guards == {
+        "partitions._dimension", "chern.c1", "chern._coefficient",
+        "verify.brute_force_character_table", "verify.inner_product", "verify._swap_trace",
+    }
+
+
+def test_integrality_rule_flags_a_raw_value():
+    tree = ast.parse(
+        "def f(xs, num):\n"
+        "    for i, x in enumerate(xs):\n"
+        "        j = xs.index(x)\n"
+        "        raise IntegralityError(f'{i} {j} {len(xs)} {_brief(num)} {num} {x + 1}')\n"
+    )
+    assert _integrality_guards(tree, "m") == ({"m.f"}, ["m.f:4", "m.f:4"])
+
+
+def test_no_bare_arithmetic_error_is_raised():
+    # an integrality failure is an IntegralityError, which dispatch reports
+    # as an internal consistency failure
+    src = Path(partitions.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and (
+            _called(node.exc, {"ArithmeticError"})
+            or (isinstance(node.exc, ast.Name) and node.exc.id == "ArithmeticError")
+        )
     ]
     assert found == []
 

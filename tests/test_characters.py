@@ -12,7 +12,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,7 +25,7 @@ from hilbtaut.characters import (
     conjugacy_classes,
     transposition_type,
 )
-from hilbtaut.errors import ShapeMismatchError, SizeLimitError
+from hilbtaut.errors import IntegralityError, ShapeMismatchError, SizeLimitError
 from hilbtaut.partitions import (
     Partition,
     content_sum,
@@ -405,13 +404,21 @@ def test_cycle_type_roundtrip():
             assert verify._cycle_lengths(canonical_permutation(c)) == c
 
 
+def test_brute_force_multiplicity_remainder_raises(monkeypatch):
+    # 3! moved by 1 leaves the first Gram-Schmidt multiplicity a remainder
+    real = verify.factorial
+    monkeypatch.setattr(verify, "factorial", lambda m: real(m) + (m == 3))
+    with pytest.raises(IntegralityError, match="^non-integral multiplicity in degree 3$"):
+        verify.brute_force_character_table(3)
+
+
 def test_inner_product_is_exact():
-    # an int when m! divides the sum, else the exact Fraction
+    # an int when m! divides the sum, else IntegralityError
     val = inner_product(
         lambda c: permutation_character(c),
         lambda c: permutation_character(c),
         4,
     )
     assert type(val) is int and val == 2
-    identity_only = inner_product(lambda c: 1, lambda c: int(c == (1, 1, 1, 1)), 4)
-    assert type(identity_only) is Fraction and identity_only == Fraction(1, 24)
+    with pytest.raises(IntegralityError, match="^inner product in degree 4 is not an integer$"):
+        inner_product(lambda c: 1, lambda c: int(c == (1, 1, 1, 1)), 4)

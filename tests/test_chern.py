@@ -214,6 +214,25 @@ def test_swap_trace_integrality_guard_stops_the_suite_and_the_command(monkeypatc
     ]
 
 
+@pytest.mark.parametrize(
+    "symbols, expts, shift",
+    [(("e1", "e2"), (2, 1), 1), (("0", "0"), (2, 2), 2)],
+    ids=["surface-share", "pair-count"],
+)
+def test_generating_coefficient_remainder_raises(monkeypatch, symbols, expts, shift):
+    # the multinomial moved by `shift` leaves a remainder: X = 4 in
+    # X * 2 / 3, the share of input 1; X = 8 in X * 2 / 4 = 4, then in
+    # 4 * (2 - 1) / 3, its pair count
+    real = chern._multinomial
+    monkeypatch.setattr(chern, "_multinomial", lambda parts: real(parts) + shift)
+    inputs = [(1, symbol) for symbol in symbols]
+    with pytest.raises(
+        IntegralityError,
+        match=rf"^generating coefficient \({expts[0]}, {expts[1]}\): input 1 leaves a remainder$",
+    ):
+        _generating_coefficient(sum(expts), inputs, expts)
+
+
 def test_swap_trace_suite_reports_a_c1_surface_off_by_one(monkeypatch):
     # c1 off by one in its surface part, for every caller, b_class and
     # r_number included: only the census of the enumerated cosets can tell,
@@ -277,6 +296,36 @@ def test_closed_forms_match_the_pair_index_form():
     specs.append(BundleSpec.build((sum(row50), 2), [(4, "a", row50), (5, "b", (1, 1))]))
     for spec in specs:
         assert (b_class(spec), r_number(spec)) == _pair_index_reference(spec), spec
+
+
+def _few_rows_or_columns(rng: random.Random, size: int) -> tuple[int, ...]:
+    # a diagram of `size` cells with at most three rows, or its conjugate
+    cuts = sorted(rng.sample(range(1, size), min(size - 1, rng.randint(0, 2))))
+    parts = sorted((b - a for a, b in zip([0, *cuts], [*cuts, size])), reverse=True)
+    if rng.randrange(2):
+        return tuple(parts)
+    ends = [*parts[1:], 0]
+    return tuple(j for j, (a, b) in enumerate(zip(parts, ends), start=1) for _ in range(a - b))[::-1]
+
+
+def test_a_trivial_point_scales_rank_and_surface():
+    # appending a block of one point (rank 1, class 0, rep (1)) multiplies
+    # the coset index, so rank_G, by n + 1, and leaves each block's share
+    # (R / r_i) lambda_i / n of the surface part multiplied by n: a relation
+    # between closed forms at sizes no oracle reaches
+    rng = random.Random(3517)
+    point = BundleBlock(1, "0", (1,))
+    for _ in range(300):
+        sizes = [rng.randint(1, 10**4 // 3) for _ in range(rng.randint(1, 3))]
+        blocks = [
+            BundleBlock(rng.randint(1, 3), rng.choice(("a", "b", "0")), rep)
+            for rep in (_few_rows_or_columns(rng, size) for size in sizes)
+        ]
+        spec = BundleSpec(sizes, blocks)
+        grown = BundleSpec([*sizes, 1], [*blocks, point])
+        n = spec.n
+        assert rank_G(grown) == (n + 1) * rank_G(spec), spec
+        assert c1(grown).surface == {s: n * c for s, c in c1(spec).surface.items()}, spec
 
 
 def test_transposition_closed_form_any_block_size():

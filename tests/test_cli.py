@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import hilbtaut
-from hilbtaut import cli, moduli, partitions, specs, verify
+from hilbtaut import chern, cli, moduli, partitions, specs, verify
 from hilbtaut.characters import character_table
 from hilbtaut.chern import BundleSpec, c1, rank_G
 from hilbtaut.cli import (
@@ -198,6 +198,43 @@ def test_digit_cap_is_exact(size, printed):
     )
     code, out = run_cli("rank", "--spec", spec)
     assert (code, out) == ((EXIT_OK, f"{10**size}\n") if printed else (EXIT_VALIDATION, ""))
+
+
+def test_a_broken_closed_form_on_a_huge_answer_is_an_internal_failure(monkeypatch, capsys):
+    # content sums moved by 1 leave r_number a remainder; its guard names
+    # the 6,000-digit numerator by its size, where str() of it would raise
+    # a ValueError that dispatch reports as bad input
+    real = chern.content_sum
+    monkeypatch.setattr(chern, "content_sum", lambda d: real(d) + 1)
+    assert run_cli("chern", "--spec", HUGE_RANK) == (EXIT_INTERNAL, "")
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency failure: r_number: <int of ")
+    assert err.count("\n") == 1 and len(err.encode()) < 300, err
+
+
+def _one_block(size: int, rep: list[int]) -> dict:
+    return {"n": size, "blocks": [{"size": size, "rank": 1, "c1": "e1", "rep": rep}]}
+
+
+@pytest.mark.parametrize(
+    "spec, answers",
+    [
+        (_one_block(3 * 10**6, [3 * 10**6]), ("1", "1*e1")),
+        (_one_block(10**6, [999_999, 1]), ("999999", "999999*e1 - 1*delta")),
+        (_one_block(10**6, [1] * 10**6), ("1", "1*e1 - 1*delta")),
+    ],
+    ids=["row", "hook", "column"],
+)
+@pytest.mark.parametrize("command", ["rank", "chern"])
+def test_a_block_of_a_million_points_is_answered_cold(tmp_path, spec, answers, command):
+    # a dimension and a coset index cost what their answers do, not a
+    # factorial of the block size; each spec is read from a file, as a
+    # million-row column is too long for one argument
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = _run_module(command, "--spec", str(path), timeout=2)
+    expected = answers[0] if command == "rank" else answers[1]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, expected + "\n", "")
 
 
 @pytest.mark.parametrize("blank", ["", "  ", "\n"])

@@ -1,8 +1,8 @@
 """Partition, composition and coset layer.
 
 Expected values are frozen from independent oracles: a partition-count
-recurrence, brute-force standard-tableau counting, and direct censuses of
-the enumerated cosets.
+recurrence, the hook-length formula, and direct censuses of the enumerated
+cosets.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import pytest
 
 from hilbtaut import partitions, verify
-from hilbtaut.errors import SizeLimitError
+from hilbtaut.errors import IntegralityError, SizeLimitError
 from hilbtaut.partitions import (
     LabeledComposition,
     Partition,
@@ -25,7 +25,7 @@ from hilbtaut.partitions import (
     is_rectangular,
     iter_cosets,
 )
-from hilbtaut.verify import _reduction_counts, count_standard_tableaux
+from hilbtaut.verify import _reduction_counts
 
 
 def _partition_count(n: int) -> int:
@@ -143,41 +143,41 @@ def test_dimension_frozen():
         assert dimension((m - 1, 1)) == m - 1
         assert dimension((m,)) == 1
         assert dimension((1,) * m) == 1
+    # Frobenius's formula reads whichever of a diagram and its conjugate
+    # has fewer rows, so a long hook costs what its answer does
+    assert dimension((999_999, 1)) == 999_999
+    assert dimension((2,) + (1,) * 99_999) == 100_000
 
 
-def test_dimension_vs_backtracking_oracle():
-    # up to degree 10, the largest restriction_suite reads at verify --max-n 6
-    for m in range(1, 11):
-        for d in enumerate_partitions(m):
-            assert dimension(d) == count_standard_tableaux(d), d
-
-
-def test_dimension_vs_frobenius_formula():
-    # Frobenius's determinant formula, independent of hook lengths: for a
-    # diagram of k rows, n! * prod_{i<j} (l_i - l_j) / prod_i l_i!, with
-    # l_i = d_i + k - i (1-based), on every partition the cap allows
+def test_dimension_vs_hook_length_formula():
+    # the hook-length formula, independent of Frobenius's: n! over the
+    # product of the hook lengths, on every partition the cap allows
     checked = 0
     for n in range(1, partitions.MAX_PARTITION_N + 1):
         for d in enumerate_partitions(n):
-            ell = [part + len(d) - i for i, part in enumerate(d, start=1)]
-            num = math.factorial(n) * math.prod(a - b for a, b in itertools.combinations(ell, 2))
-            quotient, rem = divmod(num, math.prod(map(math.factorial, ell)))
+            conj = conjugate(d)
+            hooks = math.prod(
+                (row - j) + (conj[j] - i) - 1 for i, row in enumerate(d) for j in range(row)
+            )
+            quotient, rem = divmod(math.factorial(n), hooks)
             assert rem == 0 and dimension(d) == quotient, d
             checked += 1
     assert checked == 507
 
 
-def test_hook_product_remainder_raises_without_assert(monkeypatch):
-    # a hook product that does not divide n! raises ArithmeticError, which
-    # `python -O` keeps; 3! + 1 is not a multiple of the hook product 3
-    real = partitions.factorial
-    monkeypatch.setattr(partitions, "factorial", lambda m: real(m) + (m == 3))
-    partitions._hook_dimension.cache_clear()
+def test_dimension_remainder_raises_without_assert(monkeypatch):
+    # a remainder raises IntegralityError, which `python -O` keeps: for
+    # (2, 1), l = (3, 1), and multinomial(l) + 1 = 5 makes 5 * 2 / 4
+    real = partitions._multinomial
+    monkeypatch.setattr(partitions, "_multinomial", lambda parts: real(parts) + 1)
+    partitions._dimension.cache_clear()
     try:
-        with pytest.raises(ArithmeticError, match="^hook product 3 does not divide 3!$"):
+        with pytest.raises(
+            IntegralityError, match=r"^Frobenius's formula leaves a remainder on \(2, 1\)$"
+        ):
             dimension((2, 1))
     finally:
-        partitions._hook_dimension.cache_clear()
+        partitions._dimension.cache_clear()
 
 
 def test_multinomial_index():
@@ -188,6 +188,10 @@ def test_multinomial_index():
     assert index_p((1, 1)) == 2
     assert index_p((2, 1)) == 3
     assert index_p((1,) * 5) == 120
+    # the running product of binomials against the factorial quotient
+    for parts in itertools.product(range(5), repeat=3):
+        quotient = math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+        assert partitions._multinomial(parts) == quotient, parts
 
 
 def test_reduce_once():

@@ -210,7 +210,6 @@ CLI_CALLS = (
 # by the function named beside it in the file named beside it.
 REFERENCES = {
     "c1_via_blowup": ("perfbench/workloads.py", "expected_output"),
-    "count_standard_tableaux": ("tests/test_partitions.py", "test_dimension_vs_backtracking_oracle"),
     "invariant_restriction_rank": ("perfbench/workloads.py", "expected_output"),
 }
 
