@@ -8,10 +8,12 @@ that gives every position 1..n the label of its block.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations
-from math import comb, prod
+from math import comb, factorial, prod
+from operator import gt, neg
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IntegralityError, SizeLimitError, _brief
@@ -130,9 +132,15 @@ def enumerate_partitions(n: int) -> list[Partition]:
 def conjugate(d: Sequence[int]) -> Partition:
     """Transpose of a Young diagram."""
     d = Partition(d)
-    if not d:
-        return d
-    return Partition(sum(1 for row in d if row > j) for j in range(d[0]))
+    # column j holds the rows longer than j: from the last row up, each run
+    # of equal rows, found by bisection, adds the columns it has beyond the
+    # rows below it, so the cost is in runs and columns, not cells
+    cols: list[int] = []
+    i = len(d)
+    while i:
+        cols += [i] * (d[i - 1] - len(cols))
+        i = bisect_left(d, -d[i - 1], key=neg)
+    return tuple.__new__(Partition, cols)
 
 
 def is_rectangular(d: Sequence[int]) -> bool:
@@ -155,25 +163,32 @@ def standard_tensor_multiplicity(d: Sequence[int]) -> int:
 
 
 def dimension(d: Sequence[int]) -> int:
-    """Number of standard tableaux of the shape, by Frobenius's formula."""
+    """Number of standard tableaux of the shape, by the hook-length formula."""
     return _dimension(Partition(d))
 
 
 @lru_cache(maxsize=1024)
 def _dimension(d: Partition) -> int:
     # memoised: every BundleSpec of a sweep asks again for the few shapes
-    # its blocks carry.  With k rows and l_i = d_i + k - i, Frobenius's
-    # n! prod_{i<j} (l_i - l_j) / prod_i l_i! is, as sum l = n + C(k, 2),
-    # multinomial(l) prod_{i<j} (l_i - l_j) / prod_{t=1..C(k,2)} (n + t).
-    # A diagram and its conjugate have one dimension, so the formula reads
-    # the one with fewer rows: a row or a column costs what its answer does.
-    rows = conjugate(d) if d and d[0] < len(d) else d
-    k, n = len(rows), d.n
-    ell = [part + k - i for i, part in enumerate(rows, start=1)]
-    num = _multinomial(ell) * prod(a - b for a, b in combinations(ell, 2))
-    q, rem = divmod(num, prod(range(n + 1, n + comb(k, 2) + 1)))
+    # its blocks carry.  In Frobenius coordinates, with r the side of the
+    # Durfee square, a_i = d_i - i and b_i = d'_i - i for i = 1..r (d' the
+    # conjugate), the hook-length formula reads
+    #   n! prod_{i<j} (a_i - a_j)(b_i - b_j) / prod_i a_i! b_i! prod_{i,j} (a_i + b_j + 1),
+    # and n! / prod_i a_i! b_i! = r! multinomial(a, b, r), as every cell
+    # is in the first r rows or columns.  Past the multinomial it takes
+    # about 2 r^2 factors, and r^2 <= n, r <= min(rows, columns): a row, a
+    # column or a hook has r = 1.  Column i holds r cells of the square and
+    # below_i cells under it, counted in the rows past the square, none
+    # longer than r, so the conjugate of a long row is never built.
+    r = sum(map(gt, d, range(d[0] if d else 0)))
+    below = conjugate(tuple.__new__(Partition, d[r:])) + (0,) * r
+    a = [part - i for i, part in enumerate(d[:r], start=1)]
+    b = [r + part - i for i, part in enumerate(below[:r], start=1)]
+    num = factorial(r) * _multinomial(a + b + [r])
+    num *= prod(x - y for c in (a, b) for x, y in combinations(c, 2))
+    q, rem = divmod(num, prod(x + y + 1 for x in a for y in b))
     if rem:
-        raise IntegralityError(f"Frobenius's formula leaves a remainder on {_brief(d)}")
+        raise IntegralityError(f"the hook-length formula leaves a remainder on {_brief(d)}")
     return q
 
 

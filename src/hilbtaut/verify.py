@@ -248,8 +248,9 @@ def character_suite(max_m: int = 6):
 
 
 def inner_product(f: Callable[[CycleType], int], g: Callable[[CycleType], int], m: int) -> int:
-    """Class-function inner product (1/m!) sum over classes of size*f*g;
-    IntegralityError when m! does not divide the sum."""
+    """Class-function inner product (1/m!) sum over classes of size*f*g,
+    for characters, or class functions whose inner product is an integer;
+    on any other input m! does not divide the sum: IntegralityError."""
     if not (callable(f) and callable(g)):
         raise ValueError(f"f and g must be class functions, got {_brief(f)} and {_brief(g)}")
     # the class sizes of the cached table: conjugacy_classes(m) would

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -216,19 +217,24 @@ def _one_block(size: int, rep: list[int]) -> dict:
     return {"n": size, "blocks": [{"size": size, "rank": 1, "c1": "e1", "rep": rep}]}
 
 
+_ARMS = math.comb(1998, 999)  # the dimension of (1000, 1^999)
+
+
 @pytest.mark.parametrize(
     "spec, answers",
     [
         (_one_block(3 * 10**6, [3 * 10**6]), ("1", "1*e1")),
         (_one_block(10**6, [999_999, 1]), ("999999", "999999*e1 - 1*delta")),
         (_one_block(10**6, [1] * 10**6), ("1", "1*e1 - 1*delta")),
+        # a hook with two long arms: content sum 0, so r_number is rank / 2
+        (_one_block(1999, [1000] + [1] * 999), (str(_ARMS), f"{_ARMS}*e1 - {_ARMS // 2}*delta")),
     ],
-    ids=["row", "hook", "column"],
+    ids=["row", "hook", "column", "two-long-arms"],
 )
 @pytest.mark.parametrize("command", ["rank", "chern"])
 def test_a_block_of_a_million_points_is_answered_cold(tmp_path, spec, answers, command):
     # a dimension and a coset index cost what their answers do, not a
-    # factorial of the block size; each spec is read from a file, as a
+    # factorial of the block size nor a factor per pair of rows; each spec is read from a file, as a
     # million-row column is too long for one argument
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

@@ -1,8 +1,8 @@
 """Partition, composition and coset layer.
 
 Expected values are frozen from independent oracles: a partition-count
-recurrence, the hook-length formula, and direct censuses of the enumerated
-cosets.
+recurrence, Frobenius's determinant formula, and direct censuses of the
+enumerated cosets.
 """
 
 from __future__ import annotations
@@ -136,6 +136,16 @@ def test_conjugate_and_rectangular():
     assert not is_rectangular((3, 3, 1))
 
 
+def test_conjugate_counts_the_rows_longer_than_each_column():
+    # the run-by-run transpose against its definition, cell by cell, and
+    # an involution, on every partition the cap allows
+    for n in range(1, partitions.MAX_PARTITION_N + 1):
+        for d in enumerate_partitions(n):
+            conj = conjugate(d)
+            assert conj == tuple(sum(1 for row in d if row > j) for j in range(d[0])), d
+            assert type(conj) is Partition and conjugate(conj) == d, d
+
+
 def test_dimension_frozen():
     assert dimension((2, 2)) == 2
     assert dimension((2, 1)) == 2
@@ -143,37 +153,56 @@ def test_dimension_frozen():
         assert dimension((m - 1, 1)) == m - 1
         assert dimension((m,)) == 1
         assert dimension((1,) * m) == 1
-    # Frobenius's formula reads whichever of a diagram and its conjugate
-    # has fewer rows, so a long hook costs what its answer does
+    # hooks and two-row rectangles, whose Durfee squares have sides 1 and
+    # 2, however long their arms
     assert dimension((999_999, 1)) == 999_999
     assert dimension((2,) + (1,) * 99_999) == 100_000
+    assert dimension((1000,) + (1,) * 999) == math.comb(1998, 999)
+    assert dimension((720_000,) + (1,) * 1200) == math.comb(721_199, 1200)
+    assert dimension((5000, 5000)) == math.comb(10_000, 5000) // 5001
 
 
-def test_dimension_vs_hook_length_formula():
-    # the hook-length formula, independent of Frobenius's: n! over the
-    # product of the hook lengths, on every partition the cap allows
+def _frobenius_dimension(d) -> int:
+    # Frobenius's determinant formula, independent of hook lengths: for a
+    # diagram of k rows, n! * prod_{i<j} (l_i - l_j) / prod_i l_i!, with
+    # l_i = d_i + k - i (1-based)
+    ell = [part + len(d) - i for i, part in enumerate(d, start=1)]
+    num = math.factorial(sum(d)) * math.prod(a - b for a, b in itertools.combinations(ell, 2))
+    quotient, rem = divmod(num, math.prod(map(math.factorial, ell)))
+    assert rem == 0, d
+    return quotient
+
+
+def test_dimension_vs_frobenius_formula():
+    # on every partition the cap allows, and on larger diagrams whose
+    # Durfee squares, of sides 15, 12, 2, 3 and 4, no partition of degree
+    # <= 14 has
     checked = 0
     for n in range(1, partitions.MAX_PARTITION_N + 1):
         for d in enumerate_partitions(n):
-            conj = conjugate(d)
-            hooks = math.prod(
-                (row - j) + (conj[j] - i) - 1 for i, row in enumerate(d) for j in range(row)
-            )
-            quotient, rem = divmod(math.factorial(n), hooks)
-            assert rem == 0 and dimension(d) == quotient, d
+            assert dimension(d) == _frobenius_dimension(d), d
             checked += 1
     assert checked == 507
+    for d in [
+        tuple(range(30, 0, -1)),
+        (12,) * 12,
+        (60, 60, 2) + (1,) * 40,
+        (40, 3, 3, 3) + (1,) * 50,
+        (9, 7, 7, 6, 4, 4, 2, 1, 1),
+    ]:
+        assert dimension(d) == _frobenius_dimension(d), d
 
 
-def test_dimension_remainder_raises_without_assert(monkeypatch):
-    # a remainder raises IntegralityError, which `python -O` keeps: for
-    # (2, 1), l = (3, 1), and multinomial(l) + 1 = 5 makes 5 * 2 / 4
+def test_hook_product_remainder_raises_without_assert(monkeypatch):
+    # a remainder raises IntegralityError, which `python -O` keeps: (2, 1)
+    # has r = 1 and a = b = (1,), and multinomial(1, 1, 1) + 1 = 7 is not a
+    # multiple of its one Durfee hook, 3
     real = partitions._multinomial
     monkeypatch.setattr(partitions, "_multinomial", lambda parts: real(parts) + 1)
     partitions._dimension.cache_clear()
     try:
         with pytest.raises(
-            IntegralityError, match=r"^Frobenius's formula leaves a remainder on \(2, 1\)$"
+            IntegralityError, match=r"^the hook-length formula leaves a remainder on \(2, 1\)$"
         ):
             dimension((2, 1))
     finally:
