@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import shutil
 import sys
+from functools import partial
 from typing import Sequence
 
 # lazy modules (see the package root): each runs when a command first reads it
@@ -138,7 +140,12 @@ def _symbol_list(text: str) -> tuple[str, ...]:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="hilbtaut", description=__doc__)
+    # argparse makes a formatter at every add_argument and add_subparsers
+    # call, and each one left to itself reads the terminal width; the width
+    # is read here once, as HelpFormatter would read it, so the text is the
+    # same and a COLUMNS change between two builds is still seen
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="hilbtaut", description=__doc__, formatter_class=fmt)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each subcommand names its handler; a spec handler is read from the
@@ -158,18 +165,18 @@ def build_parser() -> _Parser:
         ),
         ("stability", lambda args: specs._cmd_stability(args), "per-coset slope certificates"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=fmt)
         p.set_defaults(run=run)
         p.add_argument("--spec", required=True, help="path to a JSON spec file")
         if name in ("chern", "ext"):
             p.add_argument("--json", action="store_true", help="emit JSON")
 
-    p = sub.add_parser("char", help="character table of a symmetric group")
+    p = sub.add_parser("char", help="character table of a symmetric group", formatter_class=fmt)
     p.set_defaults(run=_cmd_char)
     p.add_argument("--n", type=_int, required=True)
     p.add_argument("--diagram", type=_int_list, help="single row, e.g. 2,1")
 
-    p = sub.add_parser("generating", help="Chern generating polynomial")
+    p = sub.add_parser("generating", help="Chern generating polynomial", formatter_class=fmt)
     p.set_defaults(run=_cmd_generating)
     p.add_argument("--n", type=_int, required=True)
     p.add_argument("--ranks", type=_int_list, required=True)
@@ -179,7 +186,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--coeff", type=_int_list, help="extract one coefficient")
 
-    p = sub.add_parser("verify", help="run all oracle cross-check suites")
+    p = sub.add_parser("verify", help="run all oracle cross-check suites", formatter_class=fmt)
     p.set_defaults(run=_cmd_verify)
     p.add_argument("--max-n", type=_int, default=6, dest="max_n")
     p.add_argument("--json", action="store_true", help="emit JSON with per-suite timings")

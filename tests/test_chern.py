@@ -764,3 +764,28 @@ def test_integrality_enforced():
         for spec in _all_specs(n, (1, 2)):
             for cls in (c1(spec), b_class(spec)):
                 assert all(type(c) is int for c in (cls.delta, *cls.surface.values()))
+
+
+def test_spec_errors_name_the_block_counted_from_one():
+    first = BundleBlock(1, "e1", (1,))
+    with pytest.raises(ValueError) as info:
+        BundleSpec((1, 1), (first, (1, "e2", (1,))))
+    assert str(info.value) == "block 2: (1, 'e2', (1,)) is not a BundleBlock"
+    with pytest.raises(ValueError) as info:
+        BundleSpec((1, 1), (first, BundleBlock(1, "e2", (2,))))
+    assert str(info.value) == "block 2: rep (2,) is not a partition of 1"
+
+
+def test_c1_guards_name_the_block_and_the_divisor():
+    # each remainder is forced by overwriting a stored field of a built
+    # block, which no valid input can reach
+    spec = BundleSpec.build((2, 1), [(1, "e1", (2,)), (1, "e2", (1,))])
+    vars(spec.blocks[1])["rank"] = 2
+    with pytest.raises(IntegralityError) as info:
+        c1(spec)
+    assert str(info.value) == "b_class: block 2 term 1/3 is not an integer"
+    spec = BundleSpec.build((2,), [(1, "e1", (2,))])
+    vars(spec.blocks[0])["rep_content"] = 0
+    with pytest.raises(IntegralityError) as info:
+        c1(spec)
+    assert str(info.value) == "r_number: 1/2 is not an integer"

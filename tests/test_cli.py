@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -1036,6 +1038,31 @@ def test_verify_output_pinned():
         "ok   regular-representation checksum (15 checks)\n"
         "all oracles passed\n",
     )
+
+
+def test_help_text_is_argparse_own_at_every_width(monkeypatch):
+    # build_parser reads the width once and hands it to each formatter; the
+    # text must be what argparse's own formatter, reading the width itself,
+    # prints for every parser, at each width
+    real = shutil.get_terminal_size
+    reads = []
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: reads.append(a) or real(*a))
+    tops = set()
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        reads.clear()
+        parser = cli.build_parser()
+        assert len(reads) == 1
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parsers = [parser, *commands.choices.values()]
+        assert len(parsers) == 9
+        for p in parsers:
+            texts = p.format_help(), p.format_usage()
+            p.formatter_class = argparse.HelpFormatter
+            assert (p.format_help(), p.format_usage()) == texts, (columns, p.prog)
+        tops.add(parser.format_help())
+    # the width reaches the text, so the comparison above is not vacuous
+    assert len(tops) == 3
 
 
 def test_exit_codes(spec_file, tmp_path):

@@ -19,6 +19,7 @@ from hilbtaut.partitions import (
     Partition,
     bounded_index_p,
     conjugate,
+    content_sum,
     dimension,
     enumerate_partitions,
     index_p,
@@ -115,6 +116,43 @@ def test_iterators_are_sequences_of_parts():
     # conjugate builds its result from a generator
     assert Partition(p for p in (3, 1)) == (3, 1)
     assert LabeledComposition(iter([1, 2])) == (1, 2)
+
+
+class _Part(int):
+    pass
+
+
+@pytest.mark.parametrize("kind", [Partition, LabeledComposition])
+def test_parts_pass_the_int_predicate_exactly(kind):
+    # an int subclass is an int; a bool is refused, at any place, in the
+    # same words as one part at a time would give
+    assert kind((_Part(3), 2)) == (3, 2)
+    word = "partition" if kind is Partition else "composition"
+    for parts in [(True,), (3, 2, False), (_Part(2), True)]:
+        with pytest.raises(ValueError) as info:
+            kind(parts)
+        assert str(info.value) == f"{word} parts must be integers, got {parts!r}"
+    with pytest.raises(ValueError) as info:
+        Partition((3, 1, 2))
+    assert str(info.value) == "partition parts must be non-increasing, got (3, 1, 2)"
+
+
+def _cell_contents(d) -> int:
+    return sum(col - row for row, length in enumerate(d) for col in range(length))
+
+
+def test_content_sum_is_the_sum_over_the_cells():
+    # the closed form against its definition, cell by cell, on every
+    # partition the cap allows and on diagrams far past it
+    for n in range(1, partitions.MAX_PARTITION_N + 1):
+        for d in enumerate_partitions(n):
+            assert content_sum(d) == _cell_contents(d), d
+    big = 10**6
+    for d in [(1,) * big, (big,), (7,) * 3 + (4,) * 1000 + (1,) * 20]:
+        assert content_sum(d) == _cell_contents(d)
+    assert content_sum((1,) * big) == -math.comb(big, 2)
+    assert content_sum((big,)) == math.comb(big, 2)
+    assert content_sum(()) == 0
 
 
 def test_composition_basics():
