@@ -21,6 +21,7 @@ from .errors import ShapeMismatchError, SizeLimitError, _brief
 from .partitions import (
     MAX_PARTITION_N,
     Partition,
+    _all_ints,
     _all_of,
     _is_int,
     enumerate_partitions,
@@ -130,12 +131,12 @@ class CharacterTable:
         width = len(self.partitions)
         if len(self.values) != width:
             raise ShapeMismatchError(f"{len(self.values)} value rows for {width} diagrams")
-        if len(self.class_sizes) != width or not all(map(_is_int, self.class_sizes)):
+        if len(self.class_sizes) != width or not _all_ints(self.class_sizes):
             raise ShapeMismatchError(
                 f"the table needs one integer class size for each of {width} cycle types"
             )
         for d, row in zip(self.partitions, self.values):
-            if len(row) != width or not all(map(_is_int, row)):
+            if len(row) != width or not _all_ints(row):
                 raise ShapeMismatchError(
                     f"the row of {_brief(d)} needs one integer for each of {width} cycle types"
                 )

@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations, islice, repeat
 from math import comb, factorial, prod
-from operator import ge, gt, mul, neg
+from operator import ge, gt, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IntegralityError, SizeLimitError, _brief
@@ -25,6 +25,12 @@ MAX_COSETS = 10**6
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _all_ints(values) -> bool:
+    # every entry passes _is_int, in two passes that stay in C: a 10**6-part
+    # diagram is checked without a Python call per part
+    return all(map(isinstance, values, repeat(int))) and bool not in map(type, values)
 
 
 def _all_of(values, check) -> bool:
@@ -41,9 +47,7 @@ def _int_parts(parts, kind: str) -> tuple[int, ...]:
         t = tuple(parts)
     except TypeError:
         raise ValueError(f"{kind} must be a sequence of integers, got {_brief(parts)}") from None
-    # _is_int's predicate, as two passes that stay in C: a 10**6-part
-    # diagram is checked without a Python call per part
-    if not all(map(isinstance, t, repeat(int))) or bool in map(type, t):
+    if not _all_ints(t):
         raise ValueError(f"{kind} parts must be integers, got {_brief(t)}")
     return t
 
@@ -196,9 +200,9 @@ def _dimension(d: Partition) -> int:
 def content_sum(d: Sequence[int]) -> int:
     """Sum of the contents (column - row) over the cells of the diagram."""
     # row i (0-based) holds the contents -i, 1 - i, ..., d_i - 1 - i, which
-    # sum to C(d_i, 2) - i d_i; each sum is one pass in C
+    # sum to d_i (d_i - 1 - 2i) / 2, an integer; the sum is one pass in C
     d = Partition(d)
-    return (sum(map(mul, d, d)) - sum(d)) // 2 - sum(map(mul, d, range(len(d))))
+    return sum(map(mul, d, map(sub, d, range(1, 2 * len(d), 2)))) // 2
 
 
 def _multinomial(parts: Sequence[int]) -> int:

@@ -137,6 +137,14 @@ def test_parts_pass_the_int_predicate_exactly(kind):
     assert str(info.value) == "partition parts must be non-increasing, got (3, 1, 2)"
 
 
+def test_all_ints_is_is_int_on_every_entry():
+    # the two-pass rule the part checks and the character table read
+    values = [3, 0, -2, _Part(1), True, False, 1.0, "1", None, 10**30]
+    for length in range(3):
+        for seq in itertools.product(values, repeat=length):
+            assert partitions._all_ints(seq) == all(map(partitions._is_int, seq)), seq
+
+
 def _cell_contents(d) -> int:
     return sum(col - row for row, length in enumerate(d) for col in range(length))
 
