@@ -198,11 +198,20 @@ def dispatch(argv: Sequence[str]) -> int:
     """Run one CLI invocation and return its exit code."""
     if not _all_of(argv, lambda arg: isinstance(arg, str)):
         raise ValueError(f"argv must be a list or tuple of strings, got {_brief(argv)}")
-    parser = build_parser()
+    # every parser is cyclic garbage once the parse ends; a collection while
+    # it is built would move it, still live, into an older generation that
+    # only a full collection reclaims.  So none runs until the parse is over,
+    # no reference to the parser outlives it, and the first young collection
+    # frees it whole; the handler runs with the caller's setting
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    finally:
+        if enabled:
+            gc.enable()
     try:
         return args.run(args)
     except IntegralityError as exc:

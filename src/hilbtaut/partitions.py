@@ -232,9 +232,21 @@ def bounded_index_p(lam: Sequence[int]) -> int:
     The one coset cap: every enumeration or scan that is bounded by a coset
     count checks it here, before any work.
     """
-    count = index_p(lam)
-    if count > MAX_COSETS:
-        raise SizeLimitError(f"{_brief(count)} cosets exceed the bound {MAX_COSETS}")
+    lam = LabeledComposition(lam)
+    cap = MAX_COSETS
+    # the count is a running product of binomials C(total, p), each at
+    # least 1; with j = min(p, total - p), C(total, p) >= (total / j)^j >= 2^j,
+    # so a factor whose j reaches the cap's bit length already passes the
+    # cap, and it is refused before a factor of the product is computed
+    total = 0
+    for p in lam:
+        total += p
+        j = min(p, total - p)
+        if j >= cap.bit_length():
+            raise SizeLimitError(f"at least 2^{j} cosets exceed the bound {cap}")
+    count = _index(lam)
+    if count > cap:
+        raise SizeLimitError(f"{_brief(count)} cosets exceed the bound {cap}")
     return count
 
 

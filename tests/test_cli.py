@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import io
 import json
@@ -244,6 +245,31 @@ def test_a_block_of_a_million_points_is_answered_cold(tmp_path, spec, answers, c
     expected = answers[0] if command == "rank" else answers[1]
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, expected + "\n", "")
 
+
+
+# two one-row blocks of 10**6 points: C(2 * 10**6, 10**6) cosets, a number
+# of about 600,000 digits that the cap refuses without computing it
+_TWO_MILLION_POINTS = json.dumps(
+    {
+        "n": 2 * 10**6,
+        "blocks": [
+            {"size": 10**6, "rank": 1, "c1": symbol, "rep": [10**6]} for symbol in ("e1", "e2")
+        ],
+        "hom_table": {
+            "hom": [[1, 0], [0, 1]],
+            "ext1": [[0, 0], [0, 0]],
+            "labels": ["A", "B"],
+            "slopes": ["0", "0"],
+        },
+    }
+)
+
+
+@pytest.mark.parametrize("command", ["stability", "ext"])
+def test_a_coset_count_past_the_cap_is_refused_uncomputed(command):
+    proc = _run_module(command, "--spec", _TWO_MILLION_POINTS, timeout=2)
+    assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
+    assert proc.stderr == "error: at least 2^1000000 cosets exceed the bound 1000000\n"
 
 @pytest.mark.parametrize("blank", ["", "  ", "\n"])
 def test_blank_spec_is_refused(blank):
@@ -1139,6 +1165,97 @@ def test_dispatch_lets_a_broken_pipe_through(monkeypatch):
     with pytest.raises(BrokenPipeError):
         dispatch(["char", "--n", "3"])
 
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv, outcome, stages",
+    [
+        (["char", "--n", "3"], EXIT_OK, ("build", "parse", "handler")),
+        (["char", "--n", "0"], EXIT_VALIDATION, ("build", "parse", "handler")),
+        (["char", "--n", "2"], EXIT_INTERNAL, ("build", "parse", "handler")),
+        (["char", "--n", "x"], EXIT_USAGE, ("build", "parse")),
+        (["char", "--help"], EXIT_OK, ("build",)),
+        (["char", "--n", "boom"], RuntimeError, ("build", "parse")),
+    ],
+    ids=["answer", "refused", "internal", "usage", "help", "exception"],
+)
+def test_dispatch_pauses_the_collector_for_the_parse_alone(
+    monkeypatch, capsys, enabled, argv, outcome, stages
+):
+    # off while the parser is built and parses, the caller's setting again
+    # before the handler runs and after dispatch returns or raises.  The
+    # setting is recorded at each stage; --n 2 makes the handler fail
+    # (exit 2), and --n boom makes the conversion raise an exception that is
+    # no usage error
+    seen = []
+    real_build, real_int, real_char = cli.build_parser, cli._int, cli._cmd_char
+
+    def build():
+        seen.append(("build", gc.isenabled()))
+        return real_build()
+
+    def convert(text):
+        seen.append(("parse", gc.isenabled()))
+        if text == "boom":
+            raise RuntimeError("boom")
+        return real_int(text)
+
+    def handler(args):
+        seen.append(("handler", gc.isenabled()))
+        if args.n == 2:
+            raise RuntimeError("boom")
+        return real_char(args)
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    monkeypatch.setattr(cli, "_int", convert)
+    monkeypatch.setattr(cli, "_cmd_char", handler)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            result = dispatch(argv)
+        except RuntimeError as exc:
+            result = type(exc)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert result == outcome
+    paused = {"build": False, "parse": False, "handler": enabled}
+    assert seen == [(stage, paused[stage]) for stage in stages]
+    assert after is enabled
+
+
+def test_each_parser_dies_young(spec_file, capsys):
+    # with no collection while it is built and parses, and no reference
+    # to it after, a parser is never live at a collection: none is promoted
+    # past the youngest generation, whatever the threshold.  pytest's own
+    # parsers are argparse.ArgumentParser, so only cli._Parser is counted
+    assert gc.isenabled()
+    argvs = (
+        ["chern", "--spec", spec_file],
+        ["rank", "--spec", spec_file],
+        ["char", "--n", "4"],
+        ["generating", "--n", "3", "--ranks", "2,1", "--symbols", "e1,e2"],
+        ["ext", "--spec", spec_file],
+        ["stability", "--spec", spec_file],
+        ["char", "--n", "x"],
+        ["--help"],
+    )
+    gc.collect()
+    threshold = gc.get_threshold()
+    gc.set_threshold(50)
+    try:
+        for argv in argvs * 3:
+            dispatch(argv)
+    finally:
+        gc.set_threshold(*threshold)
+    capsys.readouterr()
+    promoted = [
+        sum(type(o) is cli._Parser for o in gc.get_objects(generation=g)) for g in (1, 2)
+    ]
+    assert promoted == [0, 0]
 
 def test_module_entrypoint(spec_file):
     proc = _run_module("chern", "--spec", spec_file, timeout=None)

@@ -366,6 +366,36 @@ def test_bounded_index_p(monkeypatch):
         bounded_index_p((2, 2))
 
 
+
+def _compositions(n: int):
+    # every ordered tuple of positive parts summing to n
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first, *rest)
+
+
+def test_bounded_index_p_refuses_exactly_past_the_cap(monkeypatch):
+    # the early refusal (a binomial factor of at least 2^j) and the computed
+    # count must draw the same line: refused exactly when index_p > cap
+    shapes = [(lam, index_p(lam)) for n in range(1, 11) for lam in _compositions(n)]
+    assert len(shapes) == 2**10 - 1
+    routes = {"early": 0, "counted": 0}
+    for cap in range(1, 201):
+        monkeypatch.setattr(partitions, "MAX_COSETS", cap)
+        for lam, count in shapes:
+            try:
+                answer = bounded_index_p(lam)
+            except SizeLimitError as exc:
+                assert count > cap, (lam, cap)
+                routes["early" if str(exc).startswith("at least 2^") else "counted"] += 1
+            else:
+                assert (answer, count <= cap) == (count, True), (lam, cap)
+    # both routes to a refusal are taken, so neither is checked vacuously
+    assert min(routes.values()) > 0, routes
+
 def test_iter_cosets_lazy_and_capped(monkeypatch):
     cosets = iter_cosets((2, 1, 1))
     assert next(cosets) == LabeledComposition((2, 1, 1)).identity_labels()
